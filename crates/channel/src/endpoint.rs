@@ -904,6 +904,13 @@ impl ChannelEndpoint {
         })
     }
 
+    /// True while the outbox holds an envelope for
+    /// [`ChannelEndpoint::poll_transmit`] to hand out. Reading it charges
+    /// nothing.
+    pub fn has_queued_output(&self) -> bool {
+        !self.outbox.is_empty()
+    }
+
     /// Reports that the transport failed to move the last polled envelope
     /// (retry budget exhausted, partition). The endpoint backs off on the
     /// virtual clock and re-queues the same bytes, or — once

@@ -68,7 +68,8 @@ pub enum SensorHealth {
 }
 
 /// How a pump error reflects on the sensor that caused it.
-enum FaultClass {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultClass {
     /// Invalid signature, tampered proposal or channel-rule breach —
     /// counts toward quarantine.
     Violation,
@@ -79,7 +80,9 @@ enum FaultClass {
     Fatal,
 }
 
-fn classify(error: &ProtocolError) -> FaultClass {
+/// Classifies a pump error — the one rule every driver that keeps
+/// per-sensor health applies.
+pub fn classify(error: &ProtocolError) -> FaultClass {
     match error {
         ProtocolError::BadSignature
         | ProtocolError::Channel(_)
@@ -89,6 +92,44 @@ fn classify(error: &ProtocolError) -> FaultClass {
         | ProtocolError::Medium(_)
         | ProtocolError::Endpoint(EndpointError::RoundAborted { .. }) => FaultClass::Transport,
         _ => FaultClass::Fatal,
+    }
+}
+
+/// Books `error` against one sensor's `(health, violations)` record, as
+/// [`classify`] rates it: a violation counts toward quarantine (the
+/// [`QUARANTINE_THRESHOLD`]-th quarantines the sensor, traced as a
+/// `quarantine` phase of node `gateway` against `peer`), transport trouble
+/// degrades a healthy sensor, and a fatal error leaves the record alone.
+pub fn record_fault(
+    record: &mut (SensorHealth, u32),
+    error: &ProtocolError,
+    tracer: &TraceHandle,
+    gateway: &str,
+    peer: NodeAddr,
+) {
+    let (health, violations) = record;
+    match classify(error) {
+        FaultClass::Violation => {
+            *violations += 1;
+            tracer.count("gateway.violations", 1);
+            if *violations >= QUARANTINE_THRESHOLD && *health != SensorHealth::Quarantined {
+                *health = SensorHealth::Quarantined;
+                tracer.count("gateway.sensors_quarantined", 1);
+                tracer.event(|| tinyevm_trace::TraceEvent::Phase {
+                    node: gateway.to_string(),
+                    peer: peer.to_string(),
+                    phase: "quarantine".to_string(),
+                    sequence: 0,
+                    duration_us: 0,
+                });
+            }
+        }
+        FaultClass::Transport => {
+            if *health == SensorHealth::Healthy {
+                *health = SensorHealth::Degraded;
+            }
+        }
+        FaultClass::Fatal => {}
     }
 }
 
@@ -649,35 +690,16 @@ impl GatewayDriver {
         Ok(())
     }
 
-    /// Books a pump error against the sensor that caused it: violations
-    /// count toward quarantine, transport trouble degrades.
+    /// Books a pump error against the sensor that caused it (see
+    /// [`record_fault`]).
     fn record_fault(&mut self, index: usize, error: &ProtocolError) {
-        match classify(error) {
-            FaultClass::Violation => {
-                let (health, violations) = &mut self.health[index];
-                *violations += 1;
-                self.tracer.count("gateway.violations", 1);
-                if *violations >= QUARANTINE_THRESHOLD && *health != SensorHealth::Quarantined {
-                    *health = SensorHealth::Quarantined;
-                    let node = self.gateway.endpoint.device().name().to_string();
-                    let peer = self.sensors[index].node_addr().to_string();
-                    self.tracer.count("gateway.sensors_quarantined", 1);
-                    self.tracer.event(|| tinyevm_trace::TraceEvent::Phase {
-                        node,
-                        peer,
-                        phase: "quarantine".to_string(),
-                        sequence: 0,
-                        duration_us: 0,
-                    });
-                }
-            }
-            FaultClass::Transport => {
-                if self.health[index].0 == SensorHealth::Healthy {
-                    self.health[index].0 = SensorHealth::Degraded;
-                }
-            }
-            FaultClass::Fatal => {}
-        }
+        record_fault(
+            &mut self.health[index],
+            error,
+            &self.tracer,
+            self.gateway.endpoint.device().name(),
+            self.sensors[index].node_addr(),
+        );
     }
 
     /// Per-sensor summary rows, in address order.

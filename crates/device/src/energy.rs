@@ -219,7 +219,10 @@ impl EnergyReport {
 /// once [`EnergyMeter::with_timeline_cap`]'s cap is reached the oldest
 /// entries are evicted (counted in
 /// [`EnergyMeter::timeline_truncated`]). Capping or compaction never
-/// changes the energy report.
+/// changes the energy report. Eviction costs O(1) amortized: the backing
+/// buffer grows to twice the cap and then drops its oldest half in one
+/// go, while [`EnergyMeter::timeline`] always shows the newest `cap`
+/// entries.
 ///
 /// # Example
 ///
@@ -236,6 +239,8 @@ impl EnergyReport {
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     voltage: f64,
+    /// Backing buffer of the timeline: the retained window is its last
+    /// `timeline_cap` entries; up to as many evicted ones precede it.
     timeline: Vec<TimelineEntry>,
     timeline_cap: usize,
     timeline_truncated: u64,
@@ -313,9 +318,13 @@ impl EnergyMeter {
                 last.duration += duration;
             }
             _ => {
-                if self.timeline.len() == self.timeline_cap {
-                    self.timeline.remove(0);
+                if self.timeline.len() >= self.timeline_cap {
                     self.timeline_truncated += 1;
+                    // Twice the cap (written so a cap of `usize::MAX`
+                    // cannot overflow): drop the evicted half at once.
+                    if self.timeline.len() - self.timeline_cap == self.timeline_cap {
+                        self.timeline.drain(..self.timeline_cap);
+                    }
                 }
                 self.timeline.push(TimelineEntry {
                     start: self.clock,
@@ -330,7 +339,8 @@ impl EnergyMeter {
     /// The recorded timeline (Figure 5 raw data): state-transition
     /// intervals, bounded by the timeline cap.
     pub fn timeline(&self) -> &[TimelineEntry] {
-        &self.timeline
+        let evicted = self.timeline.len().saturating_sub(self.timeline_cap);
+        &self.timeline[evicted..]
     }
 
     /// Number of timeline entries evicted because the cap was reached.
@@ -377,7 +387,7 @@ impl EnergyMeter {
     /// Samples the current draw at a point in time (mA); zero when the
     /// device is between recorded activities (i.e. off in the model).
     pub fn current_at(&self, at: Duration) -> f64 {
-        self.timeline
+        self.timeline()
             .iter()
             .find(|e| at >= e.start && at < e.end())
             .map(|e| e.current_ma())
@@ -545,6 +555,7 @@ mod tests {
         // the cap and check that eviction is counted, the retained tail is
         // bounded, and the energy report still integrates *all* intervals.
         let mut capped = EnergyMeter::cc2538().with_timeline_cap(16);
+        let mut single = EnergyMeter::cc2538().with_timeline_cap(1);
         let mut unbounded = EnergyMeter::cc2538().with_timeline_cap(usize::MAX);
         for i in 0..1000u32 {
             // Alternate states so compaction cannot absorb the entries.
@@ -553,8 +564,20 @@ mod tests {
             } else {
                 PowerState::Rx
             };
-            capped.record(state, Duration::from_millis(3));
-            unbounded.record(state, Duration::from_millis(3));
+            for meter in [&mut capped, &mut single, &mut unbounded] {
+                if i % 50 == 0 {
+                    // Two halves of one interval merge into one entry.
+                    meter.record(state, Duration::from_millis(1));
+                    meter.record(state, Duration::from_millis(2));
+                } else {
+                    meter.record(state, Duration::from_millis(3));
+                }
+            }
+            // Eviction drains the backing buffer in batches; before and
+            // after every drain the window is exactly the newest entries.
+            let all = unbounded.timeline();
+            assert_eq!(capped.timeline(), &all[all.len().saturating_sub(16)..]);
+            assert_eq!(single.timeline(), &all[all.len() - 1..]);
         }
         assert_eq!(capped.timeline().len(), 16);
         assert_eq!(capped.timeline_truncated(), 1000 - 16);
@@ -569,9 +592,12 @@ mod tests {
         // The retained tail is the most recent transitions.
         let first_kept = capped.timeline()[0];
         assert_eq!(first_kept.start, Duration::from_millis(3 * (1000 - 16)));
+        // Reading the window never exposes an evicted entry.
+        assert_eq!(capped.current_at(Duration::from_millis(3)), 0.0);
         // Reset clears the eviction counter too.
         capped.reset();
         assert_eq!(capped.timeline_truncated(), 0);
+        assert!(capped.timeline().is_empty());
     }
 
     #[test]

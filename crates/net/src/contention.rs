@@ -33,7 +33,10 @@
 //! The type implements [`Radio`] by delegating resolved (won) transfers to
 //! the inner [`SharedMedium`]; slot arbitration happens outside `convey`,
 //! via [`ContendingMedium::resolve_slot`], which is what an event-driven
-//! scheduler calls once per virtual-time slot.
+//! scheduler calls once per virtual-time slot. A run of slots in which no
+//! ready sender would draw or transmit (every back-off counter still
+//! counting down) resolves in one step through
+//! [`ContendingMedium::skip_idle_slots`].
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -384,6 +387,44 @@ impl ContendingMedium {
         }
     }
 
+    /// Resolves up to `max_slots` consecutive slots among the same `ready`
+    /// senders in one step, stopping before the first slot in which one of
+    /// them would draw or transmit — the slot its back-off counter expires
+    /// in, or at once for a sender with no counter drawn yet. Returns the
+    /// number of slots resolved.
+    ///
+    /// Each resolved slot is exactly what [`ContendingMedium::resolve_slot`]
+    /// would make of it: it counts in
+    /// [`ContendingMedium::slots_elapsed`], draws nothing and counts every
+    /// ready sender's back-off down by one. `ready` lists each sender once,
+    /// in any order.
+    pub fn skip_idle_slots(&mut self, ready: &[NodeAddr], max_slots: u64) -> u64 {
+        let mut slots = max_slots;
+        for addr in ready {
+            let counter = match self.config.scheme {
+                // The lowest-addressed ready sender wins every slot.
+                AccessScheme::SingleSlot => None,
+                _ => self.senders.get(addr).and_then(|state| state.counter),
+            };
+            slots = slots.min(counter.map_or(0, u64::from));
+        }
+        if slots == 0 {
+            return 0;
+        }
+        self.slots_elapsed += slots;
+        for addr in ready {
+            if let Some(counter) = self
+                .senders
+                .get_mut(addr)
+                .and_then(|state| state.counter.as_mut())
+            {
+                // `slots` is at most this counter, so it fits.
+                *counter -= slots as u32;
+            }
+        }
+        slots
+    }
+
     fn note_success(&mut self, winner: NodeAddr) {
         if let Some(state) = self.senders.get_mut(&winner) {
             if let AccessScheme::CsmaCa { cw_min, .. } = self.config.scheme {
@@ -652,6 +693,64 @@ mod tests {
         assert_eq!(medium.sender_collisions(addrs[0]), 1);
         assert_eq!(medium.sender_collisions(addrs[1]), 1);
         assert_eq!(medium.sender_collisions(NodeAddr::new(0x55)), 0);
+    }
+
+    fn aloha_medium(sensors: u16, seed: u64) -> (ContendingMedium, Vec<NodeAddr>) {
+        let mut medium = ContendingMedium::new(
+            NodeAddr::new(0xFE),
+            LinkConfig::lossless(LinkProfile::Tsch),
+            ContentionConfig::aloha(0.6, seed),
+        )
+        .unwrap();
+        let addrs: Vec<NodeAddr> = (1..=sensors).map(NodeAddr::new).collect();
+        for addr in &addrs {
+            medium.attach(*addr).unwrap();
+        }
+        (medium, addrs)
+    }
+
+    /// Skipping a run of idle slots must leave the medium exactly where
+    /// resolving them one by one leaves it: same slot count, same
+    /// counters, so every later slot resolves the same way.
+    #[test]
+    fn skipping_idle_slots_matches_resolving_them_one_by_one() {
+        for build in [csma_medium, aloha_medium] {
+            for seed in 1..=12u64 {
+                let (mut stepped, addrs) = build(6, seed);
+                let (mut skipped, _) = build(6, seed);
+                let mut jumps = 0;
+                for _ in 0..300 {
+                    // A capped skip stops early; an uncapped one runs up
+                    // to the first slot a sender acts in.
+                    let cap = if jumps % 2 == 0 { 3 } else { u64::MAX };
+                    let jumped = skipped.skip_idle_slots(&addrs, cap);
+                    jumps += u64::from(jumped > 0);
+                    for _ in 0..jumped {
+                        assert_eq!(stepped.resolve_slot(&addrs), SlotOutcome::Idle);
+                    }
+                    assert_eq!(stepped.slots_elapsed(), skipped.slots_elapsed());
+                    assert_eq!(stepped.resolve_slot(&addrs), skipped.resolve_slot(&addrs));
+                }
+                assert!(jumps > 0, "seed {seed}: back-off must leave idle runs");
+                assert_eq!(stepped.collision_events(), skipped.collision_events());
+                assert_eq!(stepped.frames_collided(), skipped.frames_collided());
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_stops_at_once_for_senders_without_a_counter() {
+        let (mut medium, addrs) = csma_medium(3, 5);
+        // Nobody has drawn a back-off yet: the next slot draws.
+        assert_eq!(medium.skip_idle_slots(&addrs, 100), 0);
+        // No ready sender: every slot is idle, up to the cap.
+        assert_eq!(medium.skip_idle_slots(&[], 40), 40);
+        assert_eq!(medium.slots_elapsed(), 40);
+        let single = ContentionConfig::single_slot();
+        let mut medium =
+            ContendingMedium::new(NodeAddr::new(0xFE), LinkConfig::default(), single).unwrap();
+        medium.attach(addrs[0]).unwrap();
+        assert_eq!(medium.skip_idle_slots(&addrs[..1], 100), 0);
     }
 
     #[test]

@@ -151,6 +151,9 @@ pub struct SharedMedium {
     /// Frames parked for the gateway, one bounded queue per sending peer
     /// (so a flooding sensor sheds its own frames, never a neighbour's).
     gateway_rx: BTreeMap<NodeAddr, VecDeque<Vec<u8>>>,
+    /// Frames across all of `gateway_rx`, so asking for the gateway's
+    /// backlog never walks every peer's queue.
+    gateway_rx_frames: usize,
     rx_queue_capacity: usize,
     frames_dropped_queue_full: u64,
     total_wire_bytes: u64,
@@ -189,6 +192,7 @@ impl SharedMedium {
             base,
             endpoints: BTreeMap::new(),
             gateway_rx: BTreeMap::new(),
+            gateway_rx_frames: 0,
             rx_queue_capacity: DEFAULT_RX_QUEUE_CAPACITY,
             frames_dropped_queue_full: 0,
             total_wire_bytes: 0,
@@ -352,6 +356,7 @@ impl SharedMedium {
         for queue in self.gateway_rx.values_mut() {
             while queue.len() > capacity {
                 queue.pop_back();
+                self.gateway_rx_frames -= 1;
                 shed += 1;
             }
         }
@@ -405,6 +410,7 @@ impl SharedMedium {
         }
         if to == self.gateway {
             self.gateway_rx.entry(from).or_default().push_back(frame);
+            self.gateway_rx_frames += 1;
         } else if let Some(endpoint) = self.endpoints.get_mut(&to) {
             endpoint.rx_queue.push_back((from, frame));
         }
@@ -416,8 +422,12 @@ impl SharedMedium {
     /// endpoint frames drain in arrival order.
     pub fn dequeue_rx(&mut self, to: NodeAddr) -> Option<(NodeAddr, Vec<u8>)> {
         if to == self.gateway {
+            if self.gateway_rx_frames == 0 {
+                return None;
+            }
             for (from, queue) in self.gateway_rx.iter_mut() {
                 if let Some(frame) = queue.pop_front() {
+                    self.gateway_rx_frames -= 1;
                     return Some((*from, frame));
                 }
             }
@@ -429,7 +439,7 @@ impl SharedMedium {
     /// Frames currently parked for `to` (all sending peers combined).
     pub fn rx_queue_depth(&self, to: NodeAddr) -> usize {
         if to == self.gateway {
-            return self.gateway_rx.values().map(VecDeque::len).sum();
+            return self.gateway_rx_frames;
         }
         self.endpoints
             .get(&to)
@@ -707,6 +717,7 @@ mod tests {
         assert_eq!(medium.dequeue_rx(gateway), Some((addrs[0], vec![2])));
         assert_eq!(medium.dequeue_rx(gateway), Some((addrs[1], vec![9])));
         assert_eq!(medium.dequeue_rx(gateway), None);
+        assert_eq!(medium.rx_queue_depth(gateway), 0);
         // Downlink queues are bounded the same way.
         assert!(medium.enqueue_rx(gateway, addrs[0], vec![4]).unwrap());
         assert!(medium.enqueue_rx(gateway, addrs[0], vec![5]).unwrap());
@@ -718,6 +729,14 @@ mod tests {
         medium.set_rx_queue_capacity(0);
         assert_eq!(medium.rx_queue_depth(addrs[0]), 0);
         assert_eq!(medium.frames_dropped_queue_full(), 3);
+        // Shedding a parked gateway frame shrinks the gateway's backlog too.
+        medium.set_rx_queue_capacity(1);
+        assert!(medium.enqueue_rx(addrs[1], gateway, vec![8]).unwrap());
+        assert_eq!(medium.rx_queue_depth(gateway), 1);
+        medium.set_rx_queue_capacity(0);
+        assert_eq!(medium.rx_queue_depth(gateway), 0);
+        assert_eq!(medium.dequeue_rx(gateway), None);
+        assert_eq!(medium.frames_dropped_queue_full(), 4);
         // Unknown receivers are a typed error, not silence.
         assert!(matches!(
             medium.enqueue_rx(addrs[0], NodeAddr::new(0x99), vec![7]),

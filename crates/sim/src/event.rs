@@ -83,6 +83,21 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|entry| entry.time)
     }
 
+    /// The `(time, seq)` key of the earliest scheduled event.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|entry| (entry.time, entry.seq))
+    }
+
+    /// The sequence number the next scheduled event will receive. An event
+    /// kept outside the queue (a periodic timer, say) that records this
+    /// value when it is armed, and fires before any queued key not below
+    /// its own, keeps exactly the order it would have had in the queue:
+    /// after every event queued earlier for the same instant, before every
+    /// event queued later.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -113,6 +128,21 @@ mod tests {
         let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, ["early-a", "early-b", "late-a", "late-b"]);
         assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn peek_key_and_next_seq_expose_the_tie_order() {
+        let mut queue = EventQueue::new();
+        let t = SimTime::from_nanos(5_000);
+        assert_eq!(queue.peek_key(), None);
+        queue.schedule(t, "queued");
+        let armed = (t, queue.next_seq());
+        queue.schedule(t, "queued later");
+        // The earlier event precedes a timer armed after it; the later
+        // one follows it.
+        assert!(queue.peek_key().unwrap() < armed);
+        queue.pop();
+        assert!(armed <= queue.peek_key().unwrap());
     }
 
     #[test]

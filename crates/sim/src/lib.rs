@@ -7,9 +7,9 @@
 //! against one gateway over a contending radio medium
 //! ([`tinyevm_net::ContendingMedium`] — slotted ALOHA or CSMA/CA with
 //! capture). Frames from many sensors are in flight at once, the
-//! gateway's per-peer RX queues are bounded (overflow counted, recovered
-//! by stall-retransmission), and retry backoff runs on virtual-clock
-//! deadlines.
+//! gateway's per-peer RX queues are bounded (overflow counted), retry
+//! backoff runs on virtual-clock deadlines, and the loop jumps over
+//! contention slots in which nothing can happen.
 //!
 //! The invariant the whole design serves: **same seed ⇒ byte-identical
 //! event order, statistics and settlements, at any `jobs` value**.
@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+mod index_set;
 pub mod scheduler;
 
 pub use event::EventQueue;

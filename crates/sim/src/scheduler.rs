@@ -10,10 +10,20 @@
 //! contend slot by slot on a [`ContendingMedium`]; deliveries are discrete
 //! events on an [`EventQueue`] keyed by `(time_ns, seq)`; the gateway is a
 //! serial server whose per-peer RX queues are bounded (overflow frames are
-//! shed and counted, and the senders' stall-retransmit machinery recovers
-//! them). Endpoint `wait()` pacing, retry backoff deadlines and
-//! crypto/processing costs all advance the same virtual clocks, so a run
-//! is reproducible byte for byte.
+//! shed and counted). Endpoint `wait()` pacing, retry backoff deadlines
+//! and crypto/processing costs all advance the same virtual clocks, so a
+//! run is reproducible byte for byte.
+//!
+//! Contention slots are not queued events. The loop keeps the next slot
+//! boundary itself, ordered against same-instant deliveries by the queue
+//! sequence number it was armed at, and before each event it jumps over
+//! every slot in which nothing can happen: no delivery lands, the gateway
+//! is still busy (or has nothing parked), no sensor has output to poll, no
+//! sender holding a frame wakes, and no ready sender's back-off expires.
+//! A skipped slot still counts in the medium's `slots_elapsed` and still
+//! counts the ready senders' back-off down; it draws nothing, exactly as
+//! an idle slot resolved on its own. In the backlog regime, where nearly
+//! every sensor waits on the serial gateway, almost every slot is skipped.
 //!
 //! Two schedules share one implementation:
 //!
@@ -25,6 +35,10 @@
 //! * [`AccessScheme::SlottedAloha`] / [`AccessScheme::CsmaCa`] — the
 //!   event-driven interleaved schedule described above.
 //!
+//! Per-event bookkeeping never scans the whole fleet: bit sets track who
+//! is active, who holds a frame and whose state changed since the last
+//! event, and an event visits only the sensors in them.
+//!
 //! Intent phases that are pure per-sensor computation (signing a payment,
 //! signing a close) are sharded across `jobs` worker threads between event
 //! barriers; shards own disjoint sensors and results merge in address
@@ -34,12 +48,12 @@
 //! downlink slots (as a TSCH schedule would provision), so acknowledgement
 //! traffic cannot be starved by a large uplink backlog.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 use tinyevm_chain::{Blockchain, TemplateConfig};
 use tinyevm_channel::gateway::{
-    GatewayRoundReport, GatewaySettlementReport, SensorHealth, GATEWAY_ADDR, QUARANTINE_THRESHOLD,
+    classify, FaultClass, GatewayRoundReport, GatewaySettlementReport, SensorHealth, GATEWAY_ADDR,
 };
 use tinyevm_channel::{
     pump_contention_free, ChannelEndpoint, ChannelError, ChannelRegistration, Effect,
@@ -53,10 +67,12 @@ use tinyevm_net::{
 use tinyevm_trace::TraceHandle;
 use tinyevm_types::{Wei, H256};
 
+use crate::index_set::IndexSet;
+
 /// Hard ceiling on contention slots per drive phase — a deterministic
 /// backstop that turns a scheduling bug into a typed error instead of an
 /// endless loop. At 5 ms slots this is ~2.8 virtual hours, far above any
-/// legitimate sweep point.
+/// legitimate sweep point. Skipped slots count toward it like any other.
 const SLOT_BUDGET: u64 = 2_000_000;
 
 /// Configuration of a simulated fleet session.
@@ -166,18 +182,14 @@ pub struct FleetReport {
     pub collision_rate: f64,
 }
 
-/// One discrete event on the virtual clock.
+/// A frame finishing its flight and reaching `to`'s radio — the one kind
+/// of queued event.
 #[derive(Debug)]
-enum SimEvent {
-    /// A contention-slot boundary: arbitrate the ready senders.
-    Slot,
-    /// A frame finishing its flight and reaching `to`'s radio.
-    Deliver {
-        from: NodeAddr,
-        to: NodeAddr,
-        bytes: Vec<u8>,
-        wire_bytes: usize,
-    },
+struct Delivery {
+    from: NodeAddr,
+    to: NodeAddr,
+    bytes: Vec<u8>,
+    wire_bytes: usize,
 }
 
 /// The discrete-event fleet scheduler — see the module docs.
@@ -192,8 +204,20 @@ pub struct FleetScheduler {
     medium: ContendingMedium,
     idle_gap: Duration,
     clock: SimTime,
-    queue: crate::event::EventQueue<SimEvent>,
-    slots_pending: u32,
+    queue: crate::event::EventQueue<Delivery>,
+    /// The next contention-slot boundary and the queue sequence number at
+    /// the moment it was armed: it fires after deliveries queued before
+    /// that moment for the same instant, before those queued after.
+    next_slot: Option<(SimTime, u64)>,
+    /// Sensors whose current phase is still running.
+    active: IndexSet,
+    /// Sensors holding an envelope in `pending_tx`.
+    pending: IndexSet,
+    /// Sensors whose state changed since the last event; after
+    /// `prune_quiescent`, those with output to poll at the next slot.
+    dirty: IndexSet,
+    /// The senders ready at a slot boundary, in address order (reused).
+    ready: Vec<NodeAddr>,
     /// Per sensor: a polled envelope awaiting a slot win.
     pending_tx: Vec<Option<Envelope>>,
     /// Per sensor: frames in the air involving it (either direction).
@@ -211,29 +235,7 @@ pub struct FleetScheduler {
     tracer: TraceHandle,
 }
 
-/// How a fault reflects on the sensor that caused it — the same
-/// classification [`GatewayDriver`](tinyevm_channel::GatewayDriver) uses.
-enum FaultClass {
-    Violation,
-    Transport,
-    Fatal,
-}
-
-fn classify(error: &ProtocolError) -> FaultClass {
-    match error {
-        ProtocolError::BadSignature
-        | ProtocolError::Channel(_)
-        | ProtocolError::UnexpectedMessage { .. }
-        | ProtocolError::Endpoint(EndpointError::ProposalMismatch(_)) => FaultClass::Violation,
-        ProtocolError::Link(_)
-        | ProtocolError::Medium(_)
-        | ProtocolError::Endpoint(EndpointError::RoundAborted { .. }) => FaultClass::Transport,
-        _ => FaultClass::Fatal,
-    }
-}
-
-/// True for the wire-level failures the shared pump drops silently: the
-/// sender's stall-retransmit machinery recovers the round.
+/// True for the wire-level failures the shared pump drops silently.
 fn droppable(error: &EndpointError) -> bool {
     matches!(
         error,
@@ -317,7 +319,11 @@ impl FleetScheduler {
             idle_gap: Duration::from_millis(120),
             clock: SimTime::ZERO,
             queue: crate::event::EventQueue::new(),
-            slots_pending: 0,
+            next_slot: None,
+            active: IndexSet::new(count),
+            pending: IndexSet::new(count),
+            dirty: IndexSet::new(count),
+            ready: Vec::new(),
             pending_tx: (0..count).map(|_| None).collect(),
             inflight: vec![0; count],
             round_bytes: vec![0; count],
@@ -545,8 +551,11 @@ impl FleetScheduler {
             }
         }
         if !single_slot {
-            let mut active: BTreeSet<usize> = (0..self.sensors.len()).collect();
-            self.drive(&mut active)?;
+            let mut active = IndexSet::new(self.sensors.len());
+            for index in 0..self.sensors.len() {
+                active.insert(index);
+            }
+            self.drive(active)?;
         }
         self.pause_all();
         self.opened = true;
@@ -604,8 +613,9 @@ impl FleetScheduler {
         let before = self.completed_per_sensor();
         self.sensors[index].pay(self.gateway_addr, amount)?;
         self.round_bytes[index] = 0;
-        let mut active = BTreeSet::from([index]);
-        self.drive(&mut active)?;
+        let mut active = IndexSet::new(self.sensors.len());
+        active.insert(index);
+        self.drive(active)?;
         let after = self.completed_per_sensor();
         if after[index] > before[index] {
             Ok(())
@@ -649,17 +659,15 @@ impl FleetScheduler {
                     Some(sensor.close(gateway_addr))
                 }
             });
-            let mut active = BTreeSet::new();
+            let mut active = IndexSet::new(self.sensors.len());
             for (index, result) in results.into_iter().enumerate() {
                 match result {
                     None => {}
-                    Some(Ok(_)) => {
-                        active.insert(index);
-                    }
+                    Some(Ok(_)) => active.insert(index),
                     Some(Err(error)) => return Err(error.into()),
                 }
             }
-            self.drive(&mut active)?;
+            self.drive(active)?;
         }
         let commits = self.gateway.finalize_closes()?;
         let mut templates = Vec::with_capacity(self.sensors.len());
@@ -777,7 +785,7 @@ impl FleetScheduler {
                 Some(sensor.pay(gateway_addr, amount))
             }
         });
-        let mut active = BTreeSet::new();
+        let mut active = IndexSet::new(self.sensors.len());
         let before = self.completed_per_sensor();
         for (index, result) in results.into_iter().enumerate() {
             match result {
@@ -795,7 +803,7 @@ impl FleetScheduler {
                 }
             }
         }
-        self.drive(&mut active)?;
+        self.drive(active)?;
         // A sensor that completed its round cleanly recovers from a
         // transport-degraded state, exactly as the lockstep driver's
         // per-round bookkeeping does.
@@ -850,144 +858,178 @@ impl FleetScheduler {
 
     /// Runs the event loop until every sensor in `active` is quiescent
     /// (round complete or aborted).
-    fn drive(&mut self, active: &mut BTreeSet<usize>) -> Result<(), ProtocolError> {
+    fn drive(&mut self, active: IndexSet) -> Result<(), ProtocolError> {
         let slot_limit = self.medium.slots_elapsed() + SLOT_BUDGET;
-        self.ensure_slot();
+        for index in active.iter() {
+            self.dirty.insert(index);
+        }
+        self.active = active;
         loop {
-            self.prune_quiescent(active);
-            if active.is_empty() {
+            self.prune_quiescent();
+            if self.active.is_empty() {
                 break;
             }
+            let armed = self.next_slot.unwrap_or((
+                self.clock + self.config.contention.slot,
+                self.queue.next_seq(),
+            ));
+            let slot = self.skip_idle_slots(armed, slot_limit);
+            self.next_slot = Some(slot);
             if self.medium.slots_elapsed() > slot_limit {
                 return Err(ProtocolError::OutOfOrder(
                     "fleet schedule exceeded its slot budget",
                 ));
             }
-            let Some((time, event)) = self.queue.pop() else {
-                self.handle_stall(active)?;
-                continue;
-            };
-            self.clock = self.clock.max(time);
-            match event {
-                SimEvent::Slot => {
-                    self.slots_pending = self.slots_pending.saturating_sub(1);
-                    self.handle_slot(active)?;
-                }
-                SimEvent::Deliver {
-                    from,
-                    to,
-                    bytes,
-                    wire_bytes,
-                } => {
-                    self.handle_deliver(active, from, to, bytes, wire_bytes)?;
-                }
+            if self.queue.peek_key().is_some_and(|key| key < slot) {
+                let (time, delivery) = self.queue.pop().expect("a delivery was peeked");
+                self.clock = self.clock.max(time);
+                self.handle_deliver(delivery)?;
+            } else {
+                self.next_slot = None;
+                self.clock = self.clock.max(slot.0);
+                self.handle_slot()?;
             }
         }
         Ok(())
     }
 
-    /// Schedules the next contention-slot boundary (at most one pending).
-    fn ensure_slot(&mut self) {
-        if self.slots_pending == 0 {
-            self.queue
-                .schedule(self.clock + self.config.contention.slot, SimEvent::Slot);
-            self.slots_pending += 1;
+    /// Resolves at once the run of slots from boundary `slot` on in which
+    /// nothing can happen (see the module docs) and returns the boundary
+    /// after the run: no slot of the run lies at or past the next queued
+    /// delivery, the gateway cannot start on a parked frame in any, no
+    /// sensor has output to poll, no sender holding a frame wakes, and the
+    /// medium ends the run before any ready sender's back-off expires. The
+    /// run ends one slot past `slot_limit` at the latest, so the budget
+    /// trips at exactly the slot count stepping would reach.
+    fn skip_idle_slots(&mut self, slot: (SimTime, u64), slot_limit: u64) -> (SimTime, u64) {
+        if !self.dirty.is_empty() {
+            return slot;
         }
+        let start = slot.0;
+        let length = self.config.contention.slot;
+        let mut room = (slot_limit + 1).saturating_sub(self.medium.slots_elapsed());
+        if let Some(delivery) = self.queue.peek_key() {
+            if delivery < slot {
+                return slot;
+            }
+            // Later boundaries are armed after this delivery was queued,
+            // so one falling on its very instant comes second.
+            room = room.min(boundaries_before(start, delivery.0, length).max(1));
+        }
+        if self.medium.inner().rx_queue_depth(self.gateway_addr) > 0 {
+            let busy_until = self.gateway.device().sim_now();
+            room = room.min(boundaries_before(start, busy_until, length));
+        }
+        if room == 0 {
+            return slot;
+        }
+        if let Some(wake) = self.collect_ready(start) {
+            room = room.min(boundaries_before(start, wake, length));
+        }
+        let skipped = self.medium.skip_idle_slots(&self.ready, room);
+        if skipped == 0 {
+            return slot;
+        }
+        let last = start
+            + length * u32::try_from(skipped - 1).expect("a run never passes the slot budget");
+        self.clock = self.clock.max(last);
+        (last + length, self.queue.next_seq())
     }
 
-    /// Fills `pending_tx` from every active sensor with a non-empty
-    /// outbox. Sensors outside `active` have no phase in flight, so their
-    /// outboxes are empty by construction.
-    fn poll_sensors(&mut self, active: &BTreeSet<usize>) {
-        for &index in active {
-            if self.pending_tx[index].is_none() {
-                self.pending_tx[index] = self.sensors[index].poll_transmit();
+    /// Fills `ready` with the active senders holding a frame whose device
+    /// clock has reached `at`, in address order, and returns the earliest
+    /// device clock among the holders still ahead of it.
+    fn collect_ready(&mut self, at: SimTime) -> Option<SimTime> {
+        self.ready.clear();
+        let mut wake: Option<SimTime> = None;
+        for index in self.pending.iter() {
+            if !self.active.contains(index) {
+                continue;
+            }
+            let now = self.sensors[index].device().sim_now();
+            if now <= at {
+                self.ready.push(self.sensors[index].addr());
+            } else {
+                wake = Some(wake.map_or(now, |earliest| earliest.min(now)));
             }
         }
+        wake
     }
 
-    /// Removes sensors that have nothing left to do from the active set.
-    fn prune_quiescent(&mut self, active: &mut BTreeSet<usize>) {
-        let done: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&index| {
-                self.pending_tx[index].is_none()
-                    && self.inflight[index] == 0
-                    && self.sensors[index].stalled_round().is_none()
-                    && {
-                        // One more poll: a queued follow-up message keeps
-                        // the sensor active (and is stashed for the next
-                        // slot).
-                        match self.sensors[index].poll_transmit() {
-                            Some(envelope) => {
-                                self.pending_tx[index] = Some(envelope);
-                                false
-                            }
-                            None => true,
-                        }
-                    }
-            })
-            .collect();
-        for index in done {
-            active.remove(&index);
-        }
+    /// Looks again at every sensor whose state changed since the last
+    /// event. One with nothing held, in flight or awaited polls its outbox
+    /// once more — a queued follow-up keeps it active, held for the next
+    /// slot — or leaves `active`. Only sensors with output for the next
+    /// slot stay marked.
+    fn prune_quiescent(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.retain(|index| {
+            if !self.active.contains(index) || self.pending_tx[index].is_some() {
+                return false;
+            }
+            if self.inflight[index] > 0 || self.sensors[index].stalled_round().is_some() {
+                return self.sensors[index].has_queued_output();
+            }
+            match self.sensors[index].poll_transmit() {
+                Some(envelope) => self.hold(index, envelope),
+                None => self.active.remove(index),
+            }
+            false
+        });
+        self.dirty = dirty;
     }
 
-    /// True while any frame is pending, parked or in flight.
-    fn work_outstanding(&self) -> bool {
-        self.pending_tx.iter().any(Option::is_some)
-            || self.inflight.iter().any(|&count| count > 0)
-            || self.medium.inner().rx_queue_depth(self.gateway_addr) > 0
+    /// Polls every sensor still marked with output (see
+    /// [`FleetScheduler::prune_quiescent`]) into `pending_tx`.
+    fn poll_sensors(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.retain(|index| {
+            if self.active.contains(index) && self.pending_tx[index].is_none() {
+                if let Some(envelope) = self.sensors[index].poll_transmit() {
+                    self.hold(index, envelope);
+                }
+            }
+            false
+        });
+        self.dirty = dirty;
     }
 
-    fn handle_slot(&mut self, active: &mut BTreeSet<usize>) -> Result<(), ProtocolError> {
+    fn hold(&mut self, index: usize, envelope: Envelope) {
+        self.pending_tx[index] = Some(envelope);
+        self.pending.insert(index);
+    }
+
+    fn handle_slot(&mut self) -> Result<(), ProtocolError> {
         // Let a previously busy gateway catch up on parked frames first,
         // so its replies ride this slot's downlink phase.
-        self.drain_gateway(active)?;
-        self.poll_sensors(active);
-        // BTreeSet iteration is ascending, so `ready` arrives in address
-        // order — the arbitration is order-independent anyway (per-sender
-        // RNG streams), but determinism is easier to audit this way.
-        let ready: Vec<NodeAddr> = active
-            .iter()
-            .copied()
-            .filter(|&index| {
-                self.pending_tx[index].is_some()
-                    && self.sensors[index].device().sim_now() <= self.clock
-            })
-            .map(|index| self.sensors[index].addr())
-            .collect();
-        match self.medium.resolve_slot(&ready) {
-            SlotOutcome::Idle => {}
-            SlotOutcome::Won(winner) => self.transmit_uplink(active, winner)?,
-            SlotOutcome::Collision { captured, lost } => {
-                // Losers keep their envelope; the medium's backoff state
-                // delays their next contention. The capture survivor's
-                // frame still rides the air.
-                let _ = lost;
-                if let Some(winner) = captured {
-                    self.transmit_uplink(active, winner)?;
-                }
-            }
+        self.drain_gateway()?;
+        self.poll_sensors();
+        // `ready` arrives in address order — the arbitration is
+        // order-independent anyway (per-sender RNG streams), but
+        // determinism is easier to audit this way.
+        self.collect_ready(self.clock);
+        match self.medium.resolve_slot(&self.ready) {
+            // A capture survivor's frame still rides the air; the losers
+            // keep their envelope and the medium's backoff state delays
+            // their next contention.
+            SlotOutcome::Won(winner)
+            | SlotOutcome::Collision {
+                captured: Some(winner),
+                ..
+            } => self.transmit_uplink(winner),
+            SlotOutcome::Idle | SlotOutcome::Collision { captured: None, .. } => Ok(()),
         }
-        if self.work_outstanding() || !active.is_empty() {
-            self.ensure_slot();
-        }
-        Ok(())
     }
 
-    fn transmit_uplink(
-        &mut self,
-        active: &mut BTreeSet<usize>,
-        winner: NodeAddr,
-    ) -> Result<(), ProtocolError> {
+    fn transmit_uplink(&mut self, winner: NodeAddr) -> Result<(), ProtocolError> {
         let Some(index) = self.index_of(winner) else {
             return Err(ProtocolError::OutOfOrder("slot won by an unknown sensor"));
         };
         let Some(envelope) = self.pending_tx[index].take() else {
             return Ok(());
         };
+        self.pending.remove(index);
+        self.dirty.insert(index);
         if envelope.to != self.gateway_addr {
             return Err(ProtocolError::OutOfOrder(
                 "envelope addressed to a peer this schedule does not serve",
@@ -1008,7 +1050,7 @@ impl FleetScheduler {
                 self.inflight[index] += 1;
                 self.queue.schedule(
                     self.clock + report.tx_time,
-                    SimEvent::Deliver {
+                    Delivery {
                         from: winner,
                         to: self.gateway_addr,
                         bytes: delivered,
@@ -1018,9 +1060,7 @@ impl FleetScheduler {
             }
             Err(MediumError::Link(_)) => match self.sensors[index].on_transport_error() {
                 Ok(()) => {}
-                Err(EndpointError::RoundAborted { .. }) => {
-                    self.abort_round(active, index);
-                }
+                Err(EndpointError::RoundAborted { .. }) => self.abort_round(index),
                 Err(other) => return Err(other.into()),
             },
             Err(other) => return Err(other.into()),
@@ -1028,45 +1068,41 @@ impl FleetScheduler {
         Ok(())
     }
 
-    fn handle_deliver(
-        &mut self,
-        active: &mut BTreeSet<usize>,
-        from: NodeAddr,
-        to: NodeAddr,
-        bytes: Vec<u8>,
-        wire_bytes: usize,
-    ) -> Result<(), ProtocolError> {
+    fn handle_deliver(&mut self, delivery: Delivery) -> Result<(), ProtocolError> {
+        let Delivery {
+            from,
+            to,
+            bytes,
+            wire_bytes,
+        } = delivery;
         if to == self.gateway_addr {
             if let Some(index) = self.index_of(from) {
                 self.inflight[index] = self.inflight[index].saturating_sub(1);
+                self.dirty.insert(index);
             }
             // Park the frame in the gateway's bounded per-peer RX queue;
-            // a full queue sheds it (counted) and the sender's
-            // stall-retransmit recovers the round.
+            // a full queue sheds it (counted).
             if self.medium.inner_mut().enqueue_rx(from, to, bytes)? {
                 self.queued_wire_sizes
                     .entry(from)
                     .or_default()
                     .push_back(wire_bytes);
             }
-            self.drain_gateway(active)?;
+            self.drain_gateway()
         } else {
             let Some(index) = self.index_of(to) else {
                 return Err(ProtocolError::OutOfOrder("delivery to an unknown sensor"));
             };
             self.inflight[index] = self.inflight[index].saturating_sub(1);
-            self.deliver_to_sensor(index, from, &bytes, wire_bytes)?;
+            self.dirty.insert(index);
+            self.deliver_to_sensor(index, from, &bytes, wire_bytes)
         }
-        if self.work_outstanding() || !active.is_empty() {
-            self.ensure_slot();
-        }
-        Ok(())
     }
 
     /// Processes parked gateway frames while the gateway's serial clock
     /// has caught up to the scheduler clock; frames beyond that stay
     /// queued (real queueing delay) until a later event.
-    fn drain_gateway(&mut self, active: &mut BTreeSet<usize>) -> Result<(), ProtocolError> {
+    fn drain_gateway(&mut self) -> Result<(), ProtocolError> {
         while self.gateway.device().sim_now() <= self.clock {
             let Some((src, frame)) = self.medium.inner_mut().dequeue_rx(self.gateway_addr) else {
                 break;
@@ -1109,14 +1145,14 @@ impl FleetScheduler {
                     }
                 }
             }
-            self.transmit_downlink(active)?;
+            self.transmit_downlink()?;
         }
         Ok(())
     }
 
     /// Drains the gateway's outbox onto dedicated coordinator downlink
     /// slots (no contention; a TSCH schedule provisions these).
-    fn transmit_downlink(&mut self, active: &mut BTreeSet<usize>) -> Result<(), ProtocolError> {
+    fn transmit_downlink(&mut self) -> Result<(), ProtocolError> {
         while let Some(envelope) = self.gateway.poll_transmit() {
             let wire = envelope.message.to_wire();
             match self.medium.convey(self.gateway_addr, envelope.to, &wire) {
@@ -1129,7 +1165,7 @@ impl FleetScheduler {
                     }
                     self.queue.schedule(
                         depart + report.tx_time,
-                        SimEvent::Deliver {
+                        Delivery {
                             from: self.gateway_addr,
                             to: envelope.to,
                             bytes: delivered,
@@ -1141,7 +1177,7 @@ impl FleetScheduler {
                     Ok(()) => {}
                     Err(EndpointError::RoundAborted { peer, .. }) => {
                         if let Some(index) = self.index_of(peer) {
-                            self.abort_round(active, index);
+                            self.abort_round(index);
                         }
                     }
                     Err(other) => return Err(other.into()),
@@ -1208,73 +1244,28 @@ impl FleetScheduler {
         Ok(())
     }
 
-    /// The event queue ran dry with rounds still pending: every stalled
-    /// sensor arms its deadline-based retransmission (or aborts once the
-    /// budget is spent) and the slot clock restarts.
-    fn handle_stall(&mut self, active: &mut BTreeSet<usize>) -> Result<(), ProtocolError> {
-        let stalled: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&index| {
-                self.pending_tx[index].is_none()
-                    && self.inflight[index] == 0
-                    && self.sensors[index].stalled_round().is_some()
-            })
-            .collect();
-        for index in stalled {
-            match self.sensors[index].on_round_stalled() {
-                // The retransmitted copy is back in the outbox and the
-                // device clock slept onto the retry deadline; the next
-                // slot at/after that deadline carries it.
-                Ok(()) => {}
-                Err(EndpointError::RoundAborted { .. }) => {
-                    self.abort_round(active, index);
-                }
-                Err(other) => return Err(other.into()),
-            }
-        }
-        self.ensure_slot();
-        Ok(())
-    }
-
-    fn abort_round(&mut self, active: &mut BTreeSet<usize>, index: usize) {
+    fn abort_round(&mut self, index: usize) {
         self.aborted_rounds += 1;
         self.pending_tx[index] = None;
+        self.pending.remove(index);
         let error = ProtocolError::Endpoint(EndpointError::RoundAborted {
             peer: self.sensors[index].addr(),
             attempts: 0,
         });
         self.record_fault(index, &error);
-        active.remove(&index);
+        self.active.remove(index);
     }
 
+    /// Books a fault against sensor `index`, exactly as the lockstep
+    /// driver does.
     fn record_fault(&mut self, index: usize, error: &ProtocolError) {
-        match classify(error) {
-            FaultClass::Violation => {
-                let (health, violations) = &mut self.health[index];
-                *violations += 1;
-                self.tracer.count("gateway.violations", 1);
-                if *violations >= QUARANTINE_THRESHOLD && *health != SensorHealth::Quarantined {
-                    *health = SensorHealth::Quarantined;
-                    let node = self.gateway.device().name().to_string();
-                    let peer = self.sensors[index].addr().to_string();
-                    self.tracer.count("gateway.sensors_quarantined", 1);
-                    self.tracer.event(|| tinyevm_trace::TraceEvent::Phase {
-                        node,
-                        peer,
-                        phase: "quarantine".to_string(),
-                        sequence: 0,
-                        duration_us: 0,
-                    });
-                }
-            }
-            FaultClass::Transport => {
-                if self.health[index].0 == SensorHealth::Healthy {
-                    self.health[index].0 = SensorHealth::Degraded;
-                }
-            }
-            FaultClass::Fatal => {}
-        }
+        tinyevm_channel::gateway::record_fault(
+            &mut self.health[index],
+            error,
+            &self.tracer,
+            self.gateway.device().name(),
+            self.sensors[index].addr(),
+        );
     }
 
     /// Inserts the configured idle gap on every device (LPM2), mirroring
@@ -1294,4 +1285,12 @@ impl FleetScheduler {
             None
         }
     }
+}
+
+/// Slot boundaries `start`, `start + slot`, … that fall strictly before
+/// `at`.
+fn boundaries_before(start: SimTime, at: SimTime, slot: Duration) -> u64 {
+    let gap = at.as_nanos().saturating_sub(start.as_nanos());
+    let step = u64::try_from(slot.as_nanos()).unwrap_or(u64::MAX).max(1);
+    gap.div_ceil(step)
 }

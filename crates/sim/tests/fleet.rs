@@ -11,11 +11,14 @@
 //!   collision-wasted airtime, to the nanosecond.
 //! * **Backoff deadlines** — a partition window spanning exactly the
 //!   backoff cap reconverges, and the waits show up on the virtual clock.
+//! * **Golden schedules** — digests of contended CSMA, lossy CSMA, slotted
+//!   ALOHA, slot-aligned and single-sensor sessions pin the schedules
+//!   themselves, not just their agreement with each other.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tinyevm_channel::gateway::GatewayDriver;
+use tinyevm_channel::gateway::{GatewayDriver, GatewaySettlementReport};
 use tinyevm_channel::{ProtocolDriver, RetryPolicy};
 use tinyevm_net::{FaultConfig, LinkConfig, MessageWindow};
 use tinyevm_sim::{FleetConfig, FleetScheduler};
@@ -223,6 +226,108 @@ fn kilo_sensor_fleet_settles_under_csma() {
 #[test]
 fn different_seeds_produce_different_schedules() {
     assert_ne!(fleet_fingerprint(6, 11, 1), fleet_fingerprint(6, 12, 1));
+}
+
+/// FNV-1a over the fleet's `fingerprint()` and every settlement: a slot
+/// drawn differently, a clock moved by a nanosecond or a payout changed by
+/// a wei changes the value.
+fn golden_digest(fleet: &FleetScheduler, settlement: &GatewaySettlementReport) -> u64 {
+    let mut text = fleet.fingerprint();
+    for (addr, settled) in &settlement.settlements {
+        text.push_str(&format!(
+            "settlement {addr} {} {} {}\n",
+            settled.to_receiver, settled.to_sender, settled.fraud_detected
+        ));
+    }
+    text.push_str(&format!(
+        "total {} balance {} txs {}\n",
+        settlement.total_to_gateway, settlement.gateway_balance, settlement.on_chain_transactions
+    ));
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+// Golden schedules. Every other test here compares runs with each other, so
+// a change that shifted every schedule alike would pass them; these pin the
+// contended schedules themselves. The digests were captured before the
+// event loop learned to jump over idle slots and must never be edited to
+// follow a code change: a mismatch means the simulation changed.
+
+#[test]
+fn golden_csma_fleet_schedule() {
+    let mut config = FleetConfig::csma(16, 0xC0FFEE);
+    config.deposit = Wei::from(DEPOSIT);
+    let mut fleet = run_fleet(config, 2);
+    let settlement = fleet.settle_all().expect("fleet settles");
+    assert_eq!(golden_digest(&fleet, &settlement), 0x4905_ba20_12f9_d67f);
+}
+
+/// Lost frames exhaust their link retries: senders take the
+/// `on_transport_error` back-off path, the gateway retransmits replies, and
+/// a two-attempt budget aborts a round and degrades its sensor.
+#[test]
+fn golden_lossy_csma_fleet_schedule() {
+    let mut config = FleetConfig::csma(8, 0x1055);
+    config.deposit = Wei::from(DEPOSIT);
+    config.link = LinkConfig {
+        max_retries: 1,
+        ..LinkConfig::default().with_loss(0.3, 17)
+    };
+    config.retry = Some(RetryPolicy {
+        max_attempts: 2,
+        base_backoff: Duration::from_millis(100),
+        max_backoff: Duration::from_millis(400),
+    });
+    let mut fleet = run_fleet(config, 2);
+    assert!(
+        fleet.aborted_rounds() > 0,
+        "the lossy link must abort a round"
+    );
+    let settlement = fleet.settle_all().expect("fleet settles");
+    assert_eq!(golden_digest(&fleet, &settlement), 0xa7f4_49fa_5866_6a43);
+}
+
+#[test]
+fn golden_slotted_aloha_fleet_schedule() {
+    let mut config = FleetConfig::aloha(12, 0.2, 0xA10A);
+    config.deposit = Wei::from(DEPOSIT);
+    let mut fleet = run_fleet(config, 2);
+    assert!(fleet.medium().collision_events() > 0, "ALOHA must collide");
+    let settlement = fleet.settle_all().expect("fleet settles");
+    assert_eq!(golden_digest(&fleet, &settlement), 0x1bc3_45da_2c82_1aff);
+}
+
+/// A link whose every uplink frame takes exactly one contention slot: each
+/// delivery lands on a slot boundary, so deliveries and slots tie to the
+/// nanosecond and only their scheduling order separates them.
+#[test]
+fn golden_slot_aligned_deliveries() {
+    let mut config = FleetConfig::csma(8, 0x71E5);
+    config.deposit = Wei::from(DEPOSIT);
+    config.link = LinkConfig {
+        bitrate: 8_000_000_000_000,
+        frame_overhead: config.contention.slot,
+        ..LinkConfig::default()
+    };
+    let mut fleet = run_fleet(config, 2);
+    let settlement = fleet.settle_all().expect("fleet settles");
+    assert_eq!(golden_digest(&fleet, &settlement), 0xacdd_7271_944e_a554);
+}
+
+/// `pay()` on one sensor of a contended fleet: the event loop runs with a
+/// single active sender.
+#[test]
+fn golden_contended_single_sensor_payment() {
+    let mut config = FleetConfig::csma(4, 0x5EED);
+    config.deposit = Wei::from(DEPOSIT);
+    let mut fleet = run_fleet(config, 0);
+    fleet.pay(2, Wei::from(AMOUNT)).expect("payment lands");
+    fleet
+        .pay(2, Wei::from(AMOUNT))
+        .expect("second payment lands");
+    let settlement = fleet.settle_all().expect("fleet settles");
+    assert_eq!(golden_digest(&fleet, &settlement), 0xf5a6_1844_ba62_25ec);
 }
 
 /// Satellite regression for deadline-based retransmission: a partition
