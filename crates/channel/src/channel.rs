@@ -249,6 +249,25 @@ impl PaymentChannel {
         increment: Wei,
         sensor_data_hash: H256,
     ) -> Result<SignedPayment, ChannelError> {
+        self.create_payment_with(increment, sensor_data_hash, |payload| {
+            payer_key.sign_message(payload)
+        })
+    }
+
+    /// [`PaymentChannel::create_payment`] with the signature produced by
+    /// `sign`, which receives the payload encoding and must sign its
+    /// Keccak-256 digest with the payer's key ([`SignedPayment::create_with`]).
+    /// `sign` runs once, and only after every check has passed.
+    ///
+    /// # Errors
+    ///
+    /// As [`PaymentChannel::create_payment`].
+    pub fn create_payment_with(
+        &mut self,
+        increment: Wei,
+        sensor_data_hash: H256,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> Result<SignedPayment, ChannelError> {
         if self.role != ChannelRole::Sender {
             return Err(ChannelError::WrongRole(ChannelRole::Sender));
         }
@@ -263,13 +282,13 @@ impl PaymentChannel {
             }));
         }
         let sequence = self.sequence + 1;
-        let payment = SignedPayment::create(
-            payer_key,
+        let payment = SignedPayment::create_with(
             self.config.template,
             self.config.channel_id,
             sequence,
             new_cumulative,
             sensor_data_hash,
+            sign,
         );
         self.sequence = sequence;
         self.cumulative = new_cumulative;
@@ -281,6 +300,11 @@ impl PaymentChannel {
     /// Validates and applies a payment received from the peer (receiver
     /// side only).
     ///
+    /// The payer's signature is checked first, before any channel state is
+    /// consulted, so every other error (closed channel, wrong channel,
+    /// stale sequence, ...) vouches for a payment the channel's sender
+    /// really signed.
+    ///
     /// # Errors
     ///
     /// Returns [`ChannelError::Payment`] describing which check failed.
@@ -288,6 +312,7 @@ impl PaymentChannel {
         if self.role != ChannelRole::Receiver {
             return Err(ChannelError::WrongRole(ChannelRole::Receiver));
         }
+        payment.verify_payer(&self.config.sender)?;
         if self.status != ChannelStatus::Open {
             return Err(ChannelError::NotOpen);
         }
@@ -295,7 +320,6 @@ impl PaymentChannel {
         {
             return Err(ChannelError::Payment(PaymentError::WrongChannel));
         }
-        payment.verify_payer(&self.config.sender)?;
         if payment.sequence <= self.sequence {
             return Err(ChannelError::Payment(PaymentError::StaleSequence {
                 current: self.sequence,

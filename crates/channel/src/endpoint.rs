@@ -83,8 +83,8 @@ use tinyevm_net::NodeAddr;
 use tinyevm_trace::{TraceEvent, TraceHandle};
 use tinyevm_types::{Address, Wei, H256, U256};
 use tinyevm_wire::{
-    ChannelOpen, ChannelSnapshot, CloseRequest, EndpointRole, Message, PaymentAck, SensorReading,
-    SignedPayment, WireError,
+    ChannelOpen, ChannelSnapshot, CloseRequest, EndpointRole, Message, PaymentAck, PaymentError,
+    SensorReading, SignedPayment, WireError,
 };
 
 use crate::channel::{ChannelConfig, ChannelError, ChannelRole, PaymentChannel};
@@ -1283,58 +1283,64 @@ impl ChannelEndpoint {
                 got: "payment",
             });
         }
-        if !self.sessions.contains_key(&from) {
-            return Err(EndpointError::UnknownPeer(from));
-        }
+        let session = self
+            .sessions
+            .get_mut(&from)
+            .ok_or(EndpointError::UnknownPeer(from))?;
         // A staged close pins the channel's final state; accepting further
         // payments would silently devalue the close about to be committed.
-        if self.session_mut(from)?.staged_close.is_some() {
+        if session.staged_close.is_some() {
             return Err(EndpointError::OutOfOrder("channel close already staged"));
         }
         let busy_from = self.device.now();
-        let expected_payer = self.session_mut(from)?.registration.sender;
-        let payer = self
+        let payload = payment.encode_payload();
+        // The device bills one signature check, and the channel's own
+        // payer check is the one it models: `accept_payment` checks the
+        // signature before anything else, so any other rejection concerns
+        // a payment the channel's sender really signed.
+        let channel = &mut session.channel;
+        let head = (
+            channel.sequence(),
+            channel.cumulative(),
+            channel.config().channel_id,
+        );
+        let accepted = self
             .device
-            .verify_payload(&payment.encode_payload(), &payment.signature)
-            .ok_or(EndpointError::BadSignature)?;
-        if payer != expected_payer {
-            return Err(EndpointError::BadSignature);
+            .verify_payload_with(&payload, |_| channel.accept_payment(&payment));
+        match accepted {
+            Ok(()) => {}
+            Err(ChannelError::Payment(PaymentError::BadSignature)) => {
+                return Err(EndpointError::BadSignature)
+            }
+            // A verified retransmission of the payment already at the
+            // channel head: the payer never saw the acknowledgement (it was
+            // lost in flight, or this node power-cycled before the ack left
+            // its outbox). Committing is idempotent, so acknowledging must
+            // be too — re-sign and re-send the ack without touching channel
+            // or log.
+            Err(_)
+                if payment.sequence == head.0
+                    && payment.sequence > 0
+                    && payment.cumulative == head.1
+                    && payment.channel_id == head.2 =>
+            {
+                let (ack_signature, _) = self.device.sign_payload(&payload);
+                self.tracer.count("channel.duplicate_messages", 1);
+                self.outbox.push_back(Outgoing {
+                    to: from,
+                    message: Message::PaymentAck(PaymentAck {
+                        channel_id: payment.channel_id,
+                        sequence: payment.sequence,
+                        signature: ack_signature,
+                    }),
+                    kind: OutKind::Ack,
+                });
+                return Ok(Vec::new());
+            }
+            Err(error) => return Err(error.into()),
         }
-        // A verified retransmission of the payment already at the channel
-        // head: the payer never saw the acknowledgement (it was lost in
-        // flight, or this node power-cycled before the ack left its
-        // outbox). Committing is idempotent, so acknowledging must be too —
-        // re-sign and re-send the ack without touching channel or log.
-        let head = {
-            let session = self.session_mut(from)?;
-            let channel = &session.channel;
-            (
-                channel.sequence(),
-                channel.cumulative(),
-                channel.config().channel_id,
-            )
-        };
-        if payment.sequence == head.0
-            && payment.sequence > 0
-            && payment.cumulative == head.1
-            && payment.channel_id == head.2
-        {
-            let (ack_signature, _) = self.device.sign_payload(&payment.encode_payload());
-            self.tracer.count("channel.duplicate_messages", 1);
-            self.outbox.push_back(Outgoing {
-                to: from,
-                message: Message::PaymentAck(PaymentAck {
-                    channel_id: payment.channel_id,
-                    sequence: payment.sequence,
-                    signature: ack_signature,
-                }),
-                kind: OutKind::Ack,
-            });
-            return Ok(Vec::new());
-        }
-        self.session_mut(from)?.channel.accept_payment(&payment)?;
         self.register_on_side_chain(from, &payment)?;
-        let (ack_signature, _) = self.device.sign_payload(&payment.encode_payload());
+        let (ack_signature, _) = self.device.sign_payload(&payload);
         let processing = self.device.now().saturating_sub(busy_from);
         let node = self.device.name().to_string();
         self.tracer.event(|| TraceEvent::Phase {
@@ -1723,15 +1729,21 @@ impl ChannelEndpoint {
         sensor_hash: H256,
         started_at: Duration,
     ) -> Result<(), EndpointError> {
-        let key = *self.device.private_key();
-        let payment = self
-            .session_mut(peer)?
+        let session = self
+            .sessions
+            .get_mut(&peer)
+            .ok_or(EndpointError::UnknownPeer(peer))?;
+        let device = &mut self.device;
+        // The device signs — and bills the crypto engine for — the payment
+        // the channel builds.
+        let mut sign_time = Duration::ZERO;
+        let payment = session
             .channel
-            .create_payment(&key, amount, sensor_hash)?;
-        // The channel signed with the node key; the device model charges
-        // the crypto-engine latency for the same digest.
-        let (device_signature, sign_time) = self.device.sign_payload(&payment.encode_payload());
-        debug_assert_eq!(device_signature, payment.signature);
+            .create_payment_with(amount, sensor_hash, |payload| {
+                let (signature, time) = device.sign_payload(payload);
+                sign_time = time;
+                signature
+            })?;
         let signed_at = self.device.now();
         let reading_time = signed_at
             .saturating_sub(started_at)
@@ -1884,5 +1896,105 @@ mod tests {
         // An un-budgeted endpoint deploys the looping template unchanged.
         let mut open = ChannelEndpoint::two_party_sender("open", NodeAddr(4));
         assert!(open.deploy_verified_contract(&template).is_ok());
+    }
+
+    /// Drains both outboxes through a plain queue of encoded messages —
+    /// the `sans_io` example's transport — until the conversation goes
+    /// quiet.
+    fn pump_wire(a: &mut ChannelEndpoint, b: &mut ChannelEndpoint) {
+        let mut queue: Vec<(NodeAddr, NodeAddr, Vec<u8>)> = Vec::new();
+        loop {
+            for endpoint in [&mut *a, &mut *b] {
+                if let Some(envelope) = endpoint.poll_transmit() {
+                    queue.push((endpoint.addr(), envelope.to, envelope.message.to_wire()));
+                }
+            }
+            let Some((from, to, wire)) = queue.pop() else {
+                break;
+            };
+            let target = if to == a.addr() { &mut *a } else { &mut *b };
+            target.handle_wire(from, &wire).unwrap();
+        }
+    }
+
+    fn crypto_engine_time(endpoint: &ChannelEndpoint) -> Duration {
+        endpoint
+            .device()
+            .energy_report()
+            .time_of(tinyevm_device::PowerState::CryptoEngine)
+    }
+
+    /// `(label, start ns, duration ns)` of each device activity from index
+    /// `from` on.
+    fn activities_since(endpoint: &ChannelEndpoint, from: usize) -> Vec<(&str, u128, u128)> {
+        endpoint.device().activities()[from..]
+            .iter()
+            .map(|a| (a.label.as_str(), a.start.as_nanos(), a.duration.as_nanos()))
+            .collect()
+    }
+
+    /// What the device model charges for one acknowledged payment: the
+    /// exact activities each side appends and its crypto-engine time.
+    /// However the host computes the signatures, the virtual clock must
+    /// see the same round.
+    #[test]
+    fn one_acknowledged_payment_charges_the_same_device_activities() {
+        let (car, lot) = (NodeAddr::new(1), NodeAddr::new(2));
+        let mut sender = ChannelEndpoint::two_party_sender("car", car);
+        let mut receiver = ChannelEndpoint::two_party_receiver("lot", lot);
+        let registration = ChannelRegistration {
+            template: Address::from_low_u64(0xAA),
+            channel_id: 1,
+            sender: sender.account(),
+            receiver: receiver.account(),
+            deposit_cap: Wei::from(1_000u64),
+            anchor: H256::ZERO,
+        };
+        receiver.expect_channel(car, registration.clone()).unwrap();
+        sender.open(lot, registration).unwrap();
+        pump_wire(&mut sender, &mut receiver);
+        let sender_mark = sender.device().activities().len();
+        let receiver_mark = receiver.device().activities().len();
+        let sender_crypto = crypto_engine_time(&sender);
+        let receiver_crypto = crypto_engine_time(&receiver);
+
+        sender.pay(lot, Wei::from(100u64)).unwrap();
+        pump_wire(&mut sender, &mut receiver);
+        assert_eq!(
+            receiver.channel(car).unwrap().cumulative(),
+            Wei::from(100u64)
+        );
+
+        assert_eq!(
+            activities_since(&sender, sender_mark),
+            [
+                ("read sensor", 254_719_312, 500_000),
+                ("wire codec", 255_219_312, 16_000),
+                ("wire codec", 255_235_312, 12_000),
+                ("sign payload", 255_247_312, 355_000_000),
+                ("wire codec", 610_247_312, 260_000),
+                ("wire codec", 610_507_312, 150_000),
+                ("verify payload", 610_657_312, 355_000_000),
+                ("call local contract", 965_657_312, 186_875),
+                ("sleep (LPM2)", 965_844_187, 120_000_000),
+            ]
+        );
+        assert_eq!(
+            activities_since(&receiver, receiver_mark),
+            [
+                ("wire codec", 134_719_312, 16_000),
+                ("read sensor", 134_735_312, 500_000),
+                ("wire codec", 135_235_312, 12_000),
+                ("wire codec", 135_247_312, 260_000),
+                ("verify payload", 135_507_312, 355_000_000),
+                ("call local contract", 490_507_312, 186_875),
+                ("sign payload", 490_694_187, 355_000_000),
+                ("wire codec", 845_694_187, 150_000),
+            ]
+        );
+        // One sign and one verify on each side, 350 ms each on the engine.
+        let one_round = Duration::from_millis(700);
+        assert_eq!(crypto_engine_time(&sender) - sender_crypto, one_round);
+        assert_eq!(crypto_engine_time(&receiver) - receiver_crypto, one_round);
     }
 }

@@ -1,17 +1,24 @@
 //! Arithmetic in the secp256k1 base field GF(p), `p = 2^256 - 2^32 - 977`.
 //!
-//! Multiplication reduces with the identity `2^256 ≡ 2^32 + 977 (mod p)`;
-//! inversion and square root use hard-coded addition chains for their fixed
-//! exponents (`p − 2` and `(p + 1)/4`), which cost ~258 multiplications
-//! instead of the ~380 a generic bit-scan exponentiation pays — and, more
-//! importantly, let the point formulas above this layer avoid inversion
-//! almost entirely. [`FieldElement::batch_invert`] shares one inversion
-//! across many elements (Montgomery's trick) for table normalization.
+//! Multiplication works on the four 64-bit limbs directly: a 16-product
+//! schoolbook `mul_wide` (or a 10-product `square_wide` for squares)
+//! forms the 512-bit product, and the reduction folds its high half back in
+//! with the identity `2^256 ≡ 2^32 + 977 (mod p)`. Because that constant
+//! fits in one limb, the fold is four limb products; the ≤34-bit carry it
+//! leaves folds once more, and a single conditional subtraction makes the
+//! result canonical. Inversion and square root use hard-coded addition
+//! chains for their fixed exponents (`p − 2` and `(p + 1)/4`), which cost
+//! ~258 multiplications instead of the ~380 a generic bit-scan
+//! exponentiation pays — and, more importantly, let the point formulas
+//! above this layer avoid inversion almost entirely.
+//! [`FieldElement::batch_invert`] shares one inversion across many elements
+//! (Montgomery's trick) for table normalization.
 
 use super::FIELD_PRIME;
-use tinyevm_types::{U256, U512};
+use tinyevm_types::U256;
 
-/// `2^32 + 977`, the small constant used for fast reduction modulo `p`.
+/// `2^256 − p = 2^32 + 977`: the one-limb constant the high half of a
+/// product folds in with.
 const REDUCTION_CONSTANT: u64 = 0x1_0000_03D1;
 
 /// An element of the secp256k1 base field GF(p).
@@ -81,16 +88,17 @@ impl FieldElement {
         self.add(self)
     }
 
-    /// Field multiplication using the fast reduction
+    /// Field multiplication: a limb-level 512-bit product folded with
     /// `2^256 ≡ 2^32 + 977 (mod p)`.
+    #[inline]
     pub fn mul(self, rhs: FieldElement) -> FieldElement {
-        let product = self.0.full_mul(rhs.0);
-        FieldElement(reduce_wide(product))
+        reduce(mul_wide(self.0.limbs(), rhs.0.limbs()))
     }
 
-    /// Field squaring.
+    /// Field squaring, with the dedicated 10-product `square_wide`.
+    #[inline]
     pub fn square(self) -> FieldElement {
-        self.mul(self)
+        reduce(square_wide(self.0.limbs()))
     }
 
     /// `n` successive squarings: `self^(2^n)`.
@@ -212,26 +220,114 @@ impl FieldElement {
     }
 }
 
-/// Reduces a 512-bit product modulo the field prime.
-fn reduce_wide(product: U512) -> U256 {
-    let (lo, hi) = product.split();
-    let c = U256::from(REDUCTION_CONSTANT);
+/// `a·b + acc + carry` as `(low, high)` limbs; the sum always fits in 128
+/// bits.
+#[inline(always)]
+pub(super) fn mac(a: u64, b: u64, acc: u64, carry: u64) -> (u64, u64) {
+    let wide = u128::from(a) * u128::from(b) + u128::from(acc) + u128::from(carry);
+    (wide as u64, (wide >> 64) as u64)
+}
 
-    // x ≡ lo + hi * C (mod p)
-    let t = hi.full_mul(c);
-    let (t_lo, t_hi) = t.split();
-    let (sum1, carry1) = lo.overflowing_add(t_lo);
-    // Anything that overflowed 2^256 folds back in as another multiple of C.
-    let fold = t_hi.wrapping_add(U256::from(carry1 as u64));
-    let fold_c = fold.wrapping_mul(c); // fold < 2^35, so this cannot wrap.
-    let (sum2, carry2) = sum1.overflowing_add(fold_c);
-    let mut result = sum2;
-    if carry2 {
-        // One more fold of 2^256 ≡ C.
-        result = result.wrapping_add(c);
+/// `a + b + carry` as `(sum, carry out)`.
+#[inline(always)]
+pub(super) fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let wide = u128::from(a) + u128::from(b) + u128::from(carry);
+    (wide as u64, (wide >> 64) as u64)
+}
+
+/// The 512-bit product of two little-endian 4-limb values (schoolbook, 16
+/// limb products).
+#[inline(always)]
+pub(super) fn mul_wide(a: [u64; 4], b: [u64; 4]) -> [u64; 8] {
+    let mut out = [0u64; 8];
+    for i in 0..4 {
+        let mut carry = 0;
+        for j in 0..4 {
+            (out[i + j], carry) = mac(a[i], b[j], out[i + j], carry);
+        }
+        out[i + 4] = carry;
     }
-    while result >= FIELD_PRIME {
-        result = result.wrapping_sub(FIELD_PRIME);
+    out
+}
+
+/// The 512-bit square of a little-endian 4-limb value: the six cross
+/// products once, doubled by a shift, plus the four diagonal squares — 10
+/// limb products instead of 16.
+#[inline(always)]
+pub(super) fn square_wide(a: [u64; 4]) -> [u64; 8] {
+    let mut out = [0u64; 8];
+    for i in 0..3 {
+        let mut carry = 0;
+        for j in (i + 1)..4 {
+            (out[i + j], carry) = mac(a[i], a[j], out[i + j], carry);
+        }
+        out[i + 4] = carry;
     }
-    result
+    // The cross products sum to less than 2^511, so doubling cannot lose a
+    // bit.
+    let mut shifted_out = 0;
+    for limb in out.iter_mut() {
+        let top = *limb >> 63;
+        *limb = (*limb << 1) | shifted_out;
+        shifted_out = top;
+    }
+    let mut carry = 0;
+    for i in 0..4 {
+        let (low, high) = mac(a[i], a[i], out[2 * i], carry);
+        out[2 * i] = low;
+        (out[2 * i + 1], carry) = adc(out[2 * i + 1], high, 0);
+    }
+    out
+}
+
+/// Makes `r + carry·2^256`, a value below `2m`, canonical modulo
+/// `m = 2^256 − complement` with one conditional subtraction of `m`. The
+/// value is at least `m` exactly when a carry is pending or
+/// `r + complement` overflows, and then that wrapped sum is the value
+/// minus `m`. (A pending carry leaves `r` far too small for the sum to
+/// overflow.)
+#[inline(always)]
+pub(super) fn canonical(r: [u64; 4], carry: u64, complement: [u64; 4]) -> U256 {
+    let mut sum = [0u64; 4];
+    let mut overflow = 0;
+    for i in 0..4 {
+        (sum[i], overflow) = adc(r[i], complement[i], overflow);
+    }
+    U256::from_limbs(if carry | overflow != 0 { sum } else { r })
+}
+
+/// Reduces a 512-bit product `lo + hi·2^256` modulo `p` as
+/// `lo + hi·(2^32 + 977)`: one limb product per high limb leaves a carry
+/// of at most 34 bits, which folds once more; what overflows that second
+/// fold leaves the low limbs below `2^67`, so the conditional subtraction
+/// in [`canonical`] finishes it.
+#[inline(always)]
+fn reduce(w: [u64; 8]) -> FieldElement {
+    let mut r = [0u64; 4];
+    let mut carry = 0;
+    for i in 0..4 {
+        (r[i], carry) = mac(w[i + 4], REDUCTION_CONSTANT, w[i], carry);
+    }
+    let (fold_lo, fold_hi) = mac(carry, REDUCTION_CONSTANT, 0, 0);
+    (r[0], carry) = adc(r[0], fold_lo, 0);
+    (r[1], carry) = adc(r[1], fold_hi, carry);
+    (r[2], carry) = adc(r[2], 0, carry);
+    (r[3], carry) = adc(r[3], 0, carry);
+    FieldElement(canonical(r, carry, [REDUCTION_CONSTANT, 0, 0, 0]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tinyevm_types::U512;
+
+    #[test]
+    fn reduce_folds_a_carry_out_of_the_second_fold() {
+        // The first fold of 2^512 − 1 leaves low limbs within 2^67 of
+        // 2^256, so folding its carry overflows once more — a path products
+        // of canonical elements essentially never take.
+        let wide = [u64::MAX; 8];
+        let expected = U512::from_limbs(wide).rem_u256(FIELD_PRIME);
+        assert_eq!(reduce(wide).to_u256(), expected);
+    }
 }

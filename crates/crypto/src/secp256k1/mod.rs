@@ -11,10 +11,14 @@
 //!
 //! The module is split by layer:
 //!
-//! * [`field`] — arithmetic modulo the field prime `p`, with addition-chain
-//!   inversion / square root and Montgomery-trick batch inversion;
-//! * [`scalar`] — arithmetic modulo the group order `n`, with fast
-//!   `2^256 ≡ (2^256 − n) (mod n)` reduction and fixed-exponent inversion;
+//! * [`field`] — arithmetic modulo the field prime `p` on 4×64-bit limbs: a
+//!   schoolbook product and a dedicated squaring, reduced by folding the
+//!   high half back in through the one-limb constant `2^256 − p =
+//!   2^32 + 977`; addition-chain inversion / square root and
+//!   Montgomery-trick batch inversion;
+//! * [`scalar`] — arithmetic modulo the group order `n` on the same limb
+//!   products, reduced by folding limb by limb through the 129-bit
+//!   complement `2^256 − n`, with fixed-exponent inversion;
 //! * [`point`] — affine points (kept as the slow, obviously-correct
 //!   reference) and Jacobian projective points with wNAF scalar
 //!   multiplication, a precomputed fixed-base table for the generator, and

@@ -27,6 +27,59 @@ fn arb_nonzero_scalar() -> impl Strategy<Value = Scalar> {
     arb_scalar().prop_map(|s| if s.is_zero() { Scalar::ONE } else { s })
 }
 
+/// Operands for the limb kernels: one of the edge values half of the
+/// time, otherwise random limbs with each limb forced to all ones (one time
+/// in four) or to zero (one in eight) — the carry chains break on exactly
+/// those.
+struct KernelOperand(Vec<U256>);
+
+impl Strategy for KernelOperand {
+    type Value = U256;
+
+    fn generate(&self, rng: &mut TestRng) -> U256 {
+        let pick = rng.below(2 * self.0.len() as u128) as usize;
+        if let Some(edge) = self.0.get(pick) {
+            return *edge;
+        }
+        U256::from_limbs(std::array::from_fn(|_| match rng.below(8) {
+            0 | 1 => u64::MAX,
+            2 => 0,
+            _ => rng.next_u64(),
+        }))
+    }
+}
+
+/// Field operands around the reduction's edges: 0, 1, the fold constant
+/// `2^32 + 977`, `p − 1`, `p − 2`, `2^256 − p` (the same value as the fold
+/// constant, reached by wrapping) and `(p − 1)/2`.
+fn arb_field_operand() -> impl Strategy<Value = FieldElement> {
+    let p_minus_1 = FIELD_PRIME.wrapping_sub(U256::ONE);
+    KernelOperand(vec![
+        U256::ZERO,
+        U256::ONE,
+        U256::from(0x1_0000_03D1u64),
+        p_minus_1,
+        FIELD_PRIME.wrapping_sub(U256::from(2u64)),
+        FIELD_PRIME.wrapping_neg(),
+        p_minus_1.shr(1),
+    ])
+    .prop_map(FieldElement::new)
+}
+
+/// Scalar operands around the order's edges: 0, 1, `n − 1`, `n − 2`,
+/// `2^128` and `2^256 − n`.
+fn arb_scalar_operand() -> impl Strategy<Value = Scalar> {
+    KernelOperand(vec![
+        U256::ZERO,
+        U256::ONE,
+        CURVE_ORDER.wrapping_sub(U256::ONE),
+        CURVE_ORDER.wrapping_sub(U256::from(2u64)),
+        U256::ONE.shl(128),
+        CURVE_ORDER.wrapping_neg(),
+    ])
+    .prop_map(Scalar::new)
+}
+
 /// A random finite curve point, via the (separately cross-checked)
 /// fixed-base table.
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -35,6 +88,15 @@ fn arb_point() -> impl Strategy<Value = Point> {
 
 proptest! {
     // --- field layer ------------------------------------------------------
+
+    /// The limb kernel against the interpreter's generic 512-bit `MULMOD`,
+    /// which shares no code with it.
+    #[test]
+    fn field_mul_and_square_match_generic_mulmod(a in arb_field_operand(), b in arb_field_operand()) {
+        let (x, y) = (a.to_u256(), b.to_u256());
+        prop_assert_eq!(a.mul(b).to_u256(), x.mul_mod(y, FIELD_PRIME));
+        prop_assert_eq!(a.square().to_u256(), x.mul_mod(x, FIELD_PRIME));
+    }
 
     #[test]
     fn field_invert_chain_matches_generic_pow(v in arb_u256()) {
@@ -69,9 +131,10 @@ proptest! {
     // --- scalar layer -----------------------------------------------------
 
     #[test]
-    fn scalar_mul_matches_generic_mulmod(a in arb_scalar(), b in arb_scalar()) {
-        let expected = a.to_u256().mul_mod(b.to_u256(), CURVE_ORDER);
-        prop_assert_eq!(a.mul(b).to_u256(), expected);
+    fn scalar_mul_matches_generic_mulmod(a in arb_scalar_operand(), b in arb_scalar_operand()) {
+        let (x, y) = (a.to_u256(), b.to_u256());
+        prop_assert_eq!(a.mul(b).to_u256(), x.mul_mod(y, CURVE_ORDER));
+        prop_assert_eq!(a.square().to_u256(), x.mul_mod(x, CURVE_ORDER));
     }
 
     #[test]

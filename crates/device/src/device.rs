@@ -89,6 +89,8 @@ impl DeviceConfig {
 pub struct Device {
     config: DeviceConfig,
     key: PrivateKey,
+    public_key: PublicKey,
+    address: Address,
     sensors: DeviceSensors,
     meter: EnergyMeter,
     world: ContractStore,
@@ -107,12 +109,16 @@ impl Device {
         )
     }
 
-    /// Creates a device from explicit parts.
+    /// Creates a device from explicit parts. The key's public key and
+    /// address are derived here, once: the key never changes.
     pub fn new(config: DeviceConfig, key: PrivateKey, sensors: DeviceSensors) -> Self {
         let world = ContractStore::new(config.evm.clone());
+        let public_key = key.public_key();
         Device {
             config,
             key,
+            public_key,
+            address: public_key.eth_address(),
             sensors,
             meter: EnergyMeter::cc2538(),
             world,
@@ -149,14 +155,15 @@ impl Device {
         &self.key
     }
 
-    /// The device's public key.
+    /// The device's public key, cached at construction.
     pub fn public_key(&self) -> PublicKey {
-        self.key.public_key()
+        self.public_key
     }
 
-    /// The device's Ethereum-style address (its payment identity).
+    /// The device's Ethereum-style address (its payment identity), cached
+    /// at construction.
     pub fn address(&self) -> Address {
-        self.key.eth_address()
+        self.address
     }
 
     /// The device configuration.
@@ -383,14 +390,28 @@ impl Device {
     /// Verifies a signature over a payload, charging crypto-engine time;
     /// returns the signer address when valid.
     pub fn verify_payload(&mut self, payload: &[u8], signature: &Signature) -> Option<Address> {
+        self.verify_payload_with(payload, |digest| signature.recover_address(digest).ok())
+    }
+
+    /// Charges one signature check of `payload` — the software Keccak, then
+    /// the engine's verify latency — and runs `verify`, the host-side check
+    /// it models, once on the payload's digest. A caller whose own
+    /// validation already recovers the signer (a channel accepting a
+    /// payment) bills the device through this without recovering twice.
+    pub fn verify_payload_with<T>(
+        &mut self,
+        payload: &[u8],
+        verify: impl FnOnce(&[u8; 32]) -> T,
+    ) -> T {
         let start = self.meter.now();
         let digest = self.config.crypto.keccak256(&mut self.meter, payload);
-        let recovered = self
-            .config
-            .crypto
-            .recover_address(&mut self.meter, &digest, signature);
+        self.meter.record(
+            PowerState::CryptoEngine,
+            self.config.crypto.latencies().ecdsa_verify,
+        );
+        let outcome = verify(&digest);
         self.log_activity("verify payload", start);
-        recovered
+        outcome
     }
 
     /// Verifies many `(payload, signature, claimed signer)` triples in one
@@ -500,6 +521,11 @@ mod tests {
         assert_eq!(a1.address(), a2.address());
         assert_ne!(a1.address(), b.address());
         assert_eq!(a1.name(), "sensor-A");
+        // The cached identity is the key's own derivation.
+        assert_eq!(a1.address(), a1.private_key().eth_address());
+        assert_eq!(a1.public_key(), a1.private_key().public_key());
+        assert_eq!(b.address(), b.private_key().eth_address());
+        assert_eq!(b.public_key(), b.private_key().public_key());
     }
 
     #[test]

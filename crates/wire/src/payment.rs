@@ -108,15 +108,42 @@ impl SignedPayment {
         cumulative: Wei,
         sensor_data_hash: H256,
     ) -> Self {
-        let digest =
-            Self::payload_digest(template, channel_id, sequence, cumulative, sensor_data_hash);
+        Self::create_with(
+            template,
+            channel_id,
+            sequence,
+            cumulative,
+            sensor_data_hash,
+            |payload| payer.sign_message(payload),
+        )
+    }
+
+    /// Builds a payment signed by `sign`, which receives the payload
+    /// encoding ([`SignedPayment::encode_payload`]) and must sign its
+    /// Keccak-256 digest — what a device that meters its own hashing and
+    /// signing provides.
+    pub fn create_with(
+        template: Address,
+        channel_id: u64,
+        sequence: u64,
+        cumulative: Wei,
+        sensor_data_hash: H256,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) -> Self {
+        let signature = sign(&Self::payload_encoding(
+            template,
+            channel_id,
+            sequence,
+            cumulative,
+            sensor_data_hash,
+        ));
         SignedPayment {
             template,
             channel_id,
             sequence,
             cumulative,
             sensor_data_hash,
-            signature: payer.sign_prehashed(&digest),
+            signature,
         }
     }
 
@@ -147,24 +174,7 @@ impl SignedPayment {
         stream.finish()
     }
 
-    /// Digest the payer signs.
-    pub fn payload_digest(
-        template: Address,
-        channel_id: u64,
-        sequence: u64,
-        cumulative: Wei,
-        sensor_data_hash: H256,
-    ) -> [u8; 32] {
-        keccak256(&Self::payload_encoding(
-            template,
-            channel_id,
-            sequence,
-            cumulative,
-            sensor_data_hash,
-        ))
-    }
-
-    /// This payment's digest.
+    /// This payment's digest: what the payer signs.
     pub fn digest(&self) -> [u8; 32] {
         keccak256(&self.encode_payload())
     }
