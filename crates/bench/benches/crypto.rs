@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tinyevm_bench::perf::sample_batch;
-use tinyevm_crypto::secp256k1::{point, PrivateKey, Scalar};
+use tinyevm_crypto::secp256k1::{point, PrivateKey, Scalar, VerifyingKey};
 use tinyevm_crypto::{keccak256, sha256};
 use tinyevm_types::U256;
 
@@ -44,6 +44,33 @@ fn bench_crypto(c: &mut Criterion) {
     });
     group.bench_function("ecdsa_recover", |bencher| {
         bencher.iter(|| signature.recover(black_box(&digest)).unwrap())
+    });
+    // A channel checks every message after a peer's first on that peer's
+    // comb instead of recovering the signer. These three lanes rotate over
+    // the same 64 signers' signatures: on one repeated input recovery
+    // reads 15–20% faster than on fresh ones.
+    let signed = sample_batch(64);
+    let verifiers: Vec<VerifyingKey> = signed
+        .iter()
+        .map(|item| VerifyingKey::new(item.public_key))
+        .collect();
+    group.bench_function("ecdsa_recover_rotating", |bencher| {
+        let mut items = signed.iter().cycle();
+        bencher.iter(|| {
+            let item = items.next().unwrap();
+            item.signature.recover(black_box(&item.digest)).unwrap()
+        })
+    });
+    group.bench_function("ecdsa_verify_signer_comb", |bencher| {
+        let mut pairs = signed.iter().zip(&verifiers).cycle();
+        bencher.iter(|| {
+            let (item, verifier) = pairs.next().unwrap();
+            assert!(verifier.verify_recoverable(black_box(&item.digest), &item.signature));
+        })
+    });
+    group.bench_function("signer_comb_build", |bencher| {
+        let mut items = signed.iter().cycle();
+        bencher.iter(|| VerifyingKey::new(black_box(items.next().unwrap().public_key)))
     });
     // The gateway settlement workload: 8 channels' closing-state
     // signatures, checked the pre-redesign way (one at a time) and the

@@ -1,6 +1,10 @@
 //! The per-node payment-channel state machine.
 
-use tinyevm_crypto::secp256k1::{PrivateKey, Signature};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Weak};
+
+use tinyevm_crypto::secp256k1::{PrivateKey, PublicKey, Signature, VerifyingKey};
 use tinyevm_types::{Address, Wei, H256};
 
 use tinyevm_chain::{ChannelState, CommitEnvelope};
@@ -78,7 +82,10 @@ impl From<PaymentError> for ChannelError {
 /// may create payments and who accepts them. All validation — logical-clock
 /// monotonicity, non-shrinking cumulative amounts, the deposit cap and the
 /// payer's signature — happens here, which is exactly the validation the
-/// paper's security analysis relies on for fraud detection.
+/// paper's security analysis relies on for fraud detection. Signatures from
+/// the peer, payments and acknowledgements alike, go through one check,
+/// which recovers the peer's first signature and checks later ones
+/// against the key it learned ([`VerifyingKey`]).
 ///
 /// # Example
 ///
@@ -114,6 +121,48 @@ pub struct PaymentChannel {
     cumulative: Wei,
     last_sensor_hash: H256,
     payments_seen: u64,
+    /// The counterparty's key, learned from its first signature that
+    /// verified. Shared with clones and with other channels to that key.
+    peer_key: Option<Arc<VerifyingKey>>,
+}
+
+thread_local! {
+    /// The combs this thread's channels have learned. Channels whose
+    /// counterparty holds the same key share one comb: every sensor of a
+    /// simulated fleet learns its one gateway's key.
+    static LEARNED_KEYS: RefCell<LearnedKeys> = const {
+        RefCell::new(LearnedKeys {
+            combs: BTreeMap::new(),
+            sweep_at: 0,
+        })
+    };
+}
+
+/// Weak handles to learned combs by key, so a comb lives exactly as long
+/// as some channel holds it.
+struct LearnedKeys {
+    combs: BTreeMap<[u8; 64], Weak<VerifyingKey>>,
+    /// Size at which handles to dropped combs are next swept out: twice
+    /// what the last sweep left, so sweeping costs O(1) per insert on
+    /// average.
+    sweep_at: usize,
+}
+
+impl LearnedKeys {
+    /// A live channel's comb for `key`, or a new one.
+    fn comb(&mut self, key: PublicKey) -> Arc<VerifyingKey> {
+        let encoded = key.to_uncompressed();
+        if let Some(shared) = self.combs.get(&encoded).and_then(Weak::upgrade) {
+            return shared;
+        }
+        if self.combs.len() >= self.sweep_at {
+            self.combs.retain(|_, comb| comb.strong_count() > 0);
+            self.sweep_at = 2 * self.combs.len().max(16);
+        }
+        let comb = Arc::new(VerifyingKey::new(key));
+        self.combs.insert(encoded, Arc::downgrade(&comb));
+        comb
+    }
 }
 
 impl PaymentChannel {
@@ -127,6 +176,7 @@ impl PaymentChannel {
             cumulative: Wei::ZERO,
             last_sensor_hash: H256::ZERO,
             payments_seen: 0,
+            peer_key: None,
         }
     }
 
@@ -192,7 +242,9 @@ impl PaymentChannel {
     }
 
     /// Rebuilds an endpoint, its side-chain log and the collected peer
-    /// acknowledgements from a snapshot.
+    /// acknowledgements from a snapshot. The counterparty's key is not
+    /// part of the snapshot: the restored channel learns it again from the
+    /// next signature it verifies.
     ///
     /// # Errors
     ///
@@ -225,6 +277,7 @@ impl PaymentChannel {
             cumulative: snapshot.cumulative,
             last_sensor_hash: snapshot.last_sensor_hash,
             payments_seen: snapshot.payments_seen,
+            peer_key: None,
         };
         Ok((channel, log, snapshot.peer_acks.clone()))
     }
@@ -312,7 +365,7 @@ impl PaymentChannel {
         if self.role != ChannelRole::Receiver {
             return Err(ChannelError::WrongRole(ChannelRole::Receiver));
         }
-        payment.verify_payer(&self.config.sender)?;
+        self.verify_counterparty(&payment.digest(), &payment.signature)?;
         if self.status != ChannelStatus::Open {
             return Err(ChannelError::NotOpen);
         }
@@ -343,6 +396,47 @@ impl PaymentChannel {
         self.last_sensor_hash = payment.sensor_data_hash;
         self.payments_seen += 1;
         Ok(())
+    }
+
+    /// Checks that `signature` signs `digest` with the counterparty's key:
+    /// the sender's on the receiver side (payments), the receiver's on the
+    /// sender side (acknowledgements).
+    ///
+    /// Until a signature from the counterparty has verified, this recovers
+    /// the signer and compares its address with the configured one; the
+    /// first that matches installs the recovered key and its comb (a
+    /// [`VerifyingKey`], shared with this thread's other channels to the
+    /// same key), so a forgery never installs one. Every later
+    /// signature is checked against that key with
+    /// [`VerifyingKey::verify_recoverable`], which accepts exactly what
+    /// recover-and-compare accepts for about half the host time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PaymentError::BadSignature`] for any other signature.
+    pub(crate) fn verify_counterparty(
+        &mut self,
+        digest: &[u8; 32],
+        signature: &Signature,
+    ) -> Result<(), PaymentError> {
+        if let Some(key) = &self.peer_key {
+            return if key.verify_recoverable(digest, signature) {
+                Ok(())
+            } else {
+                Err(PaymentError::BadSignature)
+            };
+        }
+        let counterparty = match self.role {
+            ChannelRole::Sender => self.config.receiver,
+            ChannelRole::Receiver => self.config.sender,
+        };
+        match signature.recover(digest) {
+            Ok(key) if key.eth_address() == counterparty => {
+                self.peer_key = Some(LEARNED_KEYS.with(|learned| learned.borrow_mut().comb(key)));
+                Ok(())
+            }
+            _ => Err(PaymentError::BadSignature),
+        }
     }
 
     /// The final state this endpoint would commit if the channel closed
@@ -540,6 +634,68 @@ mod tests {
             p.receiver.accept_payment(&wrong_channel),
             Err(ChannelError::Payment(PaymentError::WrongChannel))
         ));
+    }
+
+    #[test]
+    fn a_restored_receiver_learns_the_payer_key_again() {
+        let mut p = pair(1000);
+        let first = p
+            .sender
+            .create_payment(&p.car, Wei::from(100u64), H256::ZERO)
+            .unwrap();
+        p.receiver.accept_payment(&first).unwrap();
+        let snapshot = p.receiver.snapshot(&SideChainLog::new(H256::ZERO), &[]);
+        let (mut restored, _, _) = PaymentChannel::restore(&snapshot).unwrap();
+
+        // The restored channel starts without the key: a forged first
+        // message is rejected by recovery and installs nothing.
+        let mallory = PrivateKey::from_seed(b"mallory");
+        let forged = SignedPayment::create(
+            &mallory,
+            Address::from_low_u64(0xAA),
+            1,
+            2,
+            Wei::from(900u64),
+            H256::ZERO,
+        );
+        assert!(matches!(
+            restored.accept_payment(&forged),
+            Err(ChannelError::Payment(PaymentError::BadSignature))
+        ));
+        let second = p
+            .sender
+            .create_payment(&p.car, Wei::from(100u64), H256::ZERO)
+            .unwrap();
+        restored.accept_payment(&second).unwrap();
+        assert_eq!(restored.cumulative(), Wei::from(200u64));
+        let third = p
+            .sender
+            .create_payment(&p.car, Wei::from(100u64), H256::ZERO)
+            .unwrap();
+        restored.accept_payment(&third).unwrap();
+        assert!(matches!(
+            restored.accept_payment(&forged),
+            Err(ChannelError::Payment(PaymentError::BadSignature))
+        ));
+        assert_eq!(restored.cumulative(), Wei::from(300u64));
+    }
+
+    #[test]
+    fn channels_to_the_same_peer_share_one_comb() {
+        let mut p = pair(1000);
+        let mut other = p.receiver.clone();
+        let payment = p
+            .sender
+            .create_payment(&p.car, Wei::from(100u64), H256::ZERO)
+            .unwrap();
+        p.receiver.accept_payment(&payment).unwrap();
+        other.accept_payment(&payment).unwrap();
+        let comb = p.receiver.peer_key.clone().unwrap();
+        assert!(Arc::ptr_eq(&comb, other.peer_key.as_ref().unwrap()));
+        // The cache holds no comb alive by itself.
+        let handle = Arc::downgrade(&comb);
+        drop((comb, p.receiver, other));
+        assert_eq!(handle.strong_count(), 0);
     }
 
     #[test]

@@ -1383,33 +1383,30 @@ impl ChannelEndpoint {
                 got: "payment-ack",
             });
         }
-        if !self.sessions.contains_key(&from) {
-            return Err(EndpointError::UnknownPeer(from));
-        }
         // Validate against the pending round *without* consuming it: a
         // rejected acknowledgement (forged, or for a different payment)
         // must leave this endpoint waiting for the real one.
-        let (payload, expected_receiver) = {
-            let session = self.session_mut(from)?;
-            let Pending::AwaitingAck { payment, .. } = &session.pending else {
-                return Err(EndpointError::OutOfOrder(
-                    "no payment awaits acknowledgement",
-                ));
-            };
-            if ack.sequence != payment.sequence || ack.channel_id != payment.channel_id {
-                return Err(EndpointError::OutOfOrder(
-                    "acknowledgement for a different payment",
-                ));
-            }
-            (payment.encode_payload(), session.registration.receiver)
+        let session = self
+            .sessions
+            .get_mut(&from)
+            .ok_or(EndpointError::UnknownPeer(from))?;
+        let Pending::AwaitingAck { payment, .. } = &session.pending else {
+            return Err(EndpointError::OutOfOrder(
+                "no payment awaits acknowledgement",
+            ));
         };
-        let signer = self
-            .device
-            .verify_payload(&payload, &ack.signature)
-            .ok_or(EndpointError::BadSignature)?;
-        if signer != expected_receiver {
-            return Err(EndpointError::BadSignature);
+        if ack.sequence != payment.sequence || ack.channel_id != payment.channel_id {
+            return Err(EndpointError::OutOfOrder(
+                "acknowledgement for a different payment",
+            ));
         }
+        let payload = payment.encode_payload();
+        let channel = &mut session.channel;
+        self.device
+            .verify_payload_with(&payload, |digest| {
+                channel.verify_counterparty(digest, &ack.signature)
+            })
+            .map_err(|_| EndpointError::BadSignature)?;
         let Pending::AwaitingAck {
             payment,
             payment_wire_len,
@@ -1931,6 +1928,71 @@ mod tests {
             .iter()
             .map(|a| (a.label.as_str(), a.start.as_nanos(), a.duration.as_nanos()))
             .collect()
+    }
+
+    /// After the first acknowledged round the sender checks acks against
+    /// the receiver's learned key. Another key's signature and a flipped
+    /// recovery id are refused without consuming the pending round, which
+    /// the genuine ack then completes.
+    #[test]
+    fn forged_acks_after_the_first_round_keep_the_round_pending() {
+        let (car, lot) = (NodeAddr::new(1), NodeAddr::new(2));
+        let mut sender = ChannelEndpoint::two_party_sender("car", car);
+        let mut receiver = ChannelEndpoint::two_party_receiver("lot", lot);
+        let registration = ChannelRegistration {
+            template: Address::from_low_u64(0xAA),
+            channel_id: 1,
+            sender: sender.account(),
+            receiver: receiver.account(),
+            deposit_cap: Wei::from(1_000u64),
+            anchor: H256::ZERO,
+        };
+        receiver.expect_channel(car, registration.clone()).unwrap();
+        sender.open(lot, registration).unwrap();
+        pump_wire(&mut sender, &mut receiver);
+        sender.pay(lot, Wei::from(100u64)).unwrap();
+        pump_wire(&mut sender, &mut receiver);
+
+        // The second round, up to the acknowledgement.
+        sender.pay(lot, Wei::from(100u64)).unwrap();
+        let mut payload = Vec::new();
+        let genuine = loop {
+            if let Some(envelope) = sender.poll_transmit() {
+                if let Message::Payment(payment) = &envelope.message {
+                    payload = payment.encode_payload();
+                }
+                receiver.handle_message(car, envelope.message).unwrap();
+            } else if let Some(envelope) = receiver.poll_transmit() {
+                match envelope.message {
+                    Message::PaymentAck(ack) => break ack,
+                    other => {
+                        sender.handle_message(lot, other).unwrap();
+                    }
+                }
+            } else {
+                panic!("the round stalled before its acknowledgement");
+            }
+        };
+        let mallory = tinyevm_crypto::secp256k1::PrivateKey::from_seed(b"mallory");
+        let other_key = PaymentAck {
+            signature: mallory.sign_message(&payload),
+            ..genuine.clone()
+        };
+        let mut flipped_v = genuine.clone();
+        flipped_v.signature.recovery_id ^= 1;
+        for forged in [other_key, flipped_v] {
+            assert!(matches!(
+                sender.handle_message(lot, Message::PaymentAck(forged)),
+                Err(EndpointError::BadSignature)
+            ));
+        }
+        let effects = sender
+            .handle_message(lot, Message::PaymentAck(genuine))
+            .unwrap();
+        assert!(matches!(
+            effects[..],
+            [Effect::PaymentCompleted { ref receipt, .. }] if receipt.sequence == 2
+        ));
     }
 
     /// What the device model charges for one acknowledged payment: the

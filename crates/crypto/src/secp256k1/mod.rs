@@ -21,10 +21,12 @@
 //!   complement `2^256 − n`, with fixed-exponent inversion;
 //! * [`point`] — affine points (kept as the slow, obviously-correct
 //!   reference) and Jacobian projective points with wNAF scalar
-//!   multiplication, a precomputed fixed-base table for the generator, and
-//!   Shamir/Straus multi-scalar multiplication;
-//! * [`ecdsa`] — keys, signatures, signing, verification, recovery and
-//!   batch verification built on the fast paths.
+//!   multiplication, a precomputed fixed-base table for the generator,
+//!   Shamir/Straus multi-scalar multiplication, and 5-tooth Lim–Lee combs
+//!   for `u1·G + u2·Q` against a key that is used many times;
+//! * [`ecdsa`] — keys, signatures, signing, verification, recovery, batch
+//!   verification, and [`VerifyingKey`], which checks a known signer's
+//!   recoverable signatures on its comb instead of recovering each one.
 //!
 //! The implementation favours clarity over constant-time guarantees — it is
 //! a simulator substrate, not a hardened wallet library — but it is a full,
@@ -38,7 +40,7 @@ pub mod field;
 pub mod point;
 pub mod scalar;
 
-pub use ecdsa::{verify_batch, BatchItem, PrivateKey, PublicKey, Signature};
+pub use ecdsa::{verify_batch, BatchItem, PrivateKey, PublicKey, Signature, VerifyingKey};
 pub use field::FieldElement;
 pub use point::{JacobianPoint, Point};
 pub use scalar::Scalar;

@@ -17,7 +17,14 @@
 //!   additions with **zero** doublings;
 //! * [`multi_scalar_mul`] interleaves wNAF tracks for
 //!   `k_G·G + Σ k_i·P_i` in a single doubling pass (Shamir/Straus), which
-//!   is what ECDSA verification, recovery and batch verification ride on.
+//!   is what ECDSA verification, recovery and batch verification ride on;
+//! * a [`CombTable`] is a 5-tooth Lim–Lee comb (Lim and Lee, CRYPTO 1994)
+//!   with spacing 52 for one fixed point: its 31 affine subset sums of
+//!   `2^(52·i)·P` turn a 256-bit scalar into 52 columns. The generator has
+//!   one, any long-lived key can build one (≈2.2 KB, about half the cost of
+//!   a recovery), and [`double_scalar_mul_comb`] evaluates `u1·G + u2·Q`
+//!   over both combs on a shared track of 51 doublings — the check a
+//!   channel runs on every signature after a peer's first.
 
 use std::sync::OnceLock;
 
@@ -51,6 +58,17 @@ const WNAF_TABLE: usize = 1 << (WNAF_WIDTH - 2);
 
 /// Windows in the fixed-base comb table (4 bits each covers 256 bits).
 const COMB_WINDOWS: usize = 64;
+
+/// Teeth of a [`CombTable`]. Five, not six: a sixth would make the check
+/// ~13% cheaper but each table ~30% dearer to build, and a fleet gateway
+/// builds one per sensor.
+const COMB_TEETH: usize = 5;
+
+/// Bits between neighbouring teeth: `5 × 52 = 260` covers any scalar.
+const COMB_SPACING: usize = 52;
+
+/// Entries of a [`CombTable`]: one per non-empty tooth subset.
+const COMB_ENTRIES: usize = (1 << COMB_TEETH) - 1;
 
 // ---------------------------------------------------------------------------
 // Affine points (the reference implementation)
@@ -528,6 +546,8 @@ struct GeneratorTables {
     comb: Vec<[Point; 15]>,
     /// The odd multiples of G for wNAF tracks in multi-scalar products.
     odd: [Point; WNAF_TABLE],
+    /// G's Lim–Lee comb, the generator half of [`double_scalar_mul_comb`].
+    verify_comb: CombTable,
 }
 
 static GENERATOR_TABLES: OnceLock<GeneratorTables> = OnceLock::new();
@@ -559,7 +579,11 @@ fn generator_tables() -> &'static GeneratorTables {
             })
             .collect();
         let odd = WnafTable::new(&g).odd;
-        GeneratorTables { comb, odd }
+        GeneratorTables {
+            comb,
+            odd,
+            verify_comb: CombTable::new(&g),
+        }
     })
 }
 
@@ -637,4 +661,92 @@ fn select_from(odd: &[Point; WNAF_TABLE], acc: JacobianPoint, digit: i8) -> Jaco
 /// `u1·G + u2·Q` — the shape of the ECDSA verification equation.
 pub fn double_scalar_mul_generator(u1: Scalar, u2: Scalar, q: &Point) -> JacobianPoint {
     multi_scalar_mul(u1, &[(u2, *q)])
+}
+
+/// A 5-tooth Lim–Lee comb with spacing 52 for one fixed point `P`: entry
+/// `m − 1` is `Σ 2^(52·i)·P` over the set bits `i` of the tooth mask `m`,
+/// all 31 normalized to affine with one shared inversion.
+///
+/// A scalar's bits `c, c + 52, …, c + 208` form the mask of column `c`, so
+/// `k·P` is 52 table hits on a track of 51 doublings — against 256
+/// doublings and a fresh odd-multiples table per product for wNAF. Worth
+/// building for a point that is used many times, such as a channel peer's
+/// public key.
+#[derive(Clone)]
+pub struct CombTable {
+    entries: [Point; COMB_ENTRIES],
+}
+
+impl CombTable {
+    /// Builds the comb for a finite point: 208 doublings for the tooth
+    /// bases, one addition per remaining subset sum, one inversion.
+    pub fn new(point: &Point) -> CombTable {
+        assert!(!point.infinity, "a comb needs a finite base point");
+        let mut sums = [JacobianPoint::INFINITY; COMB_ENTRIES];
+        let mut base = JacobianPoint::from_affine(point);
+        for tooth in 0..COMB_TEETH {
+            if tooth > 0 {
+                for _ in 0..COMB_SPACING {
+                    base = base.double();
+                }
+            }
+            // Masks with `tooth` as their top bit extend the lower ones.
+            let bit = 1 << tooth;
+            sums[bit - 1] = base;
+            for lower in 1..bit {
+                sums[bit + lower - 1] = sums[lower - 1].add(&base);
+            }
+        }
+        let mut entries = [Point::INFINITY; COMB_ENTRIES];
+        entries.copy_from_slice(&batch_to_affine(&sums));
+        CombTable { entries }
+    }
+
+    /// Adds the entry for column `column` of a scalar split by
+    /// [`comb_teeth`] (no-op for an empty column).
+    fn select_into(
+        &self,
+        acc: JacobianPoint,
+        teeth: &[u64; COMB_TEETH],
+        column: usize,
+    ) -> JacobianPoint {
+        let mask = teeth.iter().enumerate().fold(0, |mask, (tooth, bits)| {
+            mask | (((bits >> column) & 1) as usize) << tooth
+        });
+        if mask == 0 {
+            acc
+        } else {
+            acc.add_affine(&self.entries[mask - 1])
+        }
+    }
+}
+
+/// Splits a scalar into its five 52-bit tooth words: word `i` holds bits
+/// `52·i ..= 52·i + 51` (the top word only 48 of them).
+fn comb_teeth(scalar: Scalar) -> [u64; COMB_TEETH] {
+    let limbs = scalar.to_u256().limbs();
+    std::array::from_fn(|tooth| {
+        let start = tooth * COMB_SPACING;
+        let (limb, offset) = (start / 64, start % 64);
+        let mut word = limbs[limb] >> offset;
+        if offset != 0 && limb + 1 < limbs.len() {
+            word |= limbs[limb + 1] << (64 - offset);
+        }
+        word & ((1 << COMB_SPACING) - 1)
+    })
+}
+
+/// `u1·G + u2·Q` over the generator's comb and `q`'s: 52 columns, one
+/// shared doubling between neighbouring columns, at most two mixed
+/// additions per column.
+pub fn double_scalar_mul_comb(u1: Scalar, u2: Scalar, q: &CombTable) -> JacobianPoint {
+    let g = &generator_tables().verify_comb;
+    let (gen_teeth, key_teeth) = (comb_teeth(u1), comb_teeth(u2));
+    let mut acc = JacobianPoint::INFINITY;
+    for column in (0..COMB_SPACING).rev() {
+        acc = acc.double();
+        acc = g.select_into(acc, &gen_teeth, column);
+        acc = q.select_into(acc, &key_teeth, column);
+    }
+    acc
 }

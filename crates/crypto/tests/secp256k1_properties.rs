@@ -4,14 +4,16 @@
 //! The affine formulas (`Point::add`, `Point::double`,
 //! `Point::scalar_mul_reference`) perform one field inversion per group
 //! operation and are kept precisely so these tests can pin the
-//! inversion-free Jacobian arithmetic, the wNAF/fixed-base/Shamir scalar
-//! multiplication, and the addition-chain inversions to an
-//! obviously-correct baseline on random inputs.
+//! inversion-free Jacobian arithmetic, the wNAF/fixed-base/Shamir/comb
+//! scalar multiplication, and the addition-chain inversions to an
+//! obviously-correct baseline on random inputs. The per-signer comb check
+//! is pinned to recover-and-compare, the check it replaces.
 
 use proptest::prelude::*;
+use tinyevm_crypto::keccak256;
 use tinyevm_crypto::secp256k1::{
-    point, verify_batch, BatchItem, FieldElement, JacobianPoint, Point, PrivateKey, Scalar,
-    CURVE_ORDER, FIELD_PRIME,
+    point, verify_batch, BatchItem, FieldElement, JacobianPoint, Point, PrivateKey, PublicKey,
+    Scalar, Signature, VerifyingKey, CURVE_ORDER, FIELD_PRIME,
 };
 use tinyevm_types::U256;
 
@@ -84,6 +86,69 @@ fn arb_scalar_operand() -> impl Strategy<Value = Scalar> {
 /// fixed-base table.
 fn arb_point() -> impl Strategy<Value = Point> {
     arb_nonzero_scalar().prop_map(|k| point::generator_mul(k).to_affine())
+}
+
+/// Scalars the comb walk treats specially: 0, 1, `n − 1`, `2^255` (the
+/// top tooth's highest bit), and scalars whose bits lie only in column
+/// 51, the first column the walk reads (bits 51, 103, 155 and 207).
+fn comb_edge_scalars() -> Vec<Scalar> {
+    let top_column = [51u32, 103, 155, 207].map(|bit| U256::ONE.shl(bit));
+    vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        Scalar::new(CURVE_ORDER.wrapping_sub(U256::ONE)),
+        Scalar::new(U256::ONE.shl(255)),
+        Scalar::new(top_column[0]),
+        Scalar::new(top_column[3]),
+        Scalar::new(
+            top_column
+                .into_iter()
+                .fold(U256::ZERO, |acc, bit| acc | bit),
+        ),
+    ]
+}
+
+/// Every mutation of a genuine signature over `digest` that the per-signer
+/// check must judge exactly as recovery does, labelled for failure
+/// messages. `other` is another key's signature over the same digest.
+fn mutations(
+    digest: [u8; 32],
+    genuine: Signature,
+    other: Signature,
+    flipped_bit: usize,
+) -> Vec<(&'static str, [u8; 32], Signature)> {
+    let (r, s, v) = (genuine.r, genuine.s, genuine.recovery_id);
+    let (n, one) = (CURVE_ORDER, U256::ONE);
+    let p_minus_n = FIELD_PRIME.wrapping_sub(n);
+    let mut flipped = digest;
+    flipped[flipped_bit / 8] ^= 1 << (flipped_bit % 8);
+    let cases = [
+        ("genuine", r, s, v),
+        ("flipped v", r, s, v ^ 1),
+        ("v = 2", r, s, 2),
+        ("r + 1", r.wrapping_add(one), s, v),
+        ("r - 1", r.wrapping_sub(one), s, v),
+        ("s + 1", r, s.wrapping_add(one), v),
+        ("s - 1", r, s.wrapping_sub(one), v),
+        ("n - s", r, n.wrapping_sub(s), v),
+        ("n - s, flipped v", r, n.wrapping_sub(s), v ^ 1),
+        ("r = 0", U256::ZERO, s, v),
+        ("r = n", n, s, v),
+        ("s = 0", r, U256::ZERO, v),
+        ("s = n", r, n, v),
+        // Both parities of the lifted nonce, whatever the genuine one was.
+        ("r = n - 1", n.wrapping_sub(one), s, v),
+        ("r = n - 1, flipped v", n.wrapping_sub(one), s, v ^ 1),
+        ("r = p - n", p_minus_n, s, v),
+        ("r = p - n, flipped v", p_minus_n, s, v ^ 1),
+    ];
+    let mut all: Vec<_> = cases
+        .into_iter()
+        .map(|(label, r, s, recovery_id)| (label, digest, Signature { r, s, recovery_id }))
+        .collect();
+    all.push(("bit-flipped digest", flipped, genuine));
+    all.push(("another key's signature", digest, other));
+    all
 }
 
 proptest! {
@@ -217,6 +282,15 @@ proptest! {
     }
 
     #[test]
+    fn comb_walk_matches_reference_sum(u1 in arb_scalar_operand(), u2 in arb_scalar_operand(), q in arb_point()) {
+        let fast = point::double_scalar_mul_comb(u1, u2, &point::CombTable::new(&q)).to_affine();
+        let slow = Point::generator()
+            .scalar_mul_reference(u1)
+            .add(&q.scalar_mul_reference(u2));
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
     fn multi_scalar_mul_matches_reference_sum(
         k_gen in arb_scalar(),
         k1 in arb_scalar(),
@@ -245,6 +319,45 @@ proptest! {
         prop_assert_eq!(signature.recover(&digest).unwrap(), key.public_key());
     }
 
+    /// The per-signer comb check accepts exactly what recover-and-compare
+    /// accepts: random keys and digests, and every mutation in
+    /// [`mutations`]. Recovery is the oracle; the expected outcomes of the
+    /// mutations it is known to accept or reject are pinned as well.
+    #[test]
+    fn verify_recoverable_agrees_with_recover_and_compare(
+        seed in any::<u64>(),
+        digest in arb_u256(),
+        flipped_bit in 0usize..256,
+    ) {
+        let key = PrivateKey::from_seed(&seed.to_be_bytes());
+        let other = PrivateKey::from_seed(&seed.wrapping_add(1).to_be_bytes());
+        let verifier = VerifyingKey::new(key.public_key());
+        let digest = digest.to_be_bytes();
+        let genuine = key.sign_prehashed(&digest);
+        for (label, digest, signature) in
+            mutations(digest, genuine, other.sign_prehashed(&digest), flipped_bit)
+        {
+            let recovered = signature.recover(&digest) == Ok(key.public_key());
+            prop_assert!(
+                verifier.verify_recoverable(&digest, &signature) == recovered,
+                "{}: recovery says {}, {:?}",
+                label,
+                recovered,
+                signature
+            );
+            let pinned = match label {
+                "genuine" | "n - s, flipped v" => Some(true),
+                "v = 2" => Some(genuine.recovery_id == 0),
+                "flipped v" | "n - s" | "another key's signature" => Some(false),
+                "r = 0" | "r = n" | "s = 0" | "s = n" => Some(false),
+                _ => None,
+            };
+            if let Some(expected) = pinned {
+                prop_assert!(recovered == expected, "{}: recovery says {}", label, recovered);
+            }
+        }
+    }
+
     #[test]
     fn batch_verification_agrees_with_individual(seeds in proptest::collection::vec(any::<u64>(), 1..6)) {
         let items: Vec<BatchItem> = seeds
@@ -264,5 +377,68 @@ proptest! {
         let mut tampered = items;
         tampered[0].digest[0] ^= 0x01;
         prop_assert!(!verify_batch(&tampered));
+    }
+}
+
+/// The comb walk on every pair of edge scalars, against the generator and
+/// another point. With `q = G` both combs add the same entry in the same
+/// column (the mixed addition's doubling case), and `u2 = n − u1` sums to
+/// the identity.
+#[test]
+fn comb_walk_matches_reference_on_edge_scalars() {
+    let g = Point::generator();
+    let other = g.scalar_mul(Scalar::new(U256::from(0xc0ffee_u64)));
+    let edges = comb_edge_scalars();
+    for q in [g, other] {
+        let comb = point::CombTable::new(&q);
+        let reference: Vec<(Point, Point)> = edges
+            .iter()
+            .map(|k| (g.scalar_mul_reference(*k), q.scalar_mul_reference(*k)))
+            .collect();
+        for (u1, (u1_g, _)) in edges.iter().zip(&reference) {
+            for (u2, (_, u2_q)) in edges.iter().zip(&reference) {
+                let fast = point::double_scalar_mul_comb(*u1, *u2, &comb).to_affine();
+                assert_eq!(fast, u1_g.add(u2_q), "u1 {u1:?}, u2 {u2:?}");
+            }
+        }
+    }
+    let g_comb = point::CombTable::new(&g);
+    for u in &edges {
+        let cancel = point::double_scalar_mul_comb(*u, u.negate(), &g_comb);
+        assert!(cancel.is_infinity(), "u {u:?}");
+    }
+}
+
+/// A nonce point whose x lies in `[n, p)`: plain ECDSA reduces x to
+/// `r = x − n` and accepts, but recovery lifts the nonce from `x = r`,
+/// reaches another point and another key. The per-signer check must
+/// side with recovery.
+#[test]
+fn verify_recoverable_rejects_a_nonce_x_above_the_order() {
+    let (nonce, r) = (1u64..)
+        .find_map(|t| {
+            let x = CURVE_ORDER.wrapping_add(U256::from(t));
+            Point::from_x(x, false).ok().map(|p| (p, U256::from(t)))
+        })
+        .expect("some x in [n, p) is on the curve");
+    let s = Scalar::new(U256::from(0x1234_5678u64));
+    let digest = keccak256(b"nonce x above the order");
+    let z = Scalar::from_bytes(&digest);
+    // The key for which (r, s) is valid with this nonce: Q = r⁻¹(s·R − z·G).
+    let q = nonce
+        .scalar_mul(s)
+        .add(&Point::generator().scalar_mul(z).negate())
+        .scalar_mul(Scalar::new(r).invert());
+    let key = PublicKey::from_point(q).unwrap();
+    let verifier = VerifyingKey::new(key);
+    for recovery_id in [0, 1] {
+        let signature = Signature {
+            r,
+            s: s.to_u256(),
+            recovery_id,
+        };
+        assert!(key.verify_prehashed(&digest, &signature));
+        assert_ne!(signature.recover(&digest), Ok(key));
+        assert!(!verifier.verify_recoverable(&digest, &signature));
     }
 }

@@ -117,17 +117,6 @@ impl CryptoEngine {
         meter.record(PowerState::CryptoEngine, self.latencies.ecdsa_verify);
         public_key.verify_prehashed(digest, signature)
     }
-
-    /// Recovers the signer address from a signature (hardware engine).
-    pub fn recover_address(
-        &self,
-        meter: &mut EnergyMeter,
-        digest: &[u8; 32],
-        signature: &Signature,
-    ) -> Option<tinyevm_types::Address> {
-        meter.record(PowerState::CryptoEngine, self.latencies.ecdsa_verify);
-        signature.recover_address(digest).ok()
-    }
 }
 
 impl Default for CryptoEngine {
@@ -180,17 +169,12 @@ mod tests {
         let digest = keccak256(b"channel state 7");
         let signature = engine.sign(&mut meter, &key, &digest);
         // Verifiable both through the engine and directly with the library.
-        assert!(key.public_key().verify_prehashed(&digest, &signature));
-        assert_eq!(
-            engine.recover_address(&mut meter, &digest, &signature),
-            Some(key.eth_address())
-        );
-        // A wrong digest does not recover the same address.
+        assert!(engine.verify(&mut meter, &key.public_key(), &digest, &signature));
+        assert_eq!(signature.recover_address(&digest), Ok(key.eth_address()));
+        // A wrong digest does not verify, nor recover the same address.
         let other = keccak256(b"tampered");
-        assert_ne!(
-            engine.recover_address(&mut meter, &other, &signature),
-            Some(key.eth_address())
-        );
+        assert!(!engine.verify(&mut meter, &key.public_key(), &other, &signature));
+        assert_ne!(signature.recover_address(&other), Ok(key.eth_address()));
     }
 
     #[test]

@@ -387,17 +387,11 @@ impl Device {
         (signature, elapsed)
     }
 
-    /// Verifies a signature over a payload, charging crypto-engine time;
-    /// returns the signer address when valid.
-    pub fn verify_payload(&mut self, payload: &[u8], signature: &Signature) -> Option<Address> {
-        self.verify_payload_with(payload, |digest| signature.recover_address(digest).ok())
-    }
-
     /// Charges one signature check of `payload` — the software Keccak, then
     /// the engine's verify latency — and runs `verify`, the host-side check
-    /// it models, once on the payload's digest. A caller whose own
-    /// validation already recovers the signer (a channel accepting a
-    /// payment) bills the device through this without recovering twice.
+    /// it models, once on the payload's digest: recovering the signer
+    /// ([`Signature::recover_address`]), or, as a channel does for its
+    /// peer's payments and acknowledgements, checking a known key.
     pub fn verify_payload_with<T>(
         &mut self,
         payload: &[u8],
@@ -587,13 +581,19 @@ mod tests {
         let mut receiver = Device::openmote_b("parking");
         let payload = b"5 milli-eth for one hour";
         let (signature, _) = sender.sign_payload(payload);
+        let recover = |digest: &[u8; 32]| signature.recover_address(digest).ok();
         assert_eq!(
-            receiver.verify_payload(payload, &signature),
+            receiver.verify_payload_with(payload, recover),
             Some(sender.address())
         );
         assert_ne!(
-            receiver.verify_payload(b"tampered payload", &signature),
+            receiver.verify_payload_with(b"tampered payload", recover),
             Some(sender.address())
+        );
+        // Each check bills the Keccak and the engine's verify latency.
+        assert_eq!(
+            receiver.energy_report().time_of(PowerState::CryptoEngine),
+            Duration::from_millis(700)
         );
     }
 

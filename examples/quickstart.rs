@@ -43,7 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sign_time
     );
     let mut verifier = Device::openmote_b("parking-operator");
-    let signer = verifier.verify_payload(b"5 milli-eth for one hour of parking", &signature);
+    let signer = verifier.verify_payload_with(b"5 milli-eth for one hour of parking", |digest| {
+        signature.recover_address(digest).ok()
+    });
     println!(
         "[crypto] verified — payment signed by {}",
         signer

@@ -6,7 +6,9 @@
 use tinyevm::chain::{
     Blockchain, ChannelState, CommitEnvelope, MerkleSumTree, SumLeaf, TemplateConfig, TemplateError,
 };
-use tinyevm::channel::{ChannelConfig, ChannelRole, PaymentChannel, SignedPayment};
+use tinyevm::channel::{
+    ChannelConfig, ChannelError, ChannelRole, PaymentChannel, PaymentError, SignedPayment,
+};
 use tinyevm::prelude::*;
 
 struct World {
@@ -131,6 +133,34 @@ fn non_repudiation_forged_and_tampered_payments_never_verify() {
     );
     receiver_side.accept_payment(&genuine).unwrap();
     assert_eq!(genuine.payer().unwrap(), car.eth_address());
+
+    // Once the payer's key is learned, later payments are checked against
+    // it rather than recovered: the same forgeries still fail, and leave
+    // the channel where it was.
+    let next = |key: &PrivateKey| {
+        SignedPayment::create(
+            key,
+            Address::from_low_u64(1),
+            1,
+            2,
+            Wei::from_eth_milli(2),
+            H256::ZERO,
+        )
+    };
+    let mut tampered = next(&car);
+    tampered.cumulative = Wei::from_eth_milli(90);
+    let mut flipped_v = next(&car);
+    flipped_v.signature.recovery_id ^= 1;
+    for forgery in [next(&mallory), tampered, flipped_v] {
+        assert!(matches!(
+            receiver_side.accept_payment(&forgery),
+            Err(ChannelError::Payment(PaymentError::BadSignature))
+        ));
+        assert_eq!(receiver_side.sequence(), 1);
+        assert_eq!(receiver_side.cumulative(), Wei::from_eth_milli(1));
+    }
+    receiver_side.accept_payment(&next(&car)).unwrap();
+    assert_eq!(receiver_side.cumulative(), Wei::from_eth_milli(2));
 }
 
 #[test]
