@@ -3,12 +3,13 @@
 //! [`analyze`] decodes a contract once, up front, into the [`CodeAnalysis`]
 //! artifact the rest of the system shares:
 //!
-//! * the **jumpdest bitmap** the interpreter needs on every `JUMP`/`JUMPI`
-//!   (byte-for-byte identical to the per-frame scan it replaces);
+//! * the **jumpdest bitmap** the interpreter needs on every `JUMP`/`JUMPI`;
 //! * the **basic blocks** of the code, each carrying its static gas cost,
 //!   MCU-cycle cost, instruction count, net stack effect and minimum entry
 //!   stack depth, so the interpreter can check a whole block's budgets at
-//!   block entry instead of per opcode;
+//!   block entry instead of per opcode. The bitmap and the blocks come from
+//!   the same jumpdest scan and per-block decoder that
+//!   [`crate::LazyBlocks`] runs on demand;
 //! * a conservative **control-flow graph** over those blocks (constant jump
 //!   edges and fall-throughs), used for reachability;
 //! * **diagnostics** (truncated `PUSH` immediates, undefined opcode bytes,
@@ -24,6 +25,7 @@
 //! example computed jump targets) is [`Verdict::Unproven`] and simply runs
 //! under the ordinary per-opcode checks.
 
+use crate::blocks::{decode_block, scan_jumpdests, BasicBlock, BlockExit, Decoded};
 use crate::certificate::{self, GasCertificate};
 use crate::opcode::Opcode;
 use crate::symbolic;
@@ -195,81 +197,6 @@ pub enum Diagnostic {
     },
 }
 
-/// How control leaves a basic block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockExit {
-    /// Execution continues into the next block (its leader is a
-    /// `JUMPDEST`).
-    FallThrough,
-    /// Unconditional `JUMP`. `Some` when the destination is the immediate
-    /// of a `PUSH` directly before the jump.
-    Jump(Option<usize>),
-    /// Conditional `JUMPI`: the constant branch target (if known) plus the
-    /// fall-through edge.
-    JumpI(Option<usize>),
-    /// `STOP`, `RETURN`, `REVERT`, `INVALID` or `SELFDESTRUCT`.
-    Terminate,
-    /// The block reaches the end of the code (implicit `STOP`), or ends at
-    /// an undefined byte (which traps).
-    RunOff,
-}
-
-/// One straight-line run of instructions with single entry (its leader) and
-/// single exit (its last instruction).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// Program counter of the first instruction.
-    pub start: usize,
-    /// One past the last byte of the block (including push immediates).
-    /// Fall-through execution enters the next block exactly here.
-    pub end: usize,
-    /// Number of defined instructions in the block (an undefined trailing
-    /// byte is excluded: the interpreter traps on it before counting it).
-    pub instructions: u32,
-    /// Sum of the static gas costs of the block's instructions.
-    pub static_gas: u64,
-    /// Sum of the modelled MCU cycle costs of the block's instructions.
-    pub mcu_cycles: u64,
-    /// Net stack-height change from entry to exit.
-    pub net_stack: i32,
-    /// Minimum stack depth at entry for no instruction to underflow.
-    pub stack_required: usize,
-    /// Maximum stack growth above the entry depth anywhere in the block.
-    pub max_stack_growth: usize,
-    /// Per-opcode execution counts `(opcode byte, count)`, so a batched
-    /// block entry can update the metrics histogram without replaying the
-    /// instructions.
-    pub histogram: Vec<(u8, u32)>,
-    /// How the block exits.
-    pub exit: BlockExit,
-    /// Indices of successor blocks along statically-known edges: constant
-    /// jump targets, fall-throughs, and — when the symbolic pass resolved
-    /// the whole contract — resolved dynamic-jump edges, with provably dead
-    /// `JUMPI` branches pruned. Unresolved dynamic jumps contribute no edge.
-    pub successors: Vec<u32>,
-    /// True when the block ends in a `JUMP`/`JUMPI` whose destination is
-    /// statically proven to be this exact constant *and* a valid
-    /// `JUMPDEST` — the interpreter may then skip the runtime
-    /// jumpdest-bitmap check for this block's jump.
-    pub jump_target_proven: bool,
-    /// True when an instruction *before the last one* can trap (memory,
-    /// storage, IoT, call and log opcodes). Such blocks must run under
-    /// per-opcode accounting so a mid-block trap reports an exact retired
-    /// instruction count.
-    pub interior_trap_risk: bool,
-    /// True when the block ends at an undefined byte.
-    pub has_undefined: bool,
-    /// True when the block contains an opcode TinyEVM removes off-chain;
-    /// off-chain profiles must then run the block per-opcode so the trap
-    /// fires exactly where the per-opcode interpreter fires it.
-    pub has_removed_off_chain: bool,
-    /// True when the block contains `GAS`; metered profiles must then run
-    /// the block per-opcode because `GAS` observes the remaining gas.
-    pub has_gas_op: bool,
-    /// True when no statically-known path from the entry reaches the block.
-    pub unreachable: bool,
-}
-
 /// The artifact produced by [`analyze`]: everything the interpreter, the
 /// deployment gates and the experiments need to know about one contract's
 /// bytecode, computed once.
@@ -358,117 +285,23 @@ impl CodeAnalysis {
     }
 }
 
-/// One decoded instruction (transient; not part of the artifact).
-pub(crate) struct Decoded {
-    pub(crate) pc: usize,
-    pub(crate) opcode: Option<Opcode>,
-    /// Missing immediate bytes for a truncated trailing push.
-    pub(crate) push_missing: usize,
-}
-
-impl Decoded {
-    fn ends_block(&self) -> bool {
-        match self.opcode {
-            None => true,
-            Some(op) => op.is_terminator() || matches!(op, Opcode::Jump | Opcode::JumpI),
-        }
-    }
-}
-
-/// True when `op` can trap *during* [`step`] dispatch (memory, storage,
-/// IoT, call, create and log opcodes, plus every opcode that converts a
-/// stack word to a memory offset). Blocks containing such an opcode before
-/// their final instruction cannot be batch-accounted.
-fn can_trap_in_dispatch(op: Opcode) -> bool {
-    use Opcode::*;
-    matches!(
-        op,
-        Sha3 | Iot
-            | CallDataLoad
-            | CallDataCopy
-            | CodeCopy
-            | ExtCodeCopy
-            | ReturnDataCopy
-            | MLoad
-            | MStore
-            | MStore8
-            | SStore
-            | Log0
-            | Log1
-            | Log2
-            | Log3
-            | Log4
-            | Create
-            | Call
-            | CallCode
-            | DelegateCall
-            | StaticCall
-            | Jump
-            | JumpI
-            | Return
-            | Revert
-            | Invalid
-            | SelfDestruct
-    )
-}
-
 /// Statically analyzes `code`, producing the shared [`CodeAnalysis`]
 /// artifact.
 ///
-/// The function is total: any byte string is analyzable, and the jumpdest
-/// bitmap it produces is byte-for-byte what the interpreter's legacy
-/// per-frame scan produced.
+/// The function is total: any byte string is analyzable. Its jumpdest
+/// bitmap and blocks are exactly what [`crate::LazyBlocks`] produces for
+/// the same code; only the CFG edges, reachability and symbolically proven
+/// jump targets come from the passes that need the whole code.
 pub fn analyze(code: &[u8]) -> CodeAnalysis {
     let len = code.len();
 
-    // Pass 1: linear decode. Execution can only ever sit on these
-    // boundaries: it starts at 0, advances instruction by instruction, and
-    // jumps only to JUMPDEST bytes that are themselves decode boundaries.
+    // Pass 1: the jumpdest bitmap, then the blocks in code order. Execution
+    // can only ever sit on decode boundaries: it starts at 0, advances
+    // instruction by instruction, and jumps only to JUMPDEST bytes that are
+    // themselves decode boundaries. Each block's leader is the previous
+    // block's end, so the blocks' instructions are the linear decode.
+    let jumpdests = scan_jumpdests(code);
     let mut instrs: Vec<Decoded> = Vec::new();
-    let mut jumpdests = vec![false; len];
-    let mut pc = 0usize;
-    while pc < len {
-        let byte = code[pc];
-        match Opcode::from_byte(byte) {
-            Some(op) => {
-                if op == Opcode::JumpDest {
-                    jumpdests[pc] = true;
-                }
-                let immediates = op.push_bytes();
-                let next = pc + 1 + immediates;
-                let push_missing = next.saturating_sub(len);
-                instrs.push(Decoded {
-                    pc,
-                    opcode: Some(op),
-                    push_missing,
-                });
-                pc = next;
-            }
-            None => {
-                instrs.push(Decoded {
-                    pc,
-                    opcode: None,
-                    push_missing: 0,
-                });
-                pc += 1;
-            }
-        }
-    }
-    let instruction_count = instrs.len();
-
-    // Pass 2: block leaders — instruction 0, every JUMPDEST, and every
-    // instruction following a jump, a terminator or an undefined byte.
-    let mut is_leader = vec![false; instrs.len()];
-    for (i, instr) in instrs.iter().enumerate() {
-        if i == 0 || instr.opcode == Some(Opcode::JumpDest) {
-            is_leader[i] = true;
-        }
-        if instr.ends_block() && i + 1 < instrs.len() {
-            is_leader[i + 1] = true;
-        }
-    }
-
-    // Pass 3: build the blocks and their static aggregates.
     let mut blocks: Vec<BasicBlock> = Vec::new();
     let mut leader_index = vec![NO_BLOCK; len];
     // Fatal findings (pc, error), filtered by reachability later.
@@ -477,168 +310,60 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
     // (block index, pc) of jumps with statically-unknown targets.
     let mut dynamic_jumps: Vec<(u32, usize)> = Vec::new();
 
-    let mut i = 0usize;
-    while i < instrs.len() {
-        debug_assert!(is_leader[i]);
+    let mut pc = 0usize;
+    while pc < len {
         let block_index = blocks.len() as u32;
-        let start = instrs[i].pc;
-        let mut j = i;
-        while j + 1 < instrs.len() && !instrs[j].ends_block() && !is_leader[j + 1] {
-            j += 1;
-        }
-        // Instructions i..=j form the block.
-        let mut instructions = 0u32;
-        let mut static_gas = 0u64;
-        let mut mcu_cycles = 0u64;
-        let mut histogram: Vec<(u8, u32)> = Vec::new();
-        let mut height = 0i64; // relative to entry depth
-        let mut max_height = 0i64;
-        let mut stack_required = 0usize;
-        let mut interior_trap_risk = false;
-        let mut has_undefined = false;
-        let mut has_removed_off_chain = false;
-        let mut has_gas_op = false;
-        let mut end = instrs[j].pc + 1;
-
-        for (k, instr) in instrs[i..=j].iter().enumerate() {
-            let op = match instr.opcode {
-                Some(op) => op,
+        let first = instrs.len();
+        let block = decode_block(code, &jumpdests, pc, |instr| instrs.push(instr));
+        for instr in &instrs[first..] {
+            match instr.opcode {
                 None => {
-                    // The interpreter traps before recording the undefined
-                    // byte, so it contributes nothing to the aggregates.
-                    has_undefined = true;
-                    diagnostics.push(Diagnostic::UndefinedOpcode {
+                    let byte = code[instr.pc];
+                    diagnostics.push(Diagnostic::UndefinedOpcode { pc: instr.pc, byte });
+                    fatal_candidates.push((
+                        block_index,
+                        AnalysisError::UndefinedInstruction { pc: instr.pc, byte },
+                    ));
+                }
+                Some(opcode) if instr.push_missing > 0 => {
+                    diagnostics.push(Diagnostic::TruncatedPush {
                         pc: instr.pc,
-                        byte: code[instr.pc],
+                        missing: instr.push_missing,
                     });
                     fatal_candidates.push((
                         block_index,
-                        AnalysisError::UndefinedInstruction {
+                        AnalysisError::TruncatedPush {
                             pc: instr.pc,
-                            byte: code[instr.pc],
+                            opcode,
+                            missing: instr.push_missing,
                         },
                     ));
-                    continue;
                 }
-            };
-            let info = op.info();
-            instructions += 1;
-            static_gas += info.gas;
-            mcu_cycles += info.mcu_cycles as u64;
-            match histogram.iter_mut().find(|(byte, _)| *byte == op.to_byte()) {
-                Some((_, count)) => *count += 1,
-                None => histogram.push((op.to_byte(), 1)),
-            }
-            end = instr.pc + 1 + op.push_bytes();
-
-            // Stack effect: the interpreter checks `inputs` before dispatch,
-            // so the entry-depth requirement at this op is inputs - height.
-            let needed = info.inputs as i64 - height;
-            if needed > stack_required as i64 {
-                stack_required = needed as usize;
-            }
-            height += info.outputs as i64 - info.inputs as i64;
-            if height > max_height {
-                max_height = height;
-            }
-            if instr.push_missing > 0 {
-                diagnostics.push(Diagnostic::TruncatedPush {
-                    pc: instr.pc,
-                    missing: instr.push_missing,
-                });
-                fatal_candidates.push((
-                    block_index,
-                    AnalysisError::TruncatedPush {
-                        pc: instr.pc,
-                        opcode: op,
-                        missing: instr.push_missing,
-                    },
-                ));
-            }
-            if k < j - i && can_trap_in_dispatch(op) {
-                interior_trap_risk = true;
-            }
-            if op.removed_off_chain() {
-                has_removed_off_chain = true;
-            }
-            if op == Opcode::Gas {
-                has_gas_op = true;
+                Some(_) => {}
             }
         }
-
-        // Exit kind and constant jump target.
-        let last = &instrs[j];
-        let exit = match last.opcode {
-            None => BlockExit::RunOff,
-            Some(op) if op.is_terminator() => BlockExit::Terminate,
-            Some(Opcode::Jump) | Some(Opcode::JumpI) => {
-                let target = constant_jump_target(code, &instrs, i, j);
-                if last.opcode == Some(Opcode::Jump) {
-                    BlockExit::Jump(target)
-                } else {
-                    BlockExit::JumpI(target)
-                }
-            }
-            Some(_) => {
-                if j + 1 < instrs.len() {
-                    BlockExit::FallThrough
-                } else {
-                    BlockExit::RunOff
-                }
-            }
-        };
-        let mut jump_target_proven = false;
-        match exit {
+        // A jump is one byte, so it sits at `end - 1`.
+        match block.exit {
             BlockExit::Jump(None) | BlockExit::JumpI(None) => {
-                dynamic_jumps.push((block_index, last.pc));
+                dynamic_jumps.push((block_index, block.end - 1));
             }
-            BlockExit::Jump(Some(target)) | BlockExit::JumpI(Some(target)) => {
-                let valid = target < len && jumpdests[target];
-                // A PUSH immediate directly before the jump is exactly what
-                // the interpreter pops, so validity here is unconditional —
-                // no symbolic fixpoint needed.
-                jump_target_proven = valid;
-                if !valid {
-                    diagnostics.push(Diagnostic::InvalidJumpTarget {
-                        pc: last.pc,
-                        target,
-                    });
-                    fatal_candidates.push((
-                        block_index,
-                        AnalysisError::InvalidJumpTarget {
-                            pc: last.pc,
-                            target,
-                        },
-                    ));
-                }
+            BlockExit::Jump(Some(target)) | BlockExit::JumpI(Some(target))
+                if !block.jump_target_proven =>
+            {
+                let pc = block.end - 1;
+                diagnostics.push(Diagnostic::InvalidJumpTarget { pc, target });
+                fatal_candidates
+                    .push((block_index, AnalysisError::InvalidJumpTarget { pc, target }));
             }
             _ => {}
         }
-
-        leader_index[start] = block_index;
-        blocks.push(BasicBlock {
-            start,
-            end,
-            instructions,
-            static_gas,
-            mcu_cycles,
-            net_stack: height as i32,
-            stack_required,
-            max_stack_growth: max_height.max(0) as usize,
-            histogram,
-            exit,
-            successors: Vec::new(),
-            jump_target_proven,
-            interior_trap_risk,
-            has_undefined,
-            has_removed_off_chain,
-            has_gas_op,
-            unreachable: false,
-        });
-        i = j + 1;
+        leader_index[pc] = block_index;
+        pc = block.end;
+        blocks.push(block);
     }
+    let instruction_count = instrs.len();
 
-    // Pass 4: constant-edge successors.
+    // Pass 2: constant-edge successors.
     for index in 0..blocks.len() {
         let mut successors: Vec<u32> = Vec::new();
         let next = (index + 1) as u32;
@@ -664,7 +389,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
         blocks[index].successors = successors;
     }
 
-    // Pass 5: symbolic constant propagation to a fixpoint. On success the
+    // Pass 3: symbolic constant propagation to a fixpoint. On success the
     // dynamic jumps are resolved into real edges and provably dead `JUMPI`
     // branches are pruned; on failure (some reachable destination is not a
     // propagated constant) the conservative treatment below stands.
@@ -682,7 +407,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
         resolved_jumps.clone_from(&resolution.resolved_jumps);
     }
 
-    // Pass 6: reachability. With a resolved CFG the entry block is the only
+    // Pass 4: reachability. With a resolved CFG the entry block is the only
     // root; otherwise dynamic jumps can target any JUMPDEST, so when one is
     // reachable the jumpdest blocks all become conservative roots.
     let mut reachable = vec![false; blocks.len()];
@@ -719,7 +444,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
         }
     }
 
-    // Pass 7: stack dataflow over the reachable graph (only meaningful when
+    // Pass 5: stack dataflow over the reachable graph (only meaningful when
     // every jump is statically resolved).
     let mut fatal: Vec<(usize, AnalysisError)> = fatal_candidates
         .into_iter()
@@ -768,7 +493,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
         },
     };
 
-    // Pass 8: the whole-execution cost certificate over the final graph.
+    // Pass 6: the whole-execution cost certificate over the final graph.
     let certificate = certificate::certify(&instrs, &blocks, &reachable, unresolved_jump_pc);
 
     CodeAnalysis {
@@ -801,39 +526,6 @@ fn leader_of(leader_index: &[u32], target: usize, len: usize) -> Option<u32> {
         Some(leader_index[target])
     } else {
         None
-    }
-}
-
-/// The jump in block `i..=j` has a statically-known target when the
-/// instruction directly before it (within the same block) is a `PUSHn`:
-/// nothing can intervene between the push and the pop.
-fn constant_jump_target(code: &[u8], instrs: &[Decoded], i: usize, j: usize) -> Option<usize> {
-    if j == i {
-        return None;
-    }
-    let prev = &instrs[j - 1];
-    let op = prev.opcode?;
-    let count = op.push_bytes();
-    if count == 0 {
-        return None;
-    }
-    // Parse the (zero-padded, big-endian) immediate. Anything beyond
-    // usize::MAX cannot be a valid destination; saturate so the verdict
-    // logic rejects it.
-    let start = prev.pc + 1;
-    let mut value: u128 = 0;
-    let mut saturated = false;
-    for offset in 0..count {
-        let byte = code.get(start + offset).copied().unwrap_or(0);
-        if value > (u128::MAX >> 8) {
-            saturated = true;
-        }
-        value = (value << 8) | byte as u128;
-    }
-    if saturated || value > usize::MAX as u128 {
-        Some(usize::MAX)
-    } else {
-        Some(value as usize)
     }
 }
 
@@ -1305,19 +997,27 @@ mod tests {
         let block = &analysis.blocks()[0];
         assert!(block.has_gas_op);
         assert!(block.has_removed_off_chain);
-        assert!(!block.interior_trap_risk);
+        assert!(!block.interior_call);
     }
 
     #[test]
-    fn interior_memory_op_flags_trap_risk() {
-        // PUSH1 0, PUSH1 0, MSTORE, STOP — MSTORE is interior (STOP follows).
+    fn interior_call_flags_the_block_but_interior_mstore_does_not() {
+        // PUSH1 0, PUSH1 0, MSTORE, STOP — an interior MSTORE may trap, but
+        // the interpreter refunds the rest of the block, so it batches.
         let code = [PUSH1, 0, PUSH1, 0, 0x52, STOP];
         let analysis = analyze(&code);
-        assert!(analysis.blocks()[0].interior_trap_risk);
-        // When the trappable op is the block's last instruction it can be
-        // batched: a trap there still retires the whole block.
-        let code_tail = [PUSH1, 0, PUSH1, 0, 0x52];
-        let analysis_tail = analyze(&code_tail);
-        assert!(!analysis_tail.blocks()[0].interior_trap_risk);
+        assert!(!analysis.blocks()[0].interior_call);
+        // Seven zero pushes, CALL, STOP — the CALL's sub-frame adds
+        // instructions mid-block.
+        let mut code = Vec::new();
+        for _ in 0..7 {
+            code.extend_from_slice(&[PUSH1, 0]);
+        }
+        code.extend_from_slice(&[0xf1, STOP]);
+        assert!(analyze(&code).blocks()[0].interior_call);
+        // When the call is the block's last instruction it can be batched:
+        // the next block entry sees the callee's instructions.
+        code.pop();
+        assert!(!analyze(&code).blocks()[0].interior_call);
     }
 }

@@ -3,8 +3,10 @@
 //! Contract code is immutable once installed, so its analysis can be shared
 //! by every frame that ever runs it — across calls, across reentrant
 //! subframes and (via [`std::sync::Arc`]) across the experiment harness's
-//! worker threads. This is what turns the interpreter's former per-frame
-//! `analyze_jumpdests` scan into a one-time cost per distinct contract.
+//! worker threads. This is what turns a whole-code analysis into a
+//! one-time cost per distinct contract, which pays off for code that runs
+//! many times; code that runs once (init code) skips it and decodes only
+//! the blocks it executes, through [`crate::LazyBlocks`].
 //!
 //! The cache is **bounded**: above its capacity the oldest-inserted entry
 //! is evicted (insertion-order FIFO — cheap, deterministic, and a close

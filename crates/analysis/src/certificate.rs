@@ -14,8 +14,7 @@
 //! bytecode — an unresolved dynamic jump, or a `CALL`/`CREATE`-family
 //! opcode whose callee's metrics are absorbed into the caller's frame.
 
-use crate::analyzer::{BasicBlock, Decoded};
-use crate::opcode::Opcode;
+use crate::blocks::{runs_sub_frame, BasicBlock, Decoded};
 
 /// A typed static claim about one contract's whole-execution cost, computed
 /// by [`crate::analyze`] alongside the verdict.
@@ -91,19 +90,6 @@ impl core::fmt::Display for GasCertificate {
     }
 }
 
-/// The call-family opcodes whose absorbed callee metrics break the
-/// own-frame bound.
-fn defeats_costing(op: Opcode) -> bool {
-    matches!(
-        op,
-        Opcode::Create
-            | Opcode::Call
-            | Opcode::CallCode
-            | Opcode::DelegateCall
-            | Opcode::StaticCall
-    )
-}
-
 /// Computes the certificate over the final (resolved, pruned) CFG.
 ///
 /// `unresolved` carries the pc of the first reachable dynamic jump when the
@@ -137,7 +123,7 @@ pub(crate) fn certify(
         let mut k = instr_cursor;
         while k < instrs.len() && instrs[k].pc < block.end {
             if let Some(op) = instrs[k].opcode {
-                if defeats_costing(op) {
+                if runs_sub_frame(op) {
                     return GasCertificate::Uncertified { pc: instrs[k].pc };
                 }
             }

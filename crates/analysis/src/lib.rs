@@ -14,10 +14,12 @@
 //!
 //! Three consumers:
 //!
-//! * the **interpreter** runs frames against a shared [`CodeAnalysis`]
-//!   (via [`AnalysisCache`], keyed by code hash) instead of re-scanning
-//!   jumpdests per frame, and batches gas/instruction-limit checks at
-//!   basic-block entry;
+//! * the **interpreter** batches gas/instruction-limit checks at
+//!   basic-block entry. Frames that run code many times borrow a shared
+//!   [`CodeAnalysis`] (via [`AnalysisCache`], keyed by code hash); frames
+//!   that run code once — init code above all — decode blocks on first
+//!   entry through [`LazyBlocks`], which shares [`analyze`]'s block decoder
+//!   and jumpdest scan;
 //! * the **deploy-time gate** (`tinyevm-evm`'s `deploy` module and the
 //!   chain layer) rejects code whose verdict is [`Verdict::Rejected`];
 //! * the **fleet gate** (channel endpoints) refuses to install statically
@@ -28,15 +30,14 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
+mod blocks;
 pub mod cache;
 pub mod certificate;
 pub mod opcode;
 mod symbolic;
 
-pub use analyzer::{
-    analyze, AnalysisError, BasicBlock, BlockExit, CodeAnalysis, Diagnostic, UnprovenReason,
-    Verdict,
-};
+pub use analyzer::{analyze, AnalysisError, CodeAnalysis, Diagnostic, UnprovenReason, Verdict};
+pub use blocks::{BasicBlock, BlockExit, LazyBlocks};
 pub use cache::AnalysisCache;
 pub use certificate::GasCertificate;
 pub use opcode::{Opcode, OpcodeCategory, OpcodeInfo};

@@ -21,7 +21,7 @@
 //! (reclassifying `DynamicJump` and `PossibleUnderflow`) and the
 //! [`crate::GasCertificate`] computed over the resolved graph.
 
-use crate::analyzer::{BasicBlock, BlockExit, Decoded};
+use crate::blocks::{BasicBlock, BlockExit, Decoded};
 use crate::opcode::Opcode;
 use tinyevm_types::U256;
 

@@ -1,8 +1,8 @@
-//! Interpreter fast path: per-opcode accounting with per-call re-analysis
-//! versus cached analysis with per-basic-block batched gas and
-//! instruction-limit checks. Both lanes run the same hot-loop contract and
-//! produce byte-identical results, gas and metrics; only the bookkeeping
-//! strategy differs.
+//! Interpreter fast path: per-opcode accounting (through `Evm::execute`,
+//! which decodes blocks lazily) versus a cached analysis with
+//! per-basic-block batched gas and instruction-limit checks. Both lanes run
+//! the same hot-loop contract and produce byte-identical results, gas and
+//! metrics; only the bookkeeping strategy differs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tinyevm_analysis::analyze;

@@ -8,7 +8,10 @@ use tinyevm_channel::{GatewayDriver, GatewaySettlementReport, ProtocolDriver, Se
 use tinyevm_corpus::{histogram, summarize, CorpusConfig, DistributionSummary};
 use tinyevm_device::{Footprint, Mcu, PowerState};
 use tinyevm_evm::opcode::{evm_census, tinyevm_census};
-use tinyevm_evm::{deploy, Evm, EvmConfig};
+use tinyevm_evm::{
+    deploy, CallContext, Evm, EvmConfig, ExecError, ExecResult, NullHost, NullIotEnvironment,
+    SideChainStorage,
+};
 use tinyevm_net::LinkConfig;
 use tinyevm_sim::{FleetConfig, FleetReport, FleetScheduler};
 use tinyevm_types::Wei;
@@ -337,10 +340,11 @@ pub struct AnalysisExperiment {
     /// Wall clock of the verdict sweep (milliseconds).
     pub analysis_wall_clock_ms: f64,
     /// Contracts executed both with per-opcode metering and with the
-    /// block-batched fast path.
+    /// block-batched fast path, on lazily decoded and on shared analyzed
+    /// blocks.
     pub differential_contracts: usize,
-    /// Executions where the two interpreters disagreed on outcome, output,
-    /// metrics or trap (must be zero).
+    /// Contracts where a batched lane disagreed with per-opcode metering on
+    /// outcome, output, metrics or trap (must be zero).
     pub differential_mismatches: usize,
 }
 
@@ -573,17 +577,32 @@ pub fn analysis_experiment_on(
     experiment
 }
 
-/// Executes `code` once with per-opcode metering and once with the
-/// block-batched fast path and reports whether outcome, output, metrics and
+/// Executes `code` with per-opcode metering, then block-batched on lazily
+/// decoded blocks (`execute`) and on a shared analysis
+/// (`execute_analyzed`), and reports whether outcome, output, metrics and
 /// trap (reason, pc, instruction count) all agree.
 fn executions_agree(code: &[u8]) -> bool {
-    let per_op = Evm::new(EvmConfig::cc2538().with_per_op_metering(true)).execute(code, &[]);
-    let batched = Evm::new(EvmConfig::cc2538()).execute(code, &[]);
-    match (per_op, batched) {
+    let config = EvmConfig::cc2538();
+    let per_op = Evm::new(config.clone().with_per_op_metering(true)).execute(code, &[]);
+    let lazy = Evm::new(config.clone()).execute(code, &[]);
+    let mut storage = SideChainStorage::new(config.max_storage_bytes);
+    let depth = config.max_call_depth;
+    let shared = Evm::new(config).execute_analyzed(
+        code,
+        &analyze(code),
+        CallContext::default(),
+        &mut storage,
+        &mut NullHost::new(),
+        &mut NullIotEnvironment,
+        false,
+        depth,
+    );
+    let same = |a: &Result<ExecResult, ExecError>, b: &Result<ExecResult, ExecError>| match (a, b) {
         (Ok(a), Ok(b)) => a.outcome == b.outcome && a.output == b.output && a.metrics == b.metrics,
         (Err(a), Err(b)) => a == b,
         _ => false,
-    }
+    };
+    same(&per_op, &lazy) && same(&per_op, &shared)
 }
 
 /// Table I: the opcode-category comparison between the original EVM and

@@ -158,9 +158,10 @@ pub fn sample_crypto_perf() -> CryptoPerf {
 /// accounting strategies (mirrors the `evm` criterion bench).
 #[derive(Debug, Clone)]
 pub struct EvmExecPerf {
-    /// Per-opcode metering with per-call re-analysis (nanoseconds per run).
+    /// Per-opcode metering (`Evm::execute`; nanoseconds per run).
     pub hot_loop_per_op_ns: f64,
-    /// Cached analysis with block-batched checks (nanoseconds per run).
+    /// Block-batched checks on lazily decoded blocks (`Evm::execute`;
+    /// nanoseconds per run).
     pub hot_loop_batched_ns: f64,
 }
 

@@ -1,18 +1,32 @@
 //! The TinyEVM bytecode interpreter.
 //!
-//! Frames execute against a shared [`CodeAnalysis`] artifact from
-//! `tinyevm-analysis`: the jumpdest bitmap is precomputed (instead of the
-//! historical per-frame scan), and basic blocks whose instructions cannot
-//! trap mid-block are accounted *per block* — one instruction-limit check,
-//! one gas check and one bulk metrics update at block entry — rather than
-//! per opcode. Blocks containing memory, storage, call or IoT opcodes
-//! before their final instruction, and blocks whose budgets are nearly
-//! exhausted, fall back to the per-opcode slow path, which keeps execution
-//! results, gas accounting, [`ExecMetrics`] and trap PCs byte-identical to
-//! per-opcode interpretation (`EvmConfig::per_op_metering` forces the slow
-//! path everywhere for differential testing).
+//! Frames take their jumpdest bitmap and basic blocks from one of two
+//! sources in `tinyevm-analysis`, picked by the entry point:
+//!
+//! * [`Evm::execute_analyzed`] borrows a shared [`CodeAnalysis`], which
+//!   callers that run the same code many times (the contract store) analyze
+//!   once and cache;
+//! * [`Evm::execute_in_frame`] and the conveniences over it run code once
+//!   (init code above all), so they decode each block the first time the
+//!   frame enters it, through [`LazyBlocks`], and skip the whole-code
+//!   analysis.
+//!
+//! Either way, basic blocks are accounted *per block* — one
+//! instruction-limit check, one gas check and one bulk metrics update at
+//! block entry — rather than per opcode. If a batched block traps before
+//! its last instruction (memory, storage, hashing, calldata, copy, log or
+//! IoT opcodes can), the trap refunds the instructions after the trapping
+//! one. Five cases fall back to the per-opcode slow path: blocks with a
+//! call or `CREATE` before their last instruction (the sub-frame adds
+//! instructions mid-block), blocks whose budgets are nearly exhausted,
+//! blocks ending at an undefined byte, blocks with off-chain-removed
+//! opcodes, and blocks with a metered `GAS`. Execution results, gas
+//! accounting, [`ExecMetrics`], trap PCs and retired-instruction counts
+//! stay byte-identical to per-opcode interpretation
+//! (`EvmConfig::per_op_metering` forces the slow path everywhere for
+//! differential testing).
 
-use tinyevm_analysis::{analyze, CodeAnalysis};
+use tinyevm_analysis::{BasicBlock, CodeAnalysis, LazyBlocks};
 use tinyevm_trace::{TraceEvent, TraceHandle};
 use tinyevm_types::{Address, I256, U256};
 
@@ -179,9 +193,11 @@ impl Evm {
 
     /// Executes one frame with explicit storage, host and IoT environment.
     ///
-    /// This is the entry point the payment-channel runtime and the chain
-    /// simulator use; `execute` and `execute_with_iot` are conveniences over
-    /// it.
+    /// This is the entry point for code that runs once, such as a
+    /// constructor: instead of analyzing the whole code up front, the frame
+    /// decodes each basic block the first time it enters it. `execute`,
+    /// `execute_with_iot` and `deploy_with` go through it; code that runs
+    /// many times belongs on [`Evm::execute_analyzed`].
     ///
     /// # Errors
     ///
@@ -198,10 +214,9 @@ impl Evm {
         static_mode: bool,
         depth_remaining: usize,
     ) -> Result<ExecResult, ExecError> {
-        let analysis = analyze(code);
-        self.execute_analyzed(
+        self.run_frame(
             code,
-            &analysis,
+            Blocks::Lazy(LazyBlocks::new(code)),
             context,
             storage,
             host,
@@ -213,11 +228,12 @@ impl Evm {
 
     /// Executes one frame against a precomputed [`CodeAnalysis`] for `code`.
     ///
-    /// This is the fast path: callers that run the same contract repeatedly
-    /// (the contract store, the payment-channel runtime) analyze the code
-    /// once — typically through `tinyevm_analysis::AnalysisCache`, keyed by
-    /// code hash — and every frame after that borrows the shared artifact.
-    /// `analysis` must have been produced from exactly this `code`.
+    /// This is the path for code that runs many times: callers that run the
+    /// same contract repeatedly (the contract store, the payment-channel
+    /// runtime) analyze the code once — typically through
+    /// `tinyevm_analysis::AnalysisCache`, keyed by code hash — and every
+    /// frame after that borrows the shared artifact. `analysis` must have
+    /// been produced from exactly this `code`.
     ///
     /// # Errors
     ///
@@ -235,10 +251,34 @@ impl Evm {
         depth_remaining: usize,
     ) -> Result<ExecResult, ExecError> {
         debug_assert_eq!(analysis.code_len(), code.len());
+        self.run_frame(
+            code,
+            Blocks::Shared(analysis),
+            context,
+            storage,
+            host,
+            iot,
+            static_mode,
+            depth_remaining,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn run_frame(
+        &mut self,
+        code: &[u8],
+        blocks: Blocks<'_>,
+        context: CallContext,
+        storage: &mut dyn StorageBackend,
+        host: &mut dyn Host,
+        iot: &mut dyn IotEnvironment,
+        static_mode: bool,
+        depth_remaining: usize,
+    ) -> Result<ExecResult, ExecError> {
         let result = Frame {
             config: &self.config,
             code,
-            analysis,
+            blocks,
             context,
             storage,
             host,
@@ -314,11 +354,37 @@ fn contract_call_event(outcome: &str, metrics: &ExecMetrics) -> TraceEvent {
     }
 }
 
+/// Where a frame gets its jumpdest bitmap and basic blocks from.
+enum Blocks<'a> {
+    /// A whole-code analysis, shared by every frame that runs the code.
+    Shared(&'a CodeAnalysis),
+    /// Blocks decoded the first time this frame enters them.
+    Lazy(LazyBlocks<'a>),
+}
+
+impl Blocks<'_> {
+    #[inline]
+    fn block_at(&mut self, pc: usize) -> Option<&BasicBlock> {
+        match self {
+            Blocks::Shared(analysis) => analysis.block_at(pc),
+            Blocks::Lazy(table) => table.block_at(pc),
+        }
+    }
+
+    #[inline]
+    fn is_jumpdest(&self, pc: usize) -> bool {
+        match self {
+            Blocks::Shared(analysis) => analysis.is_jumpdest(pc),
+            Blocks::Lazy(table) => table.is_jumpdest(pc),
+        }
+    }
+}
+
 /// One in-flight execution frame.
 struct Frame<'a> {
     config: &'a EvmConfig,
     code: &'a [u8],
-    analysis: &'a CodeAnalysis,
+    blocks: Blocks<'a>,
     context: CallContext,
     storage: &'a mut dyn StorageBackend,
     host: &'a mut dyn Host,
@@ -399,20 +465,20 @@ impl<'a> Frame<'a> {
     /// until the block ends) and the per-opcode slow path.
     ///
     /// Batching is only chosen when it is observationally equivalent:
-    /// the block must be unable to trap before its final instruction (the
-    /// analyzer's `interior_trap_risk` covers dispatch traps; the budget
-    /// checks below rule out limit, gas, underflow and overflow traps), and
-    /// must not contain opcodes whose behaviour depends on the accounting
-    /// state itself (`GAS` under metering, off-chain-removed opcodes whose
-    /// trap fires in the per-opcode preamble). A trap at the final
-    /// instruction is fine: the per-opcode interpreter would have recorded
-    /// the whole block by then too, so the reported pc and instruction
-    /// count match exactly.
+    /// the budget checks below rule out limit, gas, underflow and overflow
+    /// traps anywhere in the block; no call or `CREATE` may sit before the
+    /// last instruction (`interior_call`: its sub-frame's instructions would
+    /// count against the limit mid-block); and the block must not contain
+    /// opcodes whose behaviour depends on the accounting state itself
+    /// (`GAS` under metering, off-chain-removed opcodes whose trap fires in
+    /// the per-opcode preamble). Any other trap may fire mid-block:
+    /// [`Frame::trap`] then refunds the instructions after the trapping one,
+    /// so the reported pc and instruction count match the per-opcode
+    /// interpreter exactly.
     fn enter_block(&mut self) {
         self.batched = false;
         self.block_jump_proven = false;
-        let analysis = self.analysis;
-        let block = match analysis.block_at(self.pc) {
+        let block = match self.blocks.block_at(self.pc) {
             Some(block) => block,
             None => {
                 // Not a block leader (cannot happen for analyses produced
@@ -424,7 +490,7 @@ impl<'a> Frame<'a> {
         self.block_limit = block.end.max(self.pc + 1);
         self.block_jump_proven = block.jump_target_proven;
         if self.config.per_op_metering
-            || block.interior_trap_risk
+            || block.interior_call
             || block.has_undefined
             || (self.config.off_chain && block.has_removed_off_chain)
         {
@@ -473,6 +539,9 @@ impl<'a> Frame<'a> {
     }
 
     fn trap(&mut self, reason: TrapReason) -> ExecError {
+        if self.batched {
+            self.refund_rest_of_block();
+        }
         self.metrics.max_stack_pointer = self.stack.max_pointer();
         self.metrics.memory_high_water = self
             .metrics
@@ -482,6 +551,30 @@ impl<'a> Frame<'a> {
             reason,
             pc: self.pc,
             instructions_executed: self.metrics.instructions,
+        }
+    }
+
+    /// A batched block was charged in full at entry, but per-opcode
+    /// metering stops at the trapping instruction: uncharge every
+    /// instruction after `self.pc` up to the block's end.
+    fn refund_rest_of_block(&mut self) {
+        // Every instruction before a batched block's end lies inside the
+        // code and is defined.
+        let code = self.code;
+        let defined = |pc: usize| Opcode::from_byte(code[pc]).expect("batched blocks are defined");
+        let metered = matches!(self.config.gas_mode, GasMode::Metered { .. });
+        let mut pc = self.pc + 1 + defined(self.pc).push_bytes();
+        while pc < self.block_limit {
+            let opcode = defined(pc);
+            let info = opcode.info();
+            self.metrics.instructions -= 1;
+            self.metrics.mcu_cycles -= info.mcu_cycles as u64;
+            self.metrics.opcode_histogram[opcode.to_byte() as usize] -= 1;
+            if metered {
+                self.gas_remaining += info.gas;
+                self.metrics.gas_used -= info.gas;
+            }
+            pc += 1 + opcode.push_bytes();
         }
     }
 
@@ -577,16 +670,15 @@ impl<'a> Frame<'a> {
                 let dest = self.pop_usize()?;
                 let src = self.pop_usize()?;
                 let len = self.pop_usize()?;
-                let data = self.context.call_data.clone();
-                self.memory.copy_padded(dest, &data, src, len)?;
+                self.memory
+                    .copy_padded(dest, &self.context.call_data, src, len)?;
             }
             CodeSize => self.stack.push(U256::from(self.code.len()))?,
             CodeCopy => {
                 let dest = self.pop_usize()?;
                 let src = self.pop_usize()?;
                 let len = self.pop_usize()?;
-                let code = self.code.to_vec();
-                self.memory.copy_padded(dest, &code, src, len)?;
+                self.memory.copy_padded(dest, self.code, src, len)?;
             }
             GasPrice => self.stack.push(U256::ZERO)?,
             ExtCodeSize => {
@@ -607,8 +699,7 @@ impl<'a> Frame<'a> {
                 let dest = self.pop_usize()?;
                 let src = self.pop_usize()?;
                 let len = self.pop_usize()?;
-                let data = self.return_data.clone();
-                self.memory.copy_padded(dest, &data, src, len)?;
+                self.memory.copy_padded(dest, &self.return_data, src, len)?;
             }
             ExtCodeHash => {
                 let address = tinyevm_types::Address::from_u256(self.stack.pop()?);
@@ -841,12 +932,13 @@ impl<'a> Frame<'a> {
 
     fn validate_jump(&self, destination: usize) -> Result<(), TrapReason> {
         if self.block_jump_proven {
-            // The symbolic pass proved the destination this block's jump
-            // pops is a valid JUMPDEST on every path; skip the bitmap probe.
-            debug_assert!(self.analysis.is_jumpdest(destination));
+            // The analyzer proved the destination this block's jump pops
+            // is a valid JUMPDEST on every path (a PUSH right before the
+            // jump, or the symbolic pass); skip the bitmap probe.
+            debug_assert!(self.blocks.is_jumpdest(destination));
             return Ok(());
         }
-        if !self.analysis.is_jumpdest(destination) {
+        if !self.blocks.is_jumpdest(destination) {
             return Err(TrapReason::InvalidJump { destination });
         }
         Ok(())
@@ -877,24 +969,6 @@ impl<'a> Frame<'a> {
             limit: self.config.max_memory_bytes,
         })
     }
-}
-
-/// Marks every byte position that is a valid `JUMPDEST` (i.e. the byte is
-/// `0x5B` and it is not immediate data of a preceding `PUSH`).
-pub fn analyze_jumpdests(code: &[u8]) -> Vec<bool> {
-    let mut valid = vec![false; code.len()];
-    let mut pc = 0usize;
-    while pc < code.len() {
-        let byte = code[pc];
-        if byte == Opcode::JumpDest.to_byte() {
-            valid[pc] = true;
-        }
-        if (0x60..=0x7f).contains(&byte) {
-            pc += (byte - 0x5f) as usize;
-        }
-        pc += 1;
-    }
-    valid
 }
 
 fn bool_word(value: bool) -> U256 {
@@ -1277,7 +1351,7 @@ mod tests {
     #[test]
     fn jumpdest_analysis_skips_push_data() {
         let code = assemble("PUSH2 0x5b5b JUMPDEST STOP").unwrap();
-        let dests = analyze_jumpdests(&code);
+        let dests = tinyevm_analysis::analyze(&code).jumpdests().to_vec();
         assert!(!dests[1]);
         assert!(!dests[2]);
         assert!(dests[3]);
@@ -1307,6 +1381,80 @@ mod tests {
             "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x42 PUSH1 0x00 CALL PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN",
         );
         assert_eq!(returned_word(&result), U256::ZERO);
+    }
+
+    #[test]
+    fn mid_block_trap_reports_the_per_op_instruction_count() {
+        // One block with no interior call, so it batches. MSTORE traps
+        // mid-block on the memory budget; the four instructions after it
+        // were charged at block entry and must be refunded.
+        let code =
+            assemble("PUSH1 0x01 PUSH2 0x2100 MSTORE PUSH1 0x00 PUSH1 0x00 ADD POP STOP").unwrap();
+        let batched = Evm::new(EvmConfig::cc2538())
+            .execute(&code, &[])
+            .unwrap_err();
+        let per_op = Evm::new(EvmConfig::cc2538().with_per_op_metering(true))
+            .execute(&code, &[])
+            .unwrap_err();
+        assert_eq!(batched, per_op);
+        assert_eq!(batched.pc, 5);
+        assert_eq!(batched.instructions_executed, 3);
+    }
+
+    #[test]
+    fn copy_opcodes_read_zeros_past_a_huge_source_offset() {
+        // Each copy reads two bytes from source offset 2^64 - 1. Adding 1
+        // to that offset overflows: a wrapping add would read the source's
+        // first byte, and a checked one panics in debug builds.
+        const HUGE: &str = "PUSH1 0x02 PUSH8 0xffffffffffffffff";
+        let code = assemble(&format!(
+            "{HUGE} PUSH1 0x00 CODECOPY PUSH1 0x20 PUSH1 0x00 RETURN"
+        ))
+        .unwrap();
+        let result = Evm::new(EvmConfig::cc2538()).execute(&code, &[]).unwrap();
+        assert_eq!(result.output, vec![0u8; 32]);
+        let code = assemble(&format!(
+            "{HUGE} PUSH1 0x00 CALLDATACOPY PUSH1 0x20 PUSH1 0x00 RETURN"
+        ))
+        .unwrap();
+        let result = Evm::new(EvmConfig::cc2538())
+            .execute(&code, &[0xaa, 0xbb])
+            .unwrap();
+        assert_eq!(result.output, vec![0u8; 32]);
+
+        // RETURNDATACOPY and EXTCODECOPY read from a callee whose code and
+        // return data both start with a non-zero byte.
+        let mut world = crate::host::ContractStore::new(EvmConfig::cc2538());
+        let callee = Address::from_low_u64(0x42);
+        let caller = Address::from_low_u64(0x43);
+        world.install_code(
+            callee,
+            assemble("PUSH1 0xaa PUSH1 0x00 MSTORE8 PUSH1 0x20 PUSH1 0x00 RETURN").unwrap(),
+        );
+        world.install_code(
+            caller,
+            assemble(&format!(
+                "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x42 PUSH1 0x00 CALL POP
+                 {HUGE} PUSH1 0x00 RETURNDATACOPY
+                 {HUGE} PUSH1 0x20 PUSH1 0x42 EXTCODECOPY
+                 PUSH1 0x01 PUSH1 0x00 PUSH1 0x40 RETURNDATACOPY
+                 PUSH1 0x01 PUSH1 0x00 PUSH1 0x41 PUSH1 0x42 EXTCODECOPY
+                 PUSH1 0x42 PUSH1 0x00 RETURN"
+            ))
+            .unwrap(),
+        );
+        let outcome = world.execute_contract(
+            Address::ZERO,
+            caller,
+            U256::ZERO,
+            &[],
+            &mut NullIotEnvironment,
+        );
+        assert!(outcome.success);
+        // In range, both sources yield their first byte...
+        assert_eq!(&outcome.output[0x40..], &[0xaa, 0x60]);
+        // ...and past a huge offset, zeros.
+        assert_eq!(&outcome.output[..0x40], &[0u8; 0x40][..]);
     }
 
     #[test]

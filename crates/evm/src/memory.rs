@@ -136,7 +136,8 @@ impl Memory {
 
     /// Implements the EVM copy semantics: copies `len` bytes of `source`
     /// starting at `source_offset` into memory at `dest_offset`, treating
-    /// out-of-range source bytes as zero.
+    /// out-of-range source bytes as zero — including every byte of a
+    /// source offset near `usize::MAX`, whose end would overflow.
     ///
     /// # Errors
     ///
@@ -152,10 +153,11 @@ impl Memory {
             return Ok(());
         }
         self.expand(dest_offset, len)?;
-        for i in 0..len {
-            let byte = source.get(source_offset + i).copied().unwrap_or(0);
-            self.bytes[dest_offset + i] = byte;
-        }
+        let dest = &mut self.bytes[dest_offset..dest_offset + len];
+        let available = source.get(source_offset..).unwrap_or(&[]);
+        let copied = available.len().min(len);
+        dest[..copied].copy_from_slice(&available[..copied]);
+        dest[copied..].fill(0);
         Ok(())
     }
 
@@ -244,6 +246,21 @@ mod tests {
         // Source entirely out of range is all zeros.
         memory.copy_padded(8, &[1, 2, 3], 10, 4).unwrap();
         assert_eq!(&memory.as_slice()[8..12], &[0, 0, 0, 0]);
+        // Zero-filling overwrites what the destination held before.
+        memory.copy_padded(0, &[9], 0, 3).unwrap();
+        assert_eq!(&memory.as_slice()[..5], &[9, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn copy_padded_source_offset_near_usize_max_reads_zeros() {
+        // offset + i would wrap to 0 and copy source[0] instead of zero.
+        let mut memory = Memory::new(64);
+        memory.copy_padded(0, &[0xaa, 0xbb], usize::MAX, 2).unwrap();
+        assert_eq!(&memory.as_slice()[..2], &[0, 0]);
+        memory
+            .copy_padded(4, &[0xaa, 0xbb], usize::MAX - 1, 4)
+            .unwrap();
+        assert_eq!(&memory.as_slice()[4..8], &[0, 0, 0, 0]);
     }
 
     #[test]

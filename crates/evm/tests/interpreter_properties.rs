@@ -141,7 +141,7 @@ proptest! {
 
     #[test]
     fn jumpdest_analysis_flags_only_jumpdest_bytes(code in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let dests = tinyevm_evm::interpreter::analyze_jumpdests(&code);
+        let dests = tinyevm_analysis::analyze(&code).jumpdests().to_vec();
         prop_assert_eq!(dests.len(), code.len());
         for (i, &valid) in dests.iter().enumerate() {
             if valid {

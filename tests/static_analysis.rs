@@ -1,13 +1,18 @@
 //! Agreement between the static analyzer and the interpreter: pinned
 //! truncated-PUSH semantics, the deploy-time gate's typed rejections, and
-//! two property suites — `Accepted` verdicts really do rule out the static
-//! trap classes, and block-batched accounting is observationally identical
-//! to per-opcode metering on arbitrary bytecode.
+//! property suites — `Accepted` verdicts really do rule out the static
+//! trap classes; block-batched accounting, on lazily decoded and on shared
+//! analyzed blocks, is observationally identical to per-opcode metering on
+//! arbitrary bytecode and on programs built to trap mid-block; and the lazy
+//! block table decodes exactly the blocks `analyze` does.
 
 use proptest::prelude::*;
-use tinyevm::analysis::{analyze, AnalysisError, Diagnostic, Verdict};
+use tinyevm::analysis::{analyze, AnalysisError, BlockExit, Diagnostic, LazyBlocks, Verdict};
 use tinyevm::evm::error::TrapReason;
-use tinyevm::evm::{deploy, DeployError, Evm, EvmConfig, ExecOutcome};
+use tinyevm::evm::{
+    deploy, CallContext, DeployError, Evm, EvmConfig, ExecError, ExecOutcome, ExecResult, NullHost,
+    NullIotEnvironment, SideChainStorage,
+};
 
 // --- truncated-PUSH semantics, pinned on both sides ------------------------
 
@@ -107,28 +112,94 @@ fn is_statically_excluded_trap(reason: &TrapReason) -> bool {
     )
 }
 
-/// Runs `code` under both accounting strategies with a small instruction
-/// budget and asserts observational equality.
+/// `Evm::execute` on a shared whole-code analysis instead of lazily
+/// decoded blocks: same context, storage, host and IoT environment.
+fn execute_analyzed(config: EvmConfig, code: &[u8]) -> Result<ExecResult, ExecError> {
+    let mut storage = SideChainStorage::new(config.max_storage_bytes);
+    let depth = config.max_call_depth;
+    Evm::new(config).execute_analyzed(
+        code,
+        &analyze(code),
+        CallContext::default(),
+        &mut storage,
+        &mut NullHost::new(),
+        &mut NullIotEnvironment,
+        false,
+        depth,
+    )
+}
+
+/// Outcome, output and metrics agree, or both lanes trapped with the same
+/// reason, pc and instruction count.
+fn same_execution(a: &Result<ExecResult, ExecError>, b: &Result<ExecResult, ExecError>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => a.outcome == b.outcome && a.output == b.output && a.metrics == b.metrics,
+        (Err(a), Err(b)) => a == b,
+        _ => false,
+    }
+}
+
+/// Runs `code` with a small instruction budget three ways — per-opcode
+/// metering, batched on lazily decoded blocks (`execute`), and batched on
+/// a shared analysis (`execute_analyzed`) — and asserts observational
+/// equality.
 fn assert_batched_matches_per_op(code: &[u8]) -> Result<(), TestCaseError> {
     let mut per_op_config = EvmConfig::cc2538().with_per_op_metering(true);
     per_op_config.instruction_limit = 20_000;
     let mut batched_config = EvmConfig::cc2538();
     batched_config.instruction_limit = 20_000;
     let per_op = Evm::new(per_op_config).execute(code, &[]);
-    let batched = Evm::new(batched_config).execute(code, &[]);
-    match (per_op, batched) {
-        (Ok(a), Ok(b)) => {
-            prop_assert_eq!(a.outcome, b.outcome);
-            prop_assert_eq!(a.output, b.output);
-            prop_assert_eq!(a.metrics, b.metrics);
-        }
-        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-        (a, b) => prop_assert!(
-            false,
-            "one lane trapped and the other did not: {a:?} vs {b:?}"
-        ),
-    }
+    let lazy = Evm::new(batched_config.clone()).execute(code, &[]);
+    let shared = execute_analyzed(batched_config, code);
+    prop_assert!(
+        same_execution(&per_op, &lazy),
+        "lazy blocks: {per_op:?} vs {lazy:?}"
+    );
+    prop_assert!(
+        same_execution(&per_op, &shared),
+        "shared analysis: {per_op:?} vs {shared:?}"
+    );
     Ok(())
+}
+
+/// Programs whose blocks batch and then trap mid-block. Each first pushes
+/// `pushes.len()` values, so blocks find the stack depth they need, and
+/// then stitches memory, storage, hashing, calldata, copy, log, IoT, call
+/// and create opcodes between more pushes, block boundaries and junk. The
+/// values straddle the 8 KB memory budget (`0x1ff0`, `0x2000`, `0xffff`).
+fn mid_block_trap_program(pushes: &[u8], body: &[u16]) -> Vec<u8> {
+    const VALUES: [u16; 6] = [0, 1, 0x40, 0x1ff0, 0x2000, 0xffff];
+    fn push(code: &mut Vec<u8>, value: u16) {
+        let [high, low] = value.to_be_bytes();
+        code.extend_from_slice(&[0x61, high, low]); // PUSH2
+    }
+    let mut code = Vec::new();
+    for &pick in pushes {
+        push(&mut code, VALUES[pick as usize % VALUES.len()]);
+    }
+    for &pick in body {
+        let low = (pick & 0xff) as u8;
+        match (pick >> 8) % 20 {
+            0..=4 => push(&mut code, VALUES[low as usize % VALUES.len()]),
+            5 => code.push(0x52),  // MSTORE
+            6 => code.push(0x51),  // MLOAD
+            7 => code.push(0x53),  // MSTORE8
+            8 => code.push(0x20),  // SHA3
+            9 => code.push(0x55),  // SSTORE
+            10 => code.push(0x54), // SLOAD
+            11 => code.push(0x35), // CALLDATALOAD
+            12 => code.push(0x37), // CALLDATACOPY
+            13 => code.push(0x39), // CODECOPY
+            14 => code.push(0xa1), // LOG1
+            15 => code.push(0x0c), // IOT
+            16 => code.push(0xf1), // CALL
+            17 => code.push(0xf0), // CREATE
+            // JUMPDEST, or now and then STOP
+            18 => code.push(if low < 0xe0 { 0x5b } else { 0x00 }),
+            _ => code.push(low), // junk
+        }
+    }
+    code
 }
 
 proptest! {
@@ -159,5 +230,40 @@ proptest! {
         code in proptest::collection::vec(any::<u8>(), 0..160)
     ) {
         assert_batched_matches_per_op(&code)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn batched_accounting_matches_per_op_on_mid_block_traps(
+        pushes in proptest::collection::vec(any::<u8>(), 8..41),
+        body in proptest::collection::vec(any::<u16>(), 0..48)
+    ) {
+        assert_batched_matches_per_op(&mid_block_trap_program(&pushes, &body))?;
+    }
+
+    #[test]
+    fn lazy_blocks_decode_what_analyze_decodes(
+        code in proptest::collection::vec(any::<u8>(), 0..160)
+    ) {
+        let analysis = analyze(&code);
+        let mut lazy = LazyBlocks::new(&code);
+        for block in analysis.blocks() {
+            let mut decoded = lazy.block_at(block.start).expect("leader in range").clone();
+            // Only the whole-code passes fill in the CFG edges and
+            // reachability, and prove dynamic jumps' targets.
+            decoded.successors.clone_from(&block.successors);
+            decoded.unreachable = block.unreachable;
+            if matches!(decoded.exit, BlockExit::Jump(None) | BlockExit::JumpI(None)) {
+                decoded.jump_target_proven = block.jump_target_proven;
+            }
+            prop_assert_eq!(&decoded, block);
+        }
+        prop_assert_eq!(lazy.decoded(), analysis.blocks().len());
+        for pc in 0..code.len() {
+            prop_assert_eq!(lazy.is_jumpdest(pc), analysis.is_jumpdest(pc));
+        }
     }
 }
