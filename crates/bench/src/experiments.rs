@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use tinyevm_analysis::{analyze, GasCertificate, UnprovenReason, Verdict};
-use tinyevm_channel::{GatewayDriver, GatewaySettlementReport, ProtocolDriver, SensorSummary};
+use tinyevm_channel::{GatewaySettlementReport, ProtocolDriver, SensorSummary};
 use tinyevm_corpus::{histogram, summarize, CorpusConfig, DistributionSummary};
 use tinyevm_device::{Footprint, Mcu, PowerState};
 use tinyevm_evm::opcode::{evm_census, tinyevm_census};
@@ -12,7 +12,6 @@ use tinyevm_evm::{
     deploy, CallContext, Evm, EvmConfig, ExecError, ExecResult, NullHost, NullIotEnvironment,
     SideChainStorage,
 };
-use tinyevm_net::LinkConfig;
 use tinyevm_sim::{FleetConfig, FleetReport, FleetScheduler};
 use tinyevm_types::Wei;
 
@@ -1045,20 +1044,21 @@ pub struct MultiNodeExperiment {
     pub medium_airtime: Duration,
 }
 
-/// Runs one multi-node gateway scenario: `sensors` devices each make
-/// `rounds` payments of a fixed amount to one gateway, then every channel
-/// settles on the gateway's chain. Fully deterministic: device keys derive
+/// Runs one multi-node gateway scenario on the single-slot (lockstep)
+/// fleet: `sensors` devices each make `rounds` payments of a fixed amount
+/// to one gateway, then every channel settles on the gateway's chain.
+/// Fully deterministic: device keys derive
 /// from names, loss processes from per-sensor seeds, so the same
 /// parameters always produce byte-identical statistics.
 pub fn multinode_experiment(sensors: usize, rounds: usize) -> MultiNodeExperiment {
     let amount = Wei::from(2_500u64);
-    let mut driver = GatewayDriver::new(sensors, LinkConfig::default(), Wei::from(1_000_000u64));
-    driver.open_all().expect("channels open");
-    driver.run(rounds, amount).expect("payments succeed");
-    let summaries = driver.sensor_summaries();
-    let medium_wire_bytes = driver.medium().total_wire_bytes();
-    let medium_airtime = driver.medium().total_airtime();
-    let settlement = driver.settle_all().expect("all channels settle");
+    let mut fleet = FleetScheduler::new(FleetConfig::single_slot(sensors));
+    fleet.open_all().expect("channels open");
+    fleet.run(rounds, amount).expect("payments succeed");
+    let summaries = fleet.sensor_summaries();
+    let medium_wire_bytes = fleet.medium().inner().total_wire_bytes();
+    let medium_airtime = fleet.medium().inner().total_airtime();
+    let settlement = fleet.settle_all().expect("all channels settle");
     MultiNodeExperiment {
         sensors,
         rounds,
@@ -1219,15 +1219,14 @@ pub fn trace_experiment(fleet_sizes: &[usize], rounds: usize) -> TraceExperiment
     let mut jsonl = String::new();
     for (index, &sensors) in fleet_sizes.iter().enumerate() {
         let tracer = tinyevm_trace::TraceHandle::recording(65_536);
-        let mut driver =
-            GatewayDriver::new(sensors, LinkConfig::default(), Wei::from(1_000_000u64))
-                .with_tracer(tracer.clone());
-        driver.open_all().expect("channels open");
-        driver
+        let mut fleet = FleetScheduler::new(FleetConfig::single_slot(sensors));
+        fleet.set_tracer(tracer.clone());
+        fleet.open_all().expect("channels open");
+        fleet
             .run(rounds, Wei::from(2_500u64))
             .expect("payments succeed");
-        let fleet_energy_mj: f64 = driver.sensor_summaries().iter().map(|s| s.energy_mj).sum();
-        let settlement = driver.settle_all().expect("all channels settle");
+        let fleet_energy_mj: f64 = fleet.sensor_summaries().iter().map(|s| s.energy_mj).sum();
+        let settlement = fleet.settle_all().expect("all channels settle");
         let snapshot = tracer.snapshot().expect("recording tracer snapshots");
         if index == 0 {
             jsonl = snapshot.to_jsonl();
@@ -1554,7 +1553,7 @@ pub fn faults_experiment() -> FaultsExperiment {
     let counter = |name: &str| snapshot.metrics.counter(name);
 
     // --- Fleet lane -----------------------------------------------------
-    let mut fleet = GatewayDriver::new(4, LinkConfig::default(), Wei::from(1_000_000u64));
+    let mut fleet = FleetScheduler::new(FleetConfig::single_slot(4));
     fleet.open_all().expect("fleet channels open");
     fleet
         .set_sensor_faults(

@@ -26,9 +26,9 @@
 //! One endpoint can terminate many channels: the gateway of the multi-node
 //! scenario is a single receiver-role endpoint multiplexing N sensor peers
 //! keyed by [`NodeAddr`]. The sender-role endpoint is shared verbatim
-//! between the two-party `ProtocolDriver` and the fleet `GatewayDriver` —
-//! the duplicated sender logic the old monolithic drivers carried lives
-//! here once.
+//! between the two-party `ProtocolDriver` and the fleet engine
+//! (`tinyevm-sim`'s `FleetScheduler`) — the duplicated sender logic the
+//! old monolithic drivers carried lives here once.
 //!
 //! Endpoints communicate *only* through `Message` values, so two of them
 //! can be driven with a plain in-memory queue and no radio at all:

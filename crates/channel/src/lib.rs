@@ -24,14 +24,15 @@
 //! endpoints can be driven with nothing but an in-memory message queue.
 //!
 //! [`ProtocolDriver`] (one sender, one receiver, one `tinyevm_net::Link`)
-//! and [`GatewayDriver`] (N sensors multiplexed by one gateway endpoint
-//! over a `tinyevm_net::SharedMedium`) are thin *pumps* around those
-//! endpoints: they own the chain and the transport, shuttle encoded
-//! messages, and collect the timing and energy measurements behind the
-//! paper's Table IV / Figure 5 and the headline "584 ms per off-chain
-//! payment". Sessions persist to disk and resume after a power cycle
-//! ([`ProtocolDriver::save_session`] /
-//! [`ProtocolDriver::restore_session`]).
+//! is a thin *pump* around two endpoints: it owns the chain and the
+//! transport, shuttles encoded messages, and collects the timing and
+//! energy measurements behind the paper's Table IV / Figure 5 and the
+//! headline "584 ms per off-chain payment". Fleets of N sensors paying one
+//! gateway endpoint run on `tinyevm-sim`'s `FleetScheduler`, which shares
+//! the same pump ([`pump_contention_free`]) and the per-sensor bookkeeping
+//! in [`gateway`]. Both engines persist a session to disk and resume it
+//! after a power cycle through one file format, written and validated in
+//! [`session`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +43,7 @@ pub mod endpoint;
 pub mod gateway;
 pub mod payment;
 pub mod protocol;
+pub mod session;
 pub mod sidechain;
 
 pub use channel::{ChannelConfig, ChannelError, ChannelRole, ChannelStatus, PaymentChannel};
@@ -50,8 +52,7 @@ pub use endpoint::{
     PaymentReceipt, RetryPolicy,
 };
 pub use gateway::{
-    Gateway, GatewayDriver, GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorNode,
-    SensorSummary, QUARANTINE_THRESHOLD,
+    GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorSummary, QUARANTINE_THRESHOLD,
 };
 pub use payment::{PaymentError, SignedPayment};
 pub use protocol::{

@@ -5,9 +5,10 @@
 //! smart car) and the receiving device (the parking sensor) each run their
 //! own protocol state machine, and the driver owns only what neither node
 //! may: the simulated main chain, the radio [`Link`], and the pacing of the
-//! scenario. Every protocol step is an encoded [`Message`] polled from one
-//! endpoint's outbox, moved through the (possibly lossy) link, and fed into
-//! the other endpoint — the driver never reaches into a peer's state, so
+//! scenario. Every protocol step is an encoded
+//! [`Message`](tinyevm_wire::Message) polled from one endpoint's outbox,
+//! moved through the (possibly lossy) link, and fed into the other
+//! endpoint — the driver never reaches into a peer's state, so
 //! the reported air time, energy and latency derive from real encoded
 //! bytes and each node's own device meter:
 //!
@@ -41,10 +42,11 @@ use tinyevm_device::{Device, EnergyReport, TimelineEntry};
 use tinyevm_net::{Link, LinkConfig, MediumError, NodeAddr, Radio};
 use tinyevm_trace::TraceHandle;
 use tinyevm_types::{Address, Wei, H256};
-use tinyevm_wire::{persist, ChainSnapshot, ChannelSnapshot, EndpointRole, Message, WireError};
+use tinyevm_wire::{ChainSnapshot, ChannelSnapshot, WireError};
 
 use crate::channel::{ChannelRole, PaymentChannel};
 use crate::endpoint::{ChannelEndpoint, ChannelRegistration, Effect, EndpointError};
+use crate::session::{read_session, write_session};
 use crate::sidechain::SideChainLog;
 
 /// Errors produced by the protocol driver.
@@ -181,7 +183,8 @@ impl From<EndpointError> for ProtocolError {
 /// One radio transfer a pump performed.
 #[derive(Debug, Clone)]
 pub struct Transfer {
-    /// The message kind that moved ([`Message::label`]).
+    /// The message kind that moved
+    /// ([`Message::label`](tinyevm_wire::Message::label)).
     pub label: &'static str,
     /// Bytes on the air, headers and retransmissions included.
     pub wire_bytes: usize,
@@ -234,29 +237,32 @@ pub(crate) struct PumpControl {
     pub conveyed: u64,
 }
 
-/// Shuttles messages between two endpoints over `radio` until both
-/// outboxes drain: poll `a`, then `b`, move the envelope, account both
-/// sides, feed the decoded bytes to the destination, and apply
-/// peer-processing waits to the transmitting side. This is the whole of
-/// the drivers' transport logic — the protocol itself lives in the
-/// endpoints.
+/// The contention-free pump: shuttles messages between two endpoints over
+/// `radio` until both outboxes drain — poll `a`, then `b`, move the
+/// envelope, account both sides, feed the decoded bytes to the
+/// destination, and apply peer-processing waits to the transmitting side.
+/// This is the whole of the transport logic; the protocol itself lives in
+/// the endpoints. Public so `tinyevm-sim`'s fleet scheduler, whose
+/// single-slot configuration gives each sensor the medium for a whole
+/// round, runs the *same* code path as [`ProtocolDriver`].
 ///
 /// Faults surface here and are classified, not panicked on:
 ///
 /// * a transport-level [`LinkError`](tinyevm_net::LinkError) hands the
 ///   transmitter to its retry/backoff machinery
-///   ([`ChannelEndpoint::on_transport_error`]); exhausted budgets abort the
-///   round with a typed [`EndpointError::RoundAborted`];
+///   ([`ChannelEndpoint::on_transport_error`]);
 /// * undecodable bytes (corruption that survived framing) and stale
 ///   replayed payments are dropped — the sender's stall-retransmit path
 ///   recovers the round;
 /// * when both outboxes drain with a round still pending (a message
 ///   vanished whole), the stalled endpoint retransmits with backoff until
-///   the round completes or aborts;
-/// * a scheduled [`CrashSchedule`] fires *before* the doomed message is
-///   polled, so the transmitter keeps it for retransmission after the
-///   power cycle.
-pub(crate) fn pump_pair<R: Radio>(
+///   the round completes or aborts.
+///
+/// # Errors
+///
+/// Exhausted retry budgets surface as [`EndpointError::RoundAborted`];
+/// any other endpoint or medium error is returned as is.
+pub fn pump_contention_free<R: Radio>(
     radio: &mut R,
     a: &mut ChannelEndpoint,
     b: &mut ChannelEndpoint,
@@ -264,29 +270,9 @@ pub(crate) fn pump_pair<R: Radio>(
     pump_pair_with(radio, a, b, &mut PumpControl::default())
 }
 
-/// The contention-free single-slot pump: shuttles messages between one
-/// endpoint pair until both outboxes drain, exactly as the lockstep
-/// drivers do. Public so event-driven fleet schedulers (`tinyevm-sim`)
-/// running a contention-free single-slot configuration delegate to the
-/// *same* code path as [`GatewayDriver`](crate::GatewayDriver) /
-/// [`ProtocolDriver`] — the equivalence tests pin the two byte-identical.
-///
-/// # Errors
-///
-/// Same classification as the drivers' pumps: transport errors feed the
-/// transmitter's retry machinery, poisoned messages are dropped for the
-/// stall-retransmit path to recover, and exhausted retry budgets surface
-/// as [`EndpointError::RoundAborted`].
-pub fn pump_contention_free<R: Radio>(
-    radio: &mut R,
-    a: &mut ChannelEndpoint,
-    b: &mut ChannelEndpoint,
-) -> Result<PumpLog, ProtocolError> {
-    pump_pair(radio, a, b)
-}
-
-/// [`pump_pair`] with an explicit [`PumpControl`] (crash schedule and
-/// session-wide message counter).
+/// [`pump_contention_free`] with an explicit [`PumpControl`]: a scheduled
+/// [`CrashSchedule`] fires *before* the doomed message is polled, so the
+/// transmitter keeps it for retransmission after the power cycle.
 pub(crate) fn pump_pair_with<R: Radio>(
     radio: &mut R,
     a: &mut ChannelEndpoint,
@@ -945,7 +931,8 @@ impl ProtocolDriver {
     }
 
     /// Writes the whole session — chain snapshot plus both channel
-    /// endpoints — to a wire-format persistence file.
+    /// endpoints — to a wire-format persistence file
+    /// ([`write_session`]).
     ///
     /// # Errors
     ///
@@ -960,15 +947,7 @@ impl ProtocolDriver {
             .receiver
             .snapshot()
             .ok_or(ProtocolError::OutOfOrder("open_channel first"))?;
-        persist::write_messages(
-            path,
-            &[
-                Message::ChainSnapshot(self.chain_snapshot()),
-                Message::ChannelSnapshot(sender),
-                Message::ChannelSnapshot(receiver),
-            ],
-        )?;
-        Ok(())
+        write_session(path, &self.chain, [(sender, receiver)])
     }
 
     /// Resumes a session from a persistence file written by
@@ -977,12 +956,10 @@ impl ProtocolDriver {
     /// endpoints and their side-chain logs, and re-instantiates the local
     /// channel contracts on devices that lost them in the power cycle.
     ///
-    /// The whole file is validated before any driver state changes: it
-    /// must contain the chain snapshot *and* both endpoint snapshots, the
-    /// endpoints must agree on the channel parameters, and the template
-    /// they name must exist on the restored chain. A file truncated
-    /// mid-write (power loss during the save) or spliced from two
-    /// different sessions is rejected as a whole, never half-applied.
+    /// [`read_session`] validates the whole file before any driver state
+    /// changes: it must hold the chain snapshot and both endpoint snapshots
+    /// of a channel between *these* two devices, and the template they name
+    /// must exist on the restored chain.
     ///
     /// # Errors
     ///
@@ -990,65 +967,11 @@ impl ProtocolDriver {
     /// incomplete or inconsistent files, and a device error when a channel
     /// contract cannot be re-created.
     pub fn restore_session(&mut self, path: &Path) -> Result<(), ProtocolError> {
-        // Stage everything first; self is only touched once the file as a
-        // whole has been validated.
-        let mut chain = None;
-        let mut sender_snapshot = None;
-        let mut receiver_snapshot = None;
-        for message in persist::read_messages(path)? {
-            match message {
-                Message::ChainSnapshot(snapshot) => {
-                    chain = Some(snapshot.restore()?);
-                }
-                Message::ChannelSnapshot(snapshot) => match snapshot.role {
-                    EndpointRole::Sender => sender_snapshot = Some(snapshot),
-                    EndpointRole::Receiver => receiver_snapshot = Some(snapshot),
-                },
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        expected: "snapshot",
-                        got: other.label(),
-                    })
-                }
-            }
-        }
-        let (Some(chain), Some(sender_snapshot), Some(receiver_snapshot)) =
-            (chain, sender_snapshot, receiver_snapshot)
-        else {
-            return Err(ProtocolError::Wire(WireError::Truncated));
-        };
-        // The two endpoints must describe the same channel, anchored at a
-        // template the restored chain actually knows — a file spliced from
-        // two different sessions fails here.
-        if sender_snapshot.template != receiver_snapshot.template
-            || sender_snapshot.channel_id != receiver_snapshot.channel_id
-            || sender_snapshot.sender != receiver_snapshot.sender
-            || sender_snapshot.receiver != receiver_snapshot.receiver
-            || sender_snapshot.deposit_cap != receiver_snapshot.deposit_cap
-        {
-            return Err(ProtocolError::Wire(WireError::Value(
-                "endpoint snapshots describe different channels",
-            )));
-        }
-        if chain.template(&sender_snapshot.template).is_none() {
-            return Err(ProtocolError::Wire(WireError::Value(
-                "snapshot template is not on the restored chain",
-            )));
-        }
-        // The session must belong to *these* devices — restoring someone
-        // else's snapshot would leave channels whose configured parties
-        // can never produce valid signatures.
-        if sender_snapshot.sender != self.sender.address()
-            || sender_snapshot.receiver != self.receiver.address()
-        {
-            return Err(ProtocolError::Wire(WireError::Value(
-                "snapshot belongs to different device identities",
-            )));
-        }
-        // Decode both endpoints (side-chain logs re-verified) before any
-        // commit.
-        PaymentChannel::restore(&sender_snapshot)?;
-        PaymentChannel::restore(&receiver_snapshot)?;
+        let parties = [(self.sender.address(), self.receiver.address())];
+        let (chain, mut channels) = read_session(path, &parties)?;
+        let (sender_snapshot, receiver_snapshot) = channels
+            .pop()
+            .ok_or(ProtocolError::Wire(WireError::Truncated))?;
 
         // Commit.
         self.chain = chain;
@@ -1175,6 +1098,7 @@ mod tests {
     use tinyevm_device::PowerState;
     use tinyevm_trace::TraceEvent;
     use tinyevm_types::U256;
+    use tinyevm_wire::Message;
 
     fn driver() -> ProtocolDriver {
         ProtocolDriver::smart_parking(Wei::from(1_000_000u64))

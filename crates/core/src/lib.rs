@@ -65,7 +65,7 @@ pub mod scenario;
 pub mod prelude {
     pub use tinyevm_chain::{Blockchain, TemplateConfig, TemplateContract};
     pub use tinyevm_channel::{
-        ChannelRole, GatewayDriver, OffChainNode, PaymentChannel, ProtocolDriver, SignedPayment,
+        ChannelRole, OffChainNode, PaymentChannel, ProtocolDriver, SignedPayment,
     };
     pub use tinyevm_corpus::{realistic_7000, CorpusConfig};
     pub use tinyevm_crypto::secp256k1::PrivateKey;

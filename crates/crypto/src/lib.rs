@@ -7,7 +7,7 @@
 //!
 //! * [`keccak256`] — the Keccak-f\[1600\] permutation and the 256-bit digest
 //!   the EVM uses for `SHA3`, contract addresses and payment hashes.
-//! * [`sha256`] / [`hmac_sha256`] — the hash the crypto engine accelerates,
+//! * [`sha256()`] / [`hmac_sha256`] — the hash the crypto engine accelerates,
 //!   also used for deterministic ECDSA nonces.
 //! * [`secp256k1`] — prime-field and curve arithmetic, ECDSA signing,
 //!   verification and public-key recovery, which is how signed off-chain

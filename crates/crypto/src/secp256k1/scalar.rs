@@ -109,7 +109,7 @@ impl Scalar {
     /// Multiplicative inverse via Fermat's little theorem (`a^(n-2)`).
     ///
     /// `n − 2` is a run of 127 one-bits followed by the fixed 129-bit tail
-    /// [`ORDER_MINUS_2_TAIL`]; the run is built with a
+    /// `ORDER_MINUS_2_TAIL`; the run is built with a
     /// `1→2→3→6→12→24→48→96→120→126→127` addition chain and the tail is
     /// consumed by square-and-multiply over the compile-time constant — no
     /// bit-scan of a runtime exponent, and every multiply uses the fast

@@ -191,9 +191,10 @@ impl Device {
         self.meter.now()
     }
 
-    /// The device's simulated clock as an absolute [`SimTime`] point.
+    /// The device's simulated clock as an absolute
+    /// [`SimTime`](crate::SimTime) point.
     ///
-    /// Every device boots at [`SimTime::ZERO`], so readings from different
+    /// Every device boots at [`SimTime::ZERO`](crate::SimTime::ZERO), so readings from different
     /// device clocks share one virtual epoch and compare directly.
     pub fn sim_now(&self) -> crate::SimTime {
         crate::SimTime::from_duration(self.meter.now())

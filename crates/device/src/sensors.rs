@@ -3,10 +3,9 @@
 //! The paper's motivating scenario has the parking sensor and the car
 //! exchanging locally sensed context — temperature, occupancy, location —
 //! and feeding it into the off-chain contract. [`DeviceSensors`] is the
-//! registry the device hands to the EVM as its
-//! [`IotEnvironment`](tinyevm_evm::IotEnvironment); individual [`Sensor`]
-//! implementations produce deterministic readings so experiments are
-//! reproducible.
+//! registry the device hands to the EVM as its [`IotEnvironment`];
+//! individual [`Sensor`] implementations produce deterministic readings so
+//! experiments are reproducible.
 
 use std::collections::BTreeMap;
 

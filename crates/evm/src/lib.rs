@@ -18,7 +18,7 @@
 //!
 //! The crate also ships an [`asm`] assembler/disassembler used by the test
 //! suite, the contract corpus generator and the examples, and a
-//! [`deploy`] module implementing constructor-style contract deployment with
+//! [`deploy`](mod@deploy) module implementing constructor-style contract deployment with
 //! the metrics (peak stack pointer, memory high-water mark, executed
 //! instruction histogram) that the paper's evaluation reports.
 //!

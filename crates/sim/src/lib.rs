@@ -17,11 +17,13 @@
 //! everything that arbitrates shared state runs serially on the virtual
 //! clock.
 //!
-//! The contention-free [`single-slot`](tinyevm_net::AccessScheme::SingleSlot)
-//! configuration degenerates to the exact lockstep schedule of
-//! [`tinyevm_channel::GatewayDriver`] — the equivalence tests pin the two
-//! byte-identical — so one implementation serves both the paper's
-//! two-party measurements and 1024-sensor contention sweeps.
+//! [`FleetScheduler`] is the one fleet engine. Its contention-free
+//! [`single-slot`](tinyevm_net::AccessScheme::SingleSlot) configuration is
+//! the lockstep schedule: sensors pay in address order, each round run to
+//! completion by the same pump as the two-party `ProtocolDriver`, and the
+//! driver-equivalence goldens pin it. The same implementation serves the
+//! paper's multi-node measurements, fault and persistence scenarios, and
+//! 1024-sensor contention sweeps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

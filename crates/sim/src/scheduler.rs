@@ -1,18 +1,17 @@
 //! The fleet scheduler: N sensor endpoints against one gateway, driven by
-//! a virtual-clock event loop over a contending medium.
+//! a virtual-clock event loop over a contending medium — the one engine
+//! every fleet runs on.
 //!
-//! The legacy [`GatewayDriver`](tinyevm_channel::GatewayDriver) pumps one
-//! sensor's *entire* round before the next sensor may speak — fleet
-//! latency is a straight N× sum and nothing ever contends. The sans-IO
-//! [`ChannelEndpoint`]s have always permitted more: wire messages in,
-//! envelopes out, no transport assumptions. [`FleetScheduler`] exploits
-//! that. Every sensor starts its payment round at once; their frames
-//! contend slot by slot on a [`ContendingMedium`]; deliveries are discrete
-//! events on an [`EventQueue`] keyed by `(time_ns, seq)`; the gateway is a
-//! serial server whose per-peer RX queues are bounded (overflow frames are
-//! shed and counted). Endpoint `wait()` pacing, retry backoff deadlines
-//! and crypto/processing costs all advance the same virtual clocks, so a
-//! run is reproducible byte for byte.
+//! The sans-IO [`ChannelEndpoint`]s take wire messages in and put
+//! envelopes out, with no transport assumptions. [`FleetScheduler`]
+//! exploits that. Under contention every sensor starts its payment round
+//! at once; their frames contend slot by slot on a [`ContendingMedium`];
+//! deliveries are discrete events on an
+//! [`EventQueue`](crate::event::EventQueue) keyed by `(time_ns, seq)`; the
+//! gateway is a serial server whose per-peer RX queues are bounded
+//! (overflow frames are shed and counted). Endpoint `wait()` pacing, retry
+//! backoff deadlines and crypto/processing costs all advance the same
+//! virtual clocks, so a run is reproducible byte for byte.
 //!
 //! Contention slots are not queued events. The loop keeps the next slot
 //! boundary itself, ordered against same-instant deliveries by the queue
@@ -27,11 +26,11 @@
 //!
 //! Two schedules share one implementation:
 //!
-//! * [`AccessScheme::SingleSlot`] — contention-free: each sensor's round
-//!   runs to completion through the *same*
-//!   [`pump_contention_free`] code path the lockstep drivers use, so this
-//!   configuration is byte-identical to [`GatewayDriver`] (pinned by the
-//!   equivalence tests).
+//! * [`AccessScheme::SingleSlot`] — contention-free lockstep: sensors take
+//!   turns in address order, each owning the whole medium for its round,
+//!   which runs to completion through the same [`pump_contention_free`]
+//!   code path as the two-party `ProtocolDriver`. The fleet goldens of the
+//!   driver-equivalence tests pin this schedule.
 //! * [`AccessScheme::SlottedAloha`] / [`AccessScheme::CsmaCa`] — the
 //!   event-driven interleaved schedule described above.
 //!
@@ -49,20 +48,23 @@
 //! traffic cannot be starved by a large uplink backlog.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::path::Path;
 use std::time::Duration;
 
 use tinyevm_chain::{Blockchain, TemplateConfig};
 use tinyevm_channel::gateway::{
-    classify, FaultClass, GatewayRoundReport, GatewaySettlementReport, SensorHealth, GATEWAY_ADDR,
+    classify, FaultClass, GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorSummary,
+    GATEWAY_ADDR,
 };
+use tinyevm_channel::session::{read_session, write_session};
 use tinyevm_channel::{
     pump_contention_free, ChannelEndpoint, ChannelError, ChannelRegistration, Effect,
-    EndpointError, Envelope, PaymentError, ProtocolError, RetryPolicy,
+    EndpointError, Envelope, PaymentError, PaymentReceipt, ProtocolError, RetryPolicy,
 };
 use tinyevm_device::SimTime;
 use tinyevm_net::{
-    AccessScheme, ContendingMedium, ContentionConfig, LinkConfig, MediumError, NodeAddr, Radio,
-    SlotOutcome, DEFAULT_RX_QUEUE_CAPACITY,
+    AccessScheme, ContendingMedium, ContentionConfig, FaultConfig, LinkConfig, MediumError,
+    NodeAddr, Radio, SlotOutcome, DEFAULT_RX_QUEUE_CAPACITY,
 };
 use tinyevm_trace::TraceHandle;
 use tinyevm_types::{Wei, H256};
@@ -81,10 +83,9 @@ pub struct FleetConfig {
     /// Number of sensors (addresses `1..=N`; the gateway at
     /// [`GATEWAY_ADDR`] for fleets that fit below it, `N + 1` beyond).
     pub sensors: usize,
-    /// Base link configuration (bit rate, loss, retries; per-endpoint
-    /// seeds are derived exactly as [`GatewayDriver`] derives them).
-    ///
-    /// [`GatewayDriver`]: tinyevm_channel::GatewayDriver
+    /// Base link configuration (bit rate, loss, retries; the medium derives
+    /// each endpoint's loss and fault seeds from it and the endpoint's
+    /// address).
     pub link: LinkConfig,
     /// Deposit locked per channel.
     pub deposit: Wei,
@@ -96,11 +97,11 @@ pub struct FleetConfig {
     /// Bound on each per-peer RX queue at the gateway and the sensors.
     pub rx_queue_capacity: usize,
     /// Retransmission policy installed on every endpoint. `None` keeps
-    /// the endpoint default for single-slot schedules (lockstep
-    /// equivalence) and installs a fleet-scaled policy for contended
-    /// ones: the gateway is a serial server, so a sensor deep in an
-    /// N-sensor backlog must keep retrying for roughly N payment-service
-    /// times before giving up.
+    /// the endpoint default for single-slot schedules (the policy the
+    /// two-party driver runs) and installs a fleet-scaled policy for
+    /// contended ones: the gateway is a serial server, so a sensor deep in
+    /// an N-sensor backlog must keep retrying for roughly N
+    /// payment-service times before giving up.
     pub retry: Option<RetryPolicy>,
 }
 
@@ -139,7 +140,7 @@ impl FleetConfig {
         }
     }
 
-    /// The contention-free single-slot schedule (lockstep-equivalent).
+    /// The contention-free single-slot (lockstep) schedule.
     pub fn single_slot(sensors: usize) -> Self {
         FleetConfig {
             contention: ContentionConfig::single_slot(),
@@ -193,6 +194,20 @@ struct Delivery {
 }
 
 /// The discrete-event fleet scheduler — see the module docs.
+///
+/// # Example
+///
+/// ```
+/// use tinyevm_sim::{FleetConfig, FleetScheduler};
+/// use tinyevm_types::Wei;
+///
+/// let mut fleet = FleetScheduler::new(FleetConfig::single_slot(4));
+/// fleet.open_all().unwrap();
+/// fleet.run(2, Wei::from(1_000u64)).unwrap();
+/// let report = fleet.settle_all().unwrap();
+/// assert_eq!(report.settlements.len(), 4);
+/// assert_eq!(report.total_to_gateway, Wei::from(8_000u64));
+/// ```
 #[derive(Debug)]
 pub struct FleetScheduler {
     config: FleetConfig,
@@ -248,13 +263,11 @@ fn droppable(error: &EndpointError) -> bool {
 }
 
 impl FleetScheduler {
-    /// Builds the fleet: N sensor endpoints (addresses `1..=N`), one
-    /// gateway endpoint (at [`GATEWAY_ADDR`] when the fleet fits below
-    /// it, at address `N + 1` for larger sweeps), a contending medium and
-    /// a fresh funded chain — for fleets below [`GATEWAY_ADDR`] the exact
-    /// topology [`GatewayDriver::new`](tinyevm_channel::GatewayDriver::new)
-    /// builds, so the single-slot configuration reproduces it byte for
-    /// byte.
+    /// Builds the fleet: N sensor endpoints (addresses `1..=N`, named
+    /// `sensor-01`, `sensor-02`, …), one gateway endpoint (at
+    /// [`GATEWAY_ADDR`] when the fleet fits below it, at address `N + 1`
+    /// for larger sweeps), a contending medium and a fresh chain funding
+    /// each sensor's deposit plus 1 ETH.
     ///
     /// # Panics
     ///
@@ -385,6 +398,31 @@ impl FleetScheduler {
             .iter()
             .filter(|(health, _)| *health == SensorHealth::Quarantined)
             .count()
+    }
+
+    /// Per-sensor summary rows, in address order.
+    pub fn sensor_summaries(&self) -> Vec<SensorSummary> {
+        self.sensors
+            .iter()
+            .zip(&self.health)
+            .map(|(sensor, &(health, violations))| {
+                let latencies = sensor.latencies(self.gateway_addr).unwrap_or(&[]);
+                let channel = sensor.channel(self.gateway_addr);
+                let wire = self.medium.stats(sensor.addr()).cloned();
+                SensorSummary {
+                    addr: sensor.addr(),
+                    account: sensor.account(),
+                    payments: channel.map_or(0, |c| c.payments_seen()),
+                    paid: channel.map_or(Wei::ZERO, |c| c.cumulative()),
+                    mean_latency: latencies.iter().sum::<Duration>()
+                        / latencies.len().max(1) as u32,
+                    energy_mj: sensor.device().energy_report().total_energy_mj(),
+                    wire: wire.unwrap_or_default(),
+                    health,
+                    violations,
+                }
+            })
+            .collect()
     }
 
     /// Rounds abandoned after their retry budget ran out.
@@ -518,7 +556,7 @@ impl FleetScheduler {
             return Err(ProtocolError::OutOfOrder("channels are already open"));
         }
         let gateway_account = self.gateway.account();
-        let single_slot = matches!(self.config.contention.scheme, AccessScheme::SingleSlot);
+        let single_slot = self.single_slot();
         for index in 0..self.sensors.len() {
             let sensor_account = self.sensors[index].account();
             let sensor_addr = self.sensors[index].addr();
@@ -563,42 +601,61 @@ impl FleetScheduler {
     }
 
     /// Runs `rounds` fleet-wide payment rounds of `amount` each. Under
-    /// contention every healthy sensor's round is in flight at once;
-    /// single-slot mode pays in address order exactly like the lockstep
-    /// driver. Per-sensor faults degrade or quarantine the sensor and
-    /// never block the rest of the fleet.
+    /// contention every healthy sensor's round is in flight at once; in
+    /// single-slot mode each healthy sensor pays in turn, in address order,
+    /// through [`FleetScheduler::pay`]. Per-sensor faults degrade or
+    /// quarantine the sensor and never block the rest of the fleet; a
+    /// quarantined sensor is skipped.
     ///
     /// # Errors
     ///
     /// Propagates the first driver-level error (out-of-order use, chain
     /// trouble) — per-sensor faults are absorbed into the health state.
     pub fn run(&mut self, rounds: usize, amount: Wei) -> Result<(), ProtocolError> {
-        if matches!(self.config.contention.scheme, AccessScheme::SingleSlot) {
-            return self.run_lockstep(rounds, amount);
-        }
         for _ in 0..rounds {
-            self.run_contended_round(amount)?;
+            if !self.single_slot() {
+                self.run_contended_round(amount)?;
+                continue;
+            }
+            for index in 0..self.sensors.len() {
+                if self.health[index].0 == SensorHealth::Quarantined {
+                    continue;
+                }
+                if let Err(error) = self.pay(index, amount) {
+                    if classify(&error) == FaultClass::Fatal {
+                        return Err(error);
+                    }
+                }
+            }
         }
         Ok(())
     }
 
-    /// One sensor's payment round on its own — the single-sensor analogue
-    /// of [`GatewayDriver::pay`](tinyevm_channel::GatewayDriver::pay).
-    /// Under a contended scheme the round still runs the event loop with
-    /// only this sensor active on the medium. Faults are recorded against
-    /// the sensor's health exactly as fleet rounds record them, so
-    /// repeated violations (an overdrawing sensor, say) quarantine it.
+    /// One payment round of sensor `index` on its own. Under a contended
+    /// scheme the round still runs the event loop, with only this sensor
+    /// active on the medium. A clean round lifts a degraded sensor back to
+    /// healthy; a fault is booked against the sensor's health, so repeated
+    /// violations (an overdrawing sensor, say) quarantine it.
     ///
     /// # Errors
     ///
-    /// Returns the per-sensor fault (already recorded) or a driver-level
-    /// error.
+    /// [`ProtocolError::OutOfOrder`] for an index outside the fleet or
+    /// before [`open_all`](FleetScheduler::open_all),
+    /// [`ProtocolError::Quarantined`] for a quarantined sensor, else the
+    /// per-sensor fault (already recorded) or a driver-level error.
     pub fn pay(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        if matches!(self.config.contention.scheme, AccessScheme::SingleSlot) {
-            return self.pay_lockstep(index, amount);
+        let sensor = self.sensor_addr(index)?;
+        if self.health[index].0 == SensorHealth::Quarantined {
+            return Err(ProtocolError::Quarantined { sensor });
         }
-        let result = self.pay_contended_one(index, amount);
+        let result = if self.single_slot() {
+            self.pay_single_slot(index, amount)
+        } else {
+            self.pay_contended_one(index, amount)
+        };
         match &result {
+            // A clean round clears a transport-degraded state; recorded
+            // violations are not forgiven.
             Ok(()) => {
                 if self.health[index].0 == SensorHealth::Degraded {
                     self.health[index].0 = SensorHealth::Healthy;
@@ -624,12 +681,13 @@ impl FleetScheduler {
         }
     }
 
-    /// Closes and settles every non-quarantined channel on the chain —
-    /// close handshakes ride the configured schedule, then the gateway
-    /// batch-verifies all closing signatures and the chain settles each
-    /// template after one shared challenge period (the
-    /// [`GatewayDriver::settle_all`](tinyevm_channel::GatewayDriver::settle_all)
-    /// flow).
+    /// Closes and settles every non-quarantined channel on the chain:
+    /// each sensor signs its final state and sends it up the medium on the
+    /// configured schedule, the gateway verifies **all closing signatures
+    /// in one batched multi-scalar pass** and counter-signs, and the chain
+    /// settles each template after one shared challenge period. A
+    /// quarantined sensor's channel stays open (a later on-chain challenge
+    /// can still settle it unilaterally).
     ///
     /// # Errors
     ///
@@ -637,7 +695,7 @@ impl FleetScheduler {
     /// the chain's rejection.
     pub fn settle_all(&mut self) -> Result<GatewaySettlementReport, ProtocolError> {
         let gateway_account = self.gateway.account();
-        if matches!(self.config.contention.scheme, AccessScheme::SingleSlot) {
+        if self.single_slot() {
             for index in 0..self.sensors.len() {
                 if self.health[index].0 == SensorHealth::Quarantined {
                     continue;
@@ -697,10 +755,103 @@ impl FleetScheduler {
         })
     }
 
-    // --- single-slot (lockstep-equivalent) path --------------------------
+    // --- fault injection and persistence ----------------------------------
 
-    /// One sensor's turn owning the whole medium: the same shared pump the
-    /// lockstep drivers call.
+    /// Installs a fault plan on sensor `index`'s link; the rest of the
+    /// fleet is untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::OutOfOrder`] for an index outside the fleet and
+    /// [`ProtocolError::Medium`] for an invalid configuration.
+    pub fn set_sensor_faults(
+        &mut self,
+        index: usize,
+        config: FaultConfig,
+    ) -> Result<(), ProtocolError> {
+        let addr = self.sensor_addr(index)?;
+        self.medium.inner_mut().set_faults(addr, config)?;
+        Ok(())
+    }
+
+    /// Removes any fault plan from sensor `index`'s link.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::OutOfOrder`] for an index outside the fleet.
+    pub fn clear_sensor_faults(&mut self, index: usize) -> Result<(), ProtocolError> {
+        let addr = self.sensor_addr(index)?;
+        self.medium.inner_mut().clear_faults(addr)?;
+        Ok(())
+    }
+
+    /// Writes the chain plus both endpoints of every channel to one
+    /// session file ([`write_session`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::OutOfOrder`] before channels are open and
+    /// [`ProtocolError::Wire`] on filesystem failure.
+    pub fn save_session(&self, path: &Path) -> Result<(), ProtocolError> {
+        let mut channels = Vec::with_capacity(self.sensors.len());
+        for sensor in &self.sensors {
+            let gateway_side = self.gateway.snapshot(sensor.addr());
+            let pair = sensor.snapshot(self.gateway_addr).zip(gateway_side);
+            channels.push(pair.ok_or(ProtocolError::OutOfOrder("open_all first"))?);
+        }
+        write_session(path, &self.chain, channels)
+    }
+
+    /// Restores a session saved by [`FleetScheduler::save_session`] into
+    /// this fleet (same size and device identities), which then counts as
+    /// opened. [`read_session`] validates the whole file before any state
+    /// changes. Measurement history ([`FleetScheduler::rounds`], aborted
+    /// rounds, latencies) and health belong to the gateway process lost in
+    /// the power cycle and are cleared; device meters and medium statistics
+    /// keep counting, contract re-creations included, as on real
+    /// flash-restored hardware.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::Wire`] for unreadable, incomplete,
+    /// tampered or foreign files and a device error when a channel
+    /// contract cannot be re-created.
+    pub fn restore_session(&mut self, path: &Path) -> Result<(), ProtocolError> {
+        let gateway = self.gateway.account();
+        let parties: Vec<_> = self
+            .sensors
+            .iter()
+            .map(|s| (s.account(), gateway))
+            .collect();
+        let (chain, channels) = read_session(path, &parties)?;
+
+        // Commit.
+        self.chain = chain;
+        self.rounds.clear();
+        self.aborted_rounds = 0;
+        self.health = vec![(SensorHealth::Healthy, 0); self.sensors.len()];
+        self.opened = true;
+        for peer in self.gateway.peers().collect::<Vec<_>>() {
+            self.gateway.drop_session(peer);
+        }
+        let gateway_addr = self.gateway_addr;
+        for (sensor, (sender, receiver)) in self.sensors.iter_mut().zip(&channels) {
+            sensor.drop_session(gateway_addr);
+            sensor.install_snapshot(gateway_addr, sender)?;
+            sensor.ensure_contract(gateway_addr)?;
+            self.gateway.install_snapshot(sensor.addr(), receiver)?;
+            self.gateway.ensure_contract(sensor.addr())?;
+        }
+        Ok(())
+    }
+
+    // --- single-slot path -------------------------------------------------
+
+    fn single_slot(&self) -> bool {
+        matches!(self.config.contention.scheme, AccessScheme::SingleSlot)
+    }
+
+    /// One sensor's turn owning the whole medium.
     fn pump_single(&mut self, index: usize) -> Result<tinyevm_channel::PumpLog, ProtocolError> {
         pump_contention_free(
             self.medium.inner_mut(),
@@ -709,62 +860,34 @@ impl FleetScheduler {
         )
     }
 
-    fn run_lockstep(&mut self, rounds: usize, amount: Wei) -> Result<(), ProtocolError> {
-        for _ in 0..rounds {
-            for index in 0..self.sensors.len() {
-                if self.health[index].0 == SensorHealth::Quarantined {
-                    continue;
-                }
-                match self.pay_lockstep(index, amount) {
-                    Ok(_) => {}
-                    Err(error) => match classify(&error) {
-                        FaultClass::Violation | FaultClass::Transport => continue,
-                        FaultClass::Fatal => return Err(error),
-                    },
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn pay_lockstep(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        let result = self.pay_lockstep_inner(index, amount);
-        match &result {
-            Ok(()) => {
-                if self.health[index].0 == SensorHealth::Degraded {
-                    self.health[index].0 = SensorHealth::Healthy;
-                }
-            }
-            Err(error) => self.record_fault(index, error),
-        }
-        result
-    }
-
-    fn pay_lockstep_inner(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        let sensor_addr = self.sensors[index].addr();
+    fn pay_single_slot(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
         self.sensors[index].pay(self.gateway_addr, amount)?;
         let log = self.pump_single(index)?;
         let receipt = log
             .effects
             .iter()
             .find_map(|(_, effect)| match effect {
-                Effect::PaymentCompleted { receipt, .. } => Some(receipt.clone()),
+                Effect::PaymentCompleted { receipt, .. } => Some(receipt),
                 _ => None,
             })
             .ok_or(ProtocolError::OutOfOrder("payment round did not complete"))?;
-        let report = GatewayRoundReport {
-            sensor: sensor_addr,
-            sequence: receipt.sequence,
-            cumulative: receipt.cumulative,
-            end_to_end_latency: receipt.end_to_end_latency,
-            bytes_exchanged: log.wire_bytes(),
-        };
+        self.record_round(index, receipt, log.wire_bytes());
+        Ok(())
+    }
+
+    /// Books sensor `index`'s completed round and its latency.
+    fn record_round(&mut self, index: usize, receipt: &PaymentReceipt, bytes_exchanged: usize) {
         self.tracer.observe(
             "driver.round_latency_ms",
             receipt.end_to_end_latency.as_secs_f64() * 1_000.0,
         );
-        self.rounds.push(report);
-        Ok(())
+        self.rounds.push(GatewayRoundReport {
+            sensor: self.sensors[index].addr(),
+            sequence: receipt.sequence,
+            cumulative: receipt.cumulative,
+            end_to_end_latency: receipt.end_to_end_latency,
+            bytes_exchanged,
+        });
     }
 
     // --- contended (event-driven) path -----------------------------------
@@ -805,8 +928,7 @@ impl FleetScheduler {
         }
         self.drive(active)?;
         // A sensor that completed its round cleanly recovers from a
-        // transport-degraded state, exactly as the lockstep driver's
-        // per-round bookkeeping does.
+        // transport-degraded state, exactly as `pay` books it.
         let after = self.completed_per_sensor();
         for index in 0..self.sensors.len() {
             if after[index] > before[index] && self.health[index].0 == SensorHealth::Degraded {
@@ -857,7 +979,8 @@ impl FleetScheduler {
     }
 
     /// Runs the event loop until every sensor in `active` is quiescent
-    /// (round complete or aborted).
+    /// (round complete or aborted) and the gateway has handled every frame
+    /// parked in its RX queues.
     fn drive(&mut self, active: IndexSet) -> Result<(), ProtocolError> {
         let slot_limit = self.medium.slots_elapsed() + SLOT_BUDGET;
         for index in active.iter() {
@@ -866,7 +989,11 @@ impl FleetScheduler {
         self.active = active;
         loop {
             self.prune_quiescent();
-            if self.active.is_empty() {
+            // A frame parked at the gateway may need no reply (a channel
+            // open or close request): its sender is already quiescent, but
+            // the gateway must still handle it before the phase ends.
+            if self.active.is_empty() && self.medium.inner().rx_queue_depth(self.gateway_addr) == 0
+            {
                 break;
             }
             let armed = self.next_slot.unwrap_or((
@@ -1217,18 +1344,7 @@ impl FleetScheduler {
             Ok(effects) => {
                 for effect in effects {
                     if let Effect::PaymentCompleted { receipt, .. } = &effect {
-                        let report = GatewayRoundReport {
-                            sensor: sensor_addr,
-                            sequence: receipt.sequence,
-                            cumulative: receipt.cumulative,
-                            end_to_end_latency: receipt.end_to_end_latency,
-                            bytes_exchanged: self.round_bytes[index],
-                        };
-                        self.tracer.observe(
-                            "driver.round_latency_ms",
-                            receipt.end_to_end_latency.as_secs_f64() * 1_000.0,
-                        );
-                        self.rounds.push(report);
+                        self.record_round(index, receipt, self.round_bytes[index]);
                     }
                 }
             }
@@ -1256,8 +1372,8 @@ impl FleetScheduler {
         self.active.remove(index);
     }
 
-    /// Books a fault against sensor `index`, exactly as the lockstep
-    /// driver does.
+    /// Books a fault against sensor `index` (see
+    /// [`record_fault`](tinyevm_channel::gateway::record_fault)).
     fn record_fault(&mut self, index: usize, error: &ProtocolError) {
         tinyevm_channel::gateway::record_fault(
             &mut self.health[index],
@@ -1268,13 +1384,20 @@ impl FleetScheduler {
         );
     }
 
-    /// Inserts the configured idle gap on every device (LPM2), mirroring
-    /// the lockstep driver's pacing after the open phase.
+    /// Inserts the configured idle gap on every device (LPM2) after the
+    /// open phase.
     fn pause_all(&mut self) {
         for sensor in &mut self.sensors {
             sensor.wait(self.idle_gap);
         }
         self.gateway.wait(self.idle_gap);
+    }
+
+    fn sensor_addr(&self, index: usize) -> Result<NodeAddr, ProtocolError> {
+        self.sensors
+            .get(index)
+            .map(ChannelEndpoint::addr)
+            .ok_or(ProtocolError::OutOfOrder("no such sensor"))
     }
 
     fn index_of(&self, addr: NodeAddr) -> Option<usize> {

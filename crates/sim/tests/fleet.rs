@@ -1,8 +1,8 @@
 //! Fleet-simulation invariants.
 //!
-//! * **Lockstep equivalence** — the contention-free single-slot schedule
-//!   is byte-identical to the legacy `GatewayDriver` (clocks, rounds,
-//!   medium accounting, settlement).
+//! * **Lockstep and contended fleets** — both refuse unknown and
+//!   quarantined sensors, degrade and quarantine without blocking the
+//!   fleet, and settle exactly what was paid, across a save/restore too.
 //! * **Two-party equivalence** — a one-sensor contention-free fleet moves
 //!   exactly the money a `ProtocolDriver` session moves.
 //! * **Determinism** — same seed ⇒ identical fingerprint at any `jobs`
@@ -15,14 +15,19 @@
 //!   ALOHA, slot-aligned and single-sensor sessions pin the schedules
 //!   themselves, not just their agreement with each other.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tinyevm_channel::gateway::{GatewayDriver, GatewaySettlementReport};
-use tinyevm_channel::{ProtocolDriver, RetryPolicy};
-use tinyevm_net::{FaultConfig, LinkConfig, MessageWindow};
+use tinyevm_channel::gateway::{GatewaySettlementReport, GATEWAY_ADDR};
+use tinyevm_channel::session::{read_session, write_session};
+use tinyevm_channel::{
+    ChannelEndpoint, ProtocolDriver, ProtocolError, RetryPolicy, SensorHealth, QUARANTINE_THRESHOLD,
+};
+use tinyevm_net::{FaultConfig, LinkConfig, MessageWindow, NodeAddr};
 use tinyevm_sim::{FleetConfig, FleetScheduler};
 use tinyevm_types::Wei;
+use tinyevm_wire::WireError;
 
 const DEPOSIT: u64 = 1_000_000;
 const AMOUNT: u64 = 1_000;
@@ -34,64 +39,316 @@ fn run_fleet(config: FleetConfig, rounds: usize) -> FleetScheduler {
     fleet
 }
 
+/// The lockstep fleet and a contended one of the same size.
+fn both_schemes(sensors: usize, deposit: u64) -> [FleetConfig; 2] {
+    [
+        FleetConfig::single_slot(sensors),
+        FleetConfig::csma(sensors, 5),
+    ]
+    .map(|mut config| {
+        config.deposit = Wei::from(deposit);
+        config
+    })
+}
+
+fn session_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("tinyevm-fleet-{tag}-{}.snap", std::process::id()))
+}
+
 #[test]
-fn single_slot_fleet_is_byte_identical_to_gateway_driver() {
-    let sensors = 4;
-    let rounds = 2;
-
-    let mut driver = GatewayDriver::new(sensors, LinkConfig::default(), Wei::from(DEPOSIT));
-    driver.open_all().expect("driver opens");
-    driver.run(rounds, Wei::from(AMOUNT)).expect("driver runs");
-
-    let mut config = FleetConfig::single_slot(sensors);
-    config.deposit = Wei::from(DEPOSIT);
-    let mut fleet = run_fleet(config, rounds);
-
-    // Every virtual clock agrees to the nanosecond.
-    for (node, endpoint) in driver.sensors().iter().zip(fleet.sensors()) {
-        assert_eq!(
-            node.device().now(),
-            endpoint.device().now(),
-            "sensor {} clock diverged",
-            endpoint.addr()
-        );
+fn fleet_has_distinct_identities_and_addresses() {
+    for config in both_schemes(4, DEPOSIT) {
+        let fleet = FleetScheduler::new(config);
+        // Distinct payment identities; sensors at 1..=N, the gateway apart.
+        let mut accounts: Vec<_> = fleet.sensors().iter().map(|s| s.account()).collect();
+        accounts.push(fleet.gateway().account());
+        accounts.sort();
+        accounts.dedup();
+        assert_eq!(accounts.len(), 5, "all payment identities are distinct");
+        let addrs: Vec<_> = fleet.sensors().iter().map(ChannelEndpoint::addr).collect();
+        assert_eq!(addrs, (1..=4).map(NodeAddr::new).collect::<Vec<_>>());
+        assert_eq!(fleet.gateway().addr(), GATEWAY_ADDR);
     }
-    assert_eq!(
-        driver.gateway().device().now(),
-        fleet.gateway().device().now(),
-        "gateway clock diverged"
-    );
+}
 
-    // Every payment round agrees field for field.
-    assert_eq!(driver.rounds().len(), fleet.rounds().len());
-    for (a, b) in driver.rounds().iter().zip(fleet.rounds()) {
-        assert_eq!(a.sensor, b.sensor);
-        assert_eq!(a.sequence, b.sequence);
-        assert_eq!(a.cumulative, b.cumulative);
-        assert_eq!(a.end_to_end_latency, b.end_to_end_latency);
-        assert_eq!(a.bytes_exchanged, b.bytes_exchanged);
-    }
-
-    // The medium moved the same bytes for the same airtime.
-    let inner = fleet.medium().inner();
-    assert_eq!(driver.medium().total_messages(), inner.total_messages());
-    assert_eq!(driver.medium().total_wire_bytes(), inner.total_wire_bytes());
-    assert_eq!(driver.medium().total_airtime(), inner.total_airtime());
+#[test]
+fn four_sensors_pay_and_settle_on_one_chain() {
+    let mut fleet = run_fleet(FleetConfig::single_slot(4), 0);
+    fleet.run(3, Wei::from(2_500u64)).expect("rounds run");
+    assert_eq!(fleet.rounds().len(), 12);
+    // One sensor owns the medium at a time: nothing ever collides.
     assert_eq!(fleet.medium().collision_events(), 0);
     assert_eq!(fleet.medium().collision_airtime(), Duration::ZERO);
 
-    // Settlement is identical on both chains.
-    let a = driver.settle_all().expect("driver settles");
-    let b = fleet.settle_all().expect("fleet settles");
-    assert_eq!(a.total_to_gateway, b.total_to_gateway);
-    assert_eq!(a.gateway_balance, b.gateway_balance);
-    assert_eq!(a.on_chain_transactions, b.on_chain_transactions);
-    assert_eq!(a.settlements.len(), b.settlements.len());
-    for ((addr_a, s_a), (addr_b, s_b)) in a.settlements.iter().zip(&b.settlements) {
-        assert_eq!(addr_a, addr_b);
-        assert_eq!(s_a.to_receiver, s_b.to_receiver);
-        assert_eq!(s_a.to_sender, s_b.to_sender);
+    // Every sensor's channel and both side-chain logs advanced.
+    for sensor in fleet.sensors() {
+        assert_eq!(sensor.channel(GATEWAY_ADDR).unwrap().payments_seen(), 3);
+        let log = sensor.side_chain(GATEWAY_ADDR).unwrap();
+        assert_eq!(log.len(), 3);
+        assert!(log.verify());
+        assert_eq!(sensor.peer_acks(GATEWAY_ADDR).unwrap().len(), 3);
+        let gateway_log = fleet.gateway().side_chain(sensor.addr()).unwrap();
+        assert_eq!(gateway_log.len(), 3);
+        assert!(gateway_log.verify());
     }
+
+    let report = fleet.settle_all().expect("fleet settles");
+    assert_eq!(report.settlements.len(), 4);
+    assert_eq!(report.total_to_gateway, Wei::from(4 * 3 * 2_500u64));
+    assert_eq!(report.gateway_balance, report.total_to_gateway);
+    for (_, settlement) in &report.settlements {
+        assert!(!settlement.fraud_detected);
+        assert_eq!(settlement.to_receiver, Wei::from(7_500u64));
+    }
+    // Each sensor got its unspent deposit back.
+    for sensor in fleet.sensors() {
+        assert!(fleet.chain().balance(&sensor.account()) >= Wei::from(992_500u64));
+    }
+}
+
+#[test]
+fn payments_must_wait_for_open_all() {
+    let out_of_order = |result| matches!(result, Err(ProtocolError::OutOfOrder(_)));
+    for config in both_schemes(2, DEPOSIT) {
+        let mut fleet = FleetScheduler::new(config);
+        assert!(out_of_order(fleet.pay(0, Wei::from(1u64))));
+        fleet.open_all().expect("channels open");
+        assert!(out_of_order(fleet.open_all()));
+        // An index outside the fleet is refused, not a panic.
+        assert!(out_of_order(fleet.pay(9, Wei::from(1u64))));
+    }
+}
+
+#[test]
+fn repeated_violations_quarantine_one_sensor_without_blocking_the_fleet() {
+    for config in both_schemes(4, 10_000) {
+        let mut fleet = run_fleet(config, 0);
+        fleet.run(1, Wei::from(2_000u64)).expect("first round runs");
+        // Sensor 1 repeatedly tries to overdraw its deposit — a channel
+        // rule violation, refused every time with a typed error.
+        for _ in 0..QUARANTINE_THRESHOLD {
+            let error = fleet.pay(1, Wei::from(50_000u64)).unwrap_err();
+            assert!(matches!(error, ProtocolError::Channel(_)));
+        }
+        assert_eq!(fleet.sensor_health(1), Some(SensorHealth::Quarantined));
+        assert_eq!(fleet.quarantined_count(), 1);
+        // Further payments by the quarantined sensor are refused outright
+        // and record no round.
+        assert!(matches!(
+            fleet.pay(1, Wei::from(100u64)),
+            Err(ProtocolError::Quarantined { sensor }) if sensor == NodeAddr::new(2)
+        ));
+        assert_eq!(fleet.rounds().len(), 4);
+        // The rest of the fleet keeps paying (run skips the quarantined
+        // sensor) and settles normally.
+        fleet.run(1, Wei::from(2_000u64)).expect("round runs");
+        assert_eq!(fleet.rounds().len(), 7);
+        let report = fleet.settle_all().expect("fleet settles");
+        assert_eq!(report.settlements.len(), 3, "quarantined sensor excluded");
+        // Healthy sensors paid two rounds, the quarantined one only the
+        // first — and its first-round payment is NOT settled (its channel
+        // stays open for a later unilateral challenge).
+        assert_eq!(report.total_to_gateway, Wei::from(3 * 2 * 2_000u64));
+        let summaries = fleet.sensor_summaries();
+        assert_eq!(summaries[1].health, SensorHealth::Quarantined);
+        assert_eq!(summaries[1].violations, QUARANTINE_THRESHOLD);
+        assert!(summaries
+            .iter()
+            .enumerate()
+            .all(|(i, s)| i == 1 || s.health == SensorHealth::Healthy));
+    }
+}
+
+#[test]
+fn a_partitioned_sensor_degrades_and_recovers() {
+    let mut fleet = run_fleet(FleetConfig::single_slot(3), 0);
+    fleet.run(1, Wei::from(500u64)).expect("clean round runs");
+    // Partition sensor 0 permanently; its round aborts after the retry
+    // budget and the health state records the degradation.
+    fleet
+        .set_sensor_faults(
+            0,
+            FaultConfig {
+                partition: Some(MessageWindow {
+                    from_message: 0,
+                    to_message: u64::MAX,
+                }),
+                ..FaultConfig::quiet(5)
+            },
+        )
+        .expect("sensor 0 exists");
+    fleet.run(1, Wei::from(500u64)).expect("round runs");
+    assert_eq!(fleet.sensor_health(0), Some(SensorHealth::Degraded));
+    let violations = fleet.sensor_summaries()[0].violations;
+    assert_eq!(violations, 0, "transport trouble never counts");
+    // The other sensors were unaffected.
+    assert_eq!(fleet.sensor_health(1), Some(SensorHealth::Healthy));
+    // The partition lifts; the next clean round restores the sensor.
+    fleet.clear_sensor_faults(0).expect("sensor 0 exists");
+    fleet.run(1, Wei::from(500u64)).expect("the sensor rejoins");
+    assert_eq!(fleet.sensor_health(0), Some(SensorHealth::Healthy));
+    let report = fleet.settle_all().expect("fleet settles");
+    assert_eq!(report.settlements.len(), 3);
+    // Nothing was lost: sensor 0 had already signed the partitioned
+    // round's payment, so its cumulative value folded into the next
+    // successful payment and the gateway settles for all 3 × 3 rounds.
+    assert_eq!(report.total_to_gateway, Wei::from(3 * 3 * 500u64));
+    assert!(matches!(
+        fleet.set_sensor_faults(3, FaultConfig::quiet(5)),
+        Err(ProtocolError::OutOfOrder("no such sensor"))
+    ));
+}
+
+#[test]
+fn per_sensor_statistics_are_reported_and_sum_to_the_medium() {
+    for config in both_schemes(4, DEPOSIT) {
+        let fleet = run_fleet(config, 2);
+        let summaries = fleet.sensor_summaries();
+        assert_eq!(summaries.len(), 4);
+        let mut wire_total = 0u64;
+        for summary in &summaries {
+            assert_eq!(summary.payments, 2);
+            assert_eq!(summary.paid, Wei::from(2 * AMOUNT));
+            assert!(summary.mean_latency > Duration::from_millis(300));
+            assert!(summary.energy_mj > 1.0);
+            assert!(summary.wire.uplink_wire_bytes > 0);
+            assert!(summary.wire.downlink_wire_bytes > 0);
+            wire_total += summary.wire.wire_bytes();
+        }
+        assert_eq!(wire_total, fleet.medium().inner().total_wire_bytes());
+    }
+}
+
+#[test]
+fn settlement_batch_verifies_every_close_signature_in_one_pass() {
+    // The gateway device's activity log shows exactly one batched
+    // verification covering all N channels, on either schedule.
+    for config in both_schemes(3, DEPOSIT) {
+        let mut fleet = run_fleet(config, 1);
+        fleet.settle_all().expect("fleet settles");
+        let activities = fleet.gateway().device().activities();
+        let batches = activities
+            .iter()
+            .filter(|a| a.label == "batch verify payloads");
+        assert_eq!(batches.count(), 1, "one Straus pass for the whole fleet");
+    }
+}
+
+/// Save after two rounds, restore into a fresh fleet, pay a third round:
+/// every channel settles for exactly what its sensor paid in both lives.
+fn power_cycle_round_trip(config: FleetConfig, tag: &str) {
+    let sensors = config.sensors;
+    let path = session_path(tag);
+    let first_life = run_fleet(config.clone(), 2);
+    first_life.save_session(&path).expect("session saves");
+
+    let mut resumed = FleetScheduler::new(config);
+    resumed.restore_session(&path).expect("session restores");
+    std::fs::remove_file(&path).expect("session file exists");
+    let root = first_life.chain().state_root();
+    assert_eq!(resumed.chain().state_root(), root);
+    for (restored, original) in resumed.sensors().iter().zip(first_life.sensors()) {
+        assert_eq!(
+            restored.channel(GATEWAY_ADDR).unwrap().cumulative(),
+            original.channel(GATEWAY_ADDR).unwrap().cumulative()
+        );
+        assert!(restored.side_chain(GATEWAY_ADDR).unwrap().verify());
+        // Measurement history belongs to the lost process.
+        assert!(restored.latencies(GATEWAY_ADDR).unwrap().is_empty());
+    }
+    assert!(resumed.rounds().is_empty());
+    assert!(matches!(
+        resumed.open_all(),
+        Err(ProtocolError::OutOfOrder(_))
+    ));
+
+    // The fleet keeps paying and settles for everything.
+    resumed
+        .run(1, Wei::from(AMOUNT))
+        .expect("resumed fleet pays");
+    assert_eq!(resumed.rounds().len(), sensors);
+    let report = resumed.settle_all().expect("resumed fleet settles");
+    assert_eq!(report.settlements.len(), sensors);
+    for (_, settlement) in &report.settlements {
+        assert_eq!(settlement.to_receiver, Wei::from(3 * AMOUNT));
+        assert!(!settlement.fraud_detected);
+    }
+}
+
+#[test]
+fn multi_session_state_survives_a_power_cycle() {
+    power_cycle_round_trip(FleetConfig::single_slot(3), "single-slot");
+}
+
+#[test]
+fn a_csma_session_survives_a_power_cycle_and_settles_what_was_paid() {
+    power_cycle_round_trip(FleetConfig::csma(6, 0x5E55), "csma");
+}
+
+#[test]
+fn foreign_or_incomplete_session_files_are_rejected() {
+    let path = session_path("bad");
+    let mut fleet = run_fleet(FleetConfig::single_slot(2), 0);
+    fleet.pay(0, Wei::from(100u64)).expect("payment lands");
+    fleet.save_session(&path).expect("session saves");
+    let gateway = fleet.gateway().account();
+    let parties: Vec<_> = fleet
+        .sensors()
+        .iter()
+        .map(|s| (s.account(), gateway))
+        .collect();
+    let (_, channels) = read_session(&path, &parties).expect("the saved file validates");
+    let refusal = |sensors: usize| {
+        let mut resumed = FleetScheduler::new(FleetConfig::single_slot(sensors));
+        let error = resumed.restore_session(&path).unwrap_err();
+        // A refusal changes nothing: the fleet still opens.
+        resumed
+            .open_all()
+            .expect("a refused restore leaves it unopened");
+        error
+    };
+    let truncated = |error| matches!(error, ProtocolError::Wire(WireError::Truncated));
+    let invalid = |error| matches!(error, ProtocolError::Wire(WireError::Value(_)));
+
+    // A fleet of a different size must refuse the file.
+    assert!(truncated(refusal(3)));
+    // A chain-snapshot-only file is incomplete.
+    write_session(&path, fleet.chain(), []).expect("file writes");
+    assert!(truncated(refusal(2)));
+    // The receiver's half from a session with another deposit: the two
+    // endpoint snapshots describe different channels.
+    let mut other = FleetConfig::single_slot(2);
+    other.deposit = Wei::from(2 * DEPOSIT);
+    let foreign_half = run_fleet(other, 0).gateway().snapshot(NodeAddr::new(1));
+    let mut spliced = channels.clone();
+    spliced[0].1 = foreign_half.expect("channel open");
+    write_session(&path, fleet.chain(), spliced).expect("file writes");
+    assert!(invalid(refusal(2)));
+    // Templates the chain never saw.
+    let unopened = FleetScheduler::new(FleetConfig::single_slot(2));
+    write_session(&path, unopened.chain(), channels).expect("file writes");
+    assert!(invalid(refusal(2)));
+    std::fs::remove_file(&path).expect("session file exists");
+}
+
+/// Channel-open proposals and close requests get no reply: one parked at
+/// a busy gateway leaves its sender quiescent, yet the phase must handle
+/// it, or `open_all` returns with a channel unopened (8 sensors, seed 0)
+/// and `settle_all` silently leaves a channel out (32 sensors, seed 15).
+#[test]
+fn a_frame_parked_at_a_busy_gateway_is_handled_before_the_phase_ends() {
+    let opened = run_fleet(FleetConfig::csma(8, 0), 0);
+    let gateway = opened.gateway();
+    assert!(opened
+        .sensors()
+        .iter()
+        .all(|s| gateway.channel(s.addr()).is_some()));
+    let sensors = 32;
+    let mut fleet = run_fleet(FleetConfig::csma(sensors, 15), 1);
+    let report = fleet.settle_all().expect("fleet settles");
+    assert_eq!(report.settlements.len(), sensors);
+    assert_eq!(report.total_to_gateway, Wei::from(AMOUNT * sensors as u64));
+    assert_eq!(fleet.medium().inner().rx_queue_depth(GATEWAY_ADDR), 0);
 }
 
 #[test]

@@ -19,6 +19,7 @@
 use tinyevm::channel::{CrashSchedule, EndpointError, ProtocolError};
 use tinyevm::net::{FaultConfig, MessageWindow};
 use tinyevm::prelude::*;
+use tinyevm::sim::{FleetConfig, FleetScheduler};
 
 fn main() {
     two_party_storm();
@@ -84,11 +85,11 @@ fn two_party_storm() {
 /// settlement of the healthy channels.
 fn fleet_degradation() {
     println!("=== fleet degradation: partition + quarantine ===");
-    let mut driver = GatewayDriver::new(4, LinkConfig::default(), Wei::from(1_000_000u64));
-    driver.open_all().expect("all channels open");
+    let mut fleet = FleetScheduler::new(FleetConfig::single_slot(4));
+    fleet.open_all().expect("all channels open");
 
     // Sensor 0 drops off the network entirely.
-    driver
+    fleet
         .set_sensor_faults(
             0,
             FaultConfig {
@@ -100,24 +101,24 @@ fn fleet_degradation() {
             },
         )
         .expect("sensor 0 exists");
-    driver
+    fleet
         .run(2, Wei::from(750u64))
         .expect("the fleet pays around the dead sensor");
 
     // Sensor 2 repeatedly tries to overdraw its deposit — violations, not
     // transport noise — until the gateway quarantines it.
     for _ in 0..tinyevm::channel::QUARANTINE_THRESHOLD {
-        let refused = driver.pay(2, Wei::from(50_000_000u64));
+        let refused = fleet.pay(2, Wei::from(50_000_000u64));
         assert!(refused.is_err(), "an overdraw is always refused");
     }
 
     // The partition heals; the fleet runs one more round.
-    driver.clear_sensor_faults(0).expect("sensor 0 exists");
-    driver
+    fleet.clear_sensor_faults(0).expect("sensor 0 exists");
+    fleet
         .run(1, Wei::from(750u64))
         .expect("the recovered sensor rejoins");
 
-    for (index, summary) in driver.sensor_summaries().iter().enumerate() {
+    for (index, summary) in fleet.sensor_summaries().iter().enumerate() {
         println!(
             "  sensor {index}: {:?} ({} violations), paid {} wei in {} payments",
             summary.health,
@@ -127,11 +128,11 @@ fn fleet_degradation() {
         );
     }
 
-    let report = driver.settle_all().expect("healthy channels settle");
+    let report = fleet.settle_all().expect("healthy channels settle");
     println!(
         "  settled {} of 4 channels for {} wei total; {} quarantined channel stays open",
         report.settlements.len(),
         report.total_to_gateway.amount(),
-        driver.quarantined_count()
+        fleet.quarantined_count()
     );
 }

@@ -7,12 +7,15 @@
 //! ```
 
 use tinyevm::prelude::*;
+use tinyevm::sim::{FleetConfig, FleetScheduler};
 
-/// The fleet's radio: TSCH with 5% frame loss and a generous retry budget.
-fn lossy_link() -> LinkConfig {
-    let mut link = LinkConfig::default().with_loss(0.05, 7);
-    link.max_retries = 16;
-    link
+/// Six sensors in lockstep (one whole round at a time, in address order)
+/// over TSCH with 5% frame loss and a generous retry budget.
+fn fleet_config() -> FleetConfig {
+    let mut config = FleetConfig::single_slot(6);
+    config.link = LinkConfig::default().with_loss(0.05, 7);
+    config.link.max_retries = 16;
+    config
 }
 
 fn main() {
@@ -20,18 +23,18 @@ fn main() {
     // payment channel backed by a 1,000,000-wei deposit, over a TSCH
     // medium with 5% frame loss. Everything is seeded: running this
     // example twice prints byte-identical numbers.
-    let mut driver = GatewayDriver::new(6, lossy_link(), Wei::from(1_000_000u64));
-    driver.open_all().expect("all channels open");
+    let mut fleet = FleetScheduler::new(fleet_config());
+    fleet.open_all().expect("all channels open");
     println!(
         "fleet: {} sensors → gateway {} ({}), one chain, {} templates",
-        driver.sensors().len(),
-        driver.gateway().node_addr(),
-        driver.gateway().address(),
-        driver.chain().templates().count(),
+        fleet.sensors().len(),
+        fleet.gateway().addr(),
+        fleet.gateway().account(),
+        fleet.chain().templates().count(),
     );
 
     // Three payment rounds: every sensor pays 2,500 wei per round.
-    driver
+    fleet
         .run(3, Wei::from(2_500u64))
         .expect("every payment lands");
 
@@ -47,7 +50,7 @@ fn main() {
         "down (B)",
         "rexmit"
     );
-    for summary in driver.sensor_summaries() {
+    for summary in fleet.sensor_summaries() {
         println!(
             "{:<8}{:>10}{:>12}{:>14.1}{:>13.1}{:>10}{:>10}{:>8}",
             summary.addr.to_string(),
@@ -60,21 +63,22 @@ fn main() {
             summary.wire.retransmissions,
         );
     }
+    let medium = fleet.medium().inner();
     println!(
         "medium: {} messages, {} wire bytes, busy {:.1} ms",
-        driver.medium().total_messages(),
-        driver.medium().total_wire_bytes(),
-        driver.medium().total_airtime().as_secs_f64() * 1000.0,
+        medium.total_messages(),
+        medium.total_wire_bytes(),
+        medium.total_airtime().as_secs_f64() * 1000.0,
     );
 
     // The whole multi-session state (chain + 2 × 6 channel endpoints)
     // survives a power cycle as one wire-format file.
     let mut path = std::env::temp_dir();
     path.push(format!("tinyevm-multi-node-{}.snap", std::process::id()));
-    driver.save_session(&path).expect("session persists");
-    let mut resumed = GatewayDriver::new(6, lossy_link(), Wei::from(1_000_000u64));
+    fleet.save_session(&path).expect("session persists");
+    let mut resumed = FleetScheduler::new(fleet_config());
     resumed.restore_session(&path).expect("session restores");
-    assert_eq!(resumed.chain().state_root(), driver.chain().state_root());
+    assert_eq!(resumed.chain().state_root(), fleet.chain().state_root());
     println!(
         "\npower cycle: {} byte snapshot restored, chain root {}",
         std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),

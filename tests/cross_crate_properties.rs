@@ -1,13 +1,15 @@
 //! Property-based integration tests spanning several crates: arbitrary
-//! payment schedules always settle to exactly the amount paid, arbitrary
-//! contract corpora obey the deployment invariants, and the EVM storage the
-//! channel contract keeps always agrees with the protocol-level state.
+//! payment schedules and fleets (lockstep or contended) always settle to
+//! exactly the amount paid, arbitrary contract corpora obey the deployment
+//! invariants, and the EVM storage the channel contract keeps always agrees
+//! with the protocol-level state.
 
 use proptest::prelude::*;
 use tinyevm::channel::ProtocolDriver;
 use tinyevm::corpus::{CorpusConfig, WorkloadClass};
 use tinyevm::evm::{deploy, EvmConfig};
 use tinyevm::prelude::*;
+use tinyevm::sim::{FleetConfig, FleetScheduler};
 
 proptest! {
     // Heavier-than-usual cases: keep the count small so the suite stays fast.
@@ -150,19 +152,24 @@ proptest! {
     #[test]
     fn any_fleet_settles_to_exactly_what_each_sensor_paid(
         sensors in 2usize..5,
-        rounds in 1usize..3
+        rounds in 1usize..3,
+        contended in any::<bool>(),
+        seed in 0u64..1_000,
     ) {
         // The gateway chain settles every channel to precisely the
-        // cumulative amount that sensor paid — no cross-channel leakage.
+        // cumulative amount that sensor paid — no cross-channel leakage —
+        // whether sensors pay in lockstep or contend for a CSMA medium.
         let amount = 1_500u64;
-        let mut driver = GatewayDriver::new(
-            sensors,
-            LinkConfig::default(),
-            Wei::from(100_000u64),
-        );
-        driver.open_all().unwrap();
-        driver.run(rounds, Wei::from(amount)).unwrap();
-        let report = driver.settle_all().unwrap();
+        let mut config = if contended {
+            FleetConfig::csma(sensors, seed)
+        } else {
+            FleetConfig::single_slot(sensors)
+        };
+        config.deposit = Wei::from(100_000u64);
+        let mut fleet = FleetScheduler::new(config);
+        fleet.open_all().unwrap();
+        fleet.run(rounds, Wei::from(amount)).unwrap();
+        let report = fleet.settle_all().unwrap();
         prop_assert_eq!(report.settlements.len(), sensors);
         for (_, settlement) in &report.settlements {
             prop_assert_eq!(settlement.to_receiver, Wei::from(amount * rounds as u64));

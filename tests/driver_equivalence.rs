@@ -1,6 +1,6 @@
-//! Driver-equivalence suite: the pump-based `ProtocolDriver` /
-//! `GatewayDriver` must produce statistics identical to the pre-redesign
-//! monolithic drivers for seeded sessions.
+//! Driver-equivalence suite: the pump-based `ProtocolDriver` and the
+//! single-slot (lockstep) `FleetScheduler` must produce statistics
+//! identical to the pre-redesign monolithic drivers for seeded sessions.
 //!
 //! The `GOLDEN_*` constants below were captured from the drivers **before**
 //! the sans-IO endpoint redesign (by running the ignored
@@ -21,10 +21,10 @@
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
-use tinyevm::channel::gateway::GatewayDriver;
 use tinyevm::channel::{ProtocolDriver, RoundReport, SettlementReport};
 use tinyevm::device::Device;
 use tinyevm::prelude::*;
+use tinyevm::sim::{FleetConfig, FleetScheduler};
 
 /// One device's meter as exact integers: simulated clock plus nanoseconds
 /// spent in every power state (energy is voltage × current × time, so equal
@@ -99,9 +99,9 @@ fn settlement_fingerprint(driver: &ProtocolDriver, report: &SettlementReport) ->
 }
 
 /// Everything observable about a fleet session after the payment phase.
-fn gateway_session_fingerprint(driver: &GatewayDriver) -> String {
+fn gateway_session_fingerprint(fleet: &FleetScheduler) -> String {
     let mut out = String::new();
-    for round in driver.rounds() {
+    for round in fleet.rounds() {
         let _ = writeln!(
             out,
             "round: sensor={} seq={} cum={} e2e={} bytes={}",
@@ -112,7 +112,8 @@ fn gateway_session_fingerprint(driver: &GatewayDriver) -> String {
             round.bytes_exchanged
         );
     }
-    for (summary, sensor) in driver.sensor_summaries().iter().zip(driver.sensors()) {
+    let gateway = fleet.gateway().addr();
+    for (summary, sensor) in fleet.sensor_summaries().iter().zip(fleet.sensors()) {
         let _ = writeln!(
             out,
             "sensor {} acct={} payments={} paid={} mean_latency={} up_msgs={} down_msgs={} \
@@ -135,7 +136,8 @@ fn gateway_session_fingerprint(driver: &GatewayDriver) -> String {
             out,
             "  latencies: {:?}",
             sensor
-                .latencies()
+                .latencies(gateway)
+                .unwrap_or(&[])
                 .iter()
                 .map(|l| l.as_nanos())
                 .collect::<Vec<_>>()
@@ -144,22 +146,20 @@ fn gateway_session_fingerprint(driver: &GatewayDriver) -> String {
     let _ = writeln!(
         out,
         "gateway: {}",
-        device_fingerprint(driver.gateway().device())
+        device_fingerprint(fleet.gateway().device())
     );
+    let medium = fleet.medium().inner();
     let _ = writeln!(
         out,
         "medium: messages={} wire_bytes={} airtime={}",
-        driver.medium().total_messages(),
-        driver.medium().total_wire_bytes(),
-        driver.medium().total_airtime().as_nanos()
+        medium.total_messages(),
+        medium.total_wire_bytes(),
+        medium.total_airtime().as_nanos()
     );
     out
 }
 
-fn gateway_settlement_fingerprint(
-    _driver: &GatewayDriver,
-    report: &tinyevm::channel::GatewaySettlementReport,
-) -> String {
+fn gateway_settlement_fingerprint(report: &tinyevm::channel::GatewaySettlementReport) -> String {
     let mut out = String::new();
     for (addr, settlement) in &report.settlements {
         let _ = writeln!(
@@ -229,21 +229,29 @@ fn two_party_power_cycle() -> (String, String) {
     (session, settlement_fingerprint(&resumed, &report))
 }
 
+/// A lockstep fleet of `sensors` nodes over a seeded lossy medium.
+fn lossy_fleet(sensors: usize, loss: f64, seed: u64, deposit: u64) -> FleetScheduler {
+    let mut config = FleetConfig::single_slot(sensors);
+    config.link = lossy_link(loss, seed);
+    config.deposit = Wei::from(deposit);
+    FleetScheduler::new(config)
+}
+
 /// One fleet scenario: `sensors` nodes, seeded lossy medium, 2 rounds.
 fn fleet_session(sensors: usize) -> (String, String) {
-    let mut driver = GatewayDriver::new(sensors, lossy_link(0.05, 7), Wei::from(1_000_000u64));
-    driver.open_all().unwrap();
-    driver.run(2, Wei::from(1_500u64)).unwrap();
-    let session = gateway_session_fingerprint(&driver);
-    let report = driver.settle_all().unwrap();
-    (session, gateway_settlement_fingerprint(&driver, &report))
+    let mut fleet = lossy_fleet(sensors, 0.05, 7, 1_000_000);
+    fleet.open_all().unwrap();
+    fleet.run(2, Wei::from(1_500u64)).unwrap();
+    let session = gateway_session_fingerprint(&fleet);
+    let report = fleet.settle_all().unwrap();
+    (session, gateway_settlement_fingerprint(&report))
 }
 
 /// Fleet session interrupted by a power cycle after the first round.
 fn fleet_power_cycle() -> (String, String) {
     let mut path = std::env::temp_dir();
     path.push(format!("tinyevm-equiv-fleet-{}.snap", std::process::id()));
-    let make = || GatewayDriver::new(3, lossy_link(0.1, 11), Wei::from(200_000u64));
+    let make = || lossy_fleet(3, 0.1, 11, 200_000);
     let mut first_life = make();
     first_life.open_all().unwrap();
     first_life.run(1, Wei::from(900u64)).unwrap();
@@ -254,7 +262,7 @@ fn fleet_power_cycle() -> (String, String) {
     let session = gateway_session_fingerprint(&resumed);
     let report = resumed.settle_all().unwrap();
     let _ = std::fs::remove_file(&path);
-    (session, gateway_settlement_fingerprint(&resumed, &report))
+    (session, gateway_settlement_fingerprint(&report))
 }
 
 // --- golden fingerprints (pre-redesign drivers) --------------------------

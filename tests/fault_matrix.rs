@@ -15,9 +15,9 @@
 //!    open for a later unilateral challenge.
 
 use proptest::prelude::*;
-use tinyevm::channel::gateway::GatewayDriver;
 use tinyevm::channel::{CrashSchedule, EndpointError, ProtocolDriver, ProtocolError, SensorHealth};
 use tinyevm::net::{FaultConfig, LinkConfig, MessageWindow, NodeAddr};
+use tinyevm::sim::{FleetConfig, FleetScheduler};
 use tinyevm::types::{Wei, U256};
 
 const DEPOSIT: u64 = 1_000_000;
@@ -197,30 +197,30 @@ fn a_permanently_partitioned_link_aborts_typed_and_recovers_after_repair() {
     driver.close_and_settle().expect("and settles");
 }
 
-/// One fleet matrix cell: three sensors, a storm on sensor 0, an
+/// One fleet matrix cell: three lockstep sensors, a storm on sensor 0, an
 /// overdrawing sensor 2 that gets quarantined, an optional save/restore
 /// power cycle of the whole gateway mid-run, then settlement of the
 /// healthy channels.
 fn fleet_cell(faults: FaultConfig, quarantine: bool, power_cycle: bool) {
-    let make = || GatewayDriver::new(3, LinkConfig::default(), Wei::from(DEPOSIT));
-    let mut driver = make();
-    driver.open_all().expect("fleet opens");
-    driver
+    let make = || FleetScheduler::new(FleetConfig::single_slot(3));
+    let mut fleet = make();
+    fleet.open_all().expect("fleet opens");
+    fleet
         .set_sensor_faults(0, faults.clone())
         .expect("sensor 0 exists");
-    driver
+    fleet
         .run(2, Wei::from(500u64))
         .expect("the fleet absorbs transport faults and violations");
     if quarantine {
         for _ in 0..tinyevm::channel::QUARANTINE_THRESHOLD {
             assert!(
-                driver.pay(2, Wei::from(50_000_000u64)).is_err(),
+                fleet.pay(2, Wei::from(50_000_000u64)).is_err(),
                 "an overdraw is always refused"
             );
         }
-        assert_eq!(driver.sensor_health(2), Some(SensorHealth::Quarantined));
+        assert_eq!(fleet.sensor_health(2), Some(SensorHealth::Quarantined));
         // The quarantined sensor is refused with a typed error...
-        match driver.pay(2, Wei::from(500u64)) {
+        match fleet.pay(2, Wei::from(500u64)) {
             Err(ProtocolError::Quarantined { sensor }) => {
                 assert_eq!(sensor, NodeAddr::new(3));
             }
@@ -235,23 +235,23 @@ fn fleet_cell(faults: FaultConfig, quarantine: bool, power_cycle: bool) {
             std::process::id(),
             faults.seed
         ));
-        driver.save_session(&path).expect("session saves");
+        fleet.save_session(&path).expect("session saves");
         let mut resumed = make();
         resumed.restore_session(&path).expect("session restores");
         let _ = std::fs::remove_file(&path);
-        driver = resumed;
+        fleet = resumed;
         // Health is volatile (RAM): a rebooted gateway starts everyone
         // Healthy and re-learns misbehaviour from live traffic.
-        assert_eq!(driver.quarantined_count(), 0);
+        assert_eq!(fleet.quarantined_count(), 0);
     }
 
-    driver.clear_sensor_faults(0).expect("sensor 0 exists");
+    fleet.clear_sensor_faults(0).expect("sensor 0 exists");
     // ...while the rest of the fleet keeps paying.
-    driver
+    fleet
         .run(1, Wei::from(500u64))
         .expect("the fleet pays after the storm");
-    let quarantined = driver.quarantined_count();
-    let report = driver.settle_all().expect("healthy channels settle");
+    let quarantined = fleet.quarantined_count();
+    let report = fleet.settle_all().expect("healthy channels settle");
     assert_eq!(
         report.settlements.len(),
         3 - quarantined,
@@ -259,7 +259,7 @@ fn fleet_cell(faults: FaultConfig, quarantine: bool, power_cycle: bool) {
     );
     // Committed payments are never lost: what the gateway banked covers at
     // least the per-sensor paid totals of the settled channels.
-    let paid: Vec<_> = driver
+    let paid: Vec<_> = fleet
         .sensor_summaries()
         .iter()
         .filter(|summary| summary.health != SensorHealth::Quarantined)
