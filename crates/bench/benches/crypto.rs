@@ -2,10 +2,48 @@
 //! cost on the CC2538; these benches measure the real Rust implementations).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tinyevm_bench::perf::sample_batch;
-use tinyevm_crypto::secp256k1::{point, PrivateKey, Scalar, VerifyingKey};
+use tinyevm_crypto::secp256k1::{point, BatchItem, PrivateKey, Scalar, VerifyingKey};
 use tinyevm_crypto::{keccak256, sha256};
 use tinyevm_types::U256;
+
+/// A deterministic batch of `count` signatures, each by its own key.
+fn sample_batch(count: u32) -> Vec<BatchItem> {
+    (0..count)
+        .map(|index| {
+            let key = PrivateKey::from_seed(&index.to_be_bytes());
+            let digest = sha256(&index.to_le_bytes());
+            BatchItem {
+                digest,
+                signature: key.sign_prehashed(&digest),
+                public_key: key.public_key(),
+            }
+        })
+        .collect()
+}
+
+/// The fleet-settlement workload: `count` channels' dual-signable closing
+/// states, each signed by its own sensor key — what the gateway endpoint
+/// batch-verifies in `finalize_closes`.
+fn sample_close_batch(count: u32) -> Vec<BatchItem> {
+    (0..count)
+        .map(|index| {
+            let key = PrivateKey::from_seed(format!("settle sensor {index}").as_bytes());
+            let state = tinyevm_chain::ChannelState {
+                template: tinyevm_types::Address::from_low_u64(0xA000 + u64::from(index)),
+                channel_id: u64::from(index) + 1,
+                sequence: 4,
+                total_to_receiver: tinyevm_types::Wei::from(7_500u64),
+                sensor_data_hash: tinyevm_types::H256::from_low_u64(u64::from(index)),
+            };
+            let digest = state.digest();
+            BatchItem {
+                digest,
+                signature: key.sign_prehashed(&digest),
+                public_key: key.public_key(),
+            }
+        })
+        .collect()
+}
 
 fn bench_crypto(c: &mut Criterion) {
     let short = vec![0xabu8; 64];
@@ -76,7 +114,7 @@ fn bench_crypto(c: &mut Criterion) {
     // signatures, checked the pre-redesign way (one at a time) and the
     // endpoint way (one Straus pass) — the same items `finalize_closes`
     // verifies.
-    let closes = tinyevm_bench::perf::sample_close_batch(8);
+    let closes = sample_close_batch(8);
     group.bench_function("gateway_settle_serial8", |bencher| {
         bencher.iter(|| {
             for item in black_box(&closes) {

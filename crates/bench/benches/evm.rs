@@ -1,8 +1,9 @@
 //! Interpreter fast path: per-opcode accounting (through `Evm::execute`,
-//! which decodes blocks lazily) versus a cached analysis with
-//! per-basic-block batched gas and instruction-limit checks. Both lanes run
-//! the same hot-loop contract and produce byte-identical results, gas and
-//! metrics; only the bookkeeping strategy differs.
+//! which decodes blocks lazily) versus per-basic-block batched gas and
+//! instruction-limit checks, on lazily decoded blocks (`Evm::execute`, what
+//! a deploy runs) and on a cached analysis (`execute_analyzed`). All three
+//! lanes run the same hot-loop contract and produce byte-identical results,
+//! gas and metrics; only the bookkeeping strategy differs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tinyevm_analysis::analyze;
@@ -26,6 +27,10 @@ fn run_per_op(code: &[u8]) -> tinyevm_evm::ExecResult {
     Evm::new(EvmConfig::cc2538().with_per_op_metering(true))
         .execute(code, &[])
         .unwrap()
+}
+
+fn run_batched_lazy(code: &[u8]) -> tinyevm_evm::ExecResult {
+    Evm::new(EvmConfig::cc2538()).execute(code, &[]).unwrap()
 }
 
 fn run_batched_cached(
@@ -55,16 +60,23 @@ fn bench_fast_path(c: &mut Criterion) {
     let analysis = analyze(&code);
     assert!(analysis.verdict().is_accepted());
 
-    // The two lanes must be observationally identical before we time them.
+    // The lanes must be observationally identical before we time them.
     let slow = run_per_op(&code);
-    let fast = run_batched_cached(&code, &analysis);
-    assert_eq!(slow.outcome, fast.outcome);
-    assert_eq!(slow.metrics, fast.metrics);
+    for fast in [
+        run_batched_lazy(&code),
+        run_batched_cached(&code, &analysis),
+    ] {
+        assert_eq!(slow.outcome, fast.outcome);
+        assert_eq!(slow.metrics, fast.metrics);
+    }
 
     let mut group = c.benchmark_group("evm_fast_path");
     group.sample_size(20);
     group.bench_function("hot_loop_10000_per_op", |bencher| {
         bencher.iter(|| run_per_op(black_box(&code)))
+    });
+    group.bench_function("hot_loop_10000_batched_lazy", |bencher| {
+        bencher.iter(|| run_batched_lazy(black_box(&code)))
     });
     group.bench_function("hot_loop_10000_batched_cached", |bencher| {
         bencher.iter(|| run_batched_cached(black_box(&code), &analysis))

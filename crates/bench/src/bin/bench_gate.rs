@@ -1,144 +1,341 @@
-//! Perf regression gate over the committed `BENCH_crypto.json` snapshot.
-//!
-//! Usage:
+//! Paired host-time regression gate: perfbench's `host_ops_per_s` at a
+//! base revision against the working tree, on one machine.
 //!
 //! ```text
-//! cargo run -p tinyevm-bench --release --bin bench_gate
-//! cargo run -p tinyevm-bench --release --bin bench_gate -- \
-//!     --baseline BENCH_crypto.json --current target/experiments/bench.json --tolerance 0.25
+//! cargo run -p tinyevm-bench --release --bin bench_gate -- <base-rev>
 //! ```
 //!
-//! Compares the timing-sensitive lanes of a fresh `bench.json` against the
-//! committed snapshot and exits non-zero when any gated lane drifts beyond
-//! the tolerance (default ±25%). Only the stable microbenchmark lanes are
-//! gated — wall-clocks and corpus counts vary with machine load and are
-//! diffed by eye instead. The flat hand-formatted JSON is parsed with a
-//! small scanner, so no JSON dependency is needed.
+//! The base is checked out into a temporary git worktree
+//! (`target/bench_gate/base`) and perfbench is built once there and once in
+//! the working tree. Each benchmark workload then runs ten pairs of
+//! untraced 2-second runs on seeds 1001–1010, the base first in even pairs
+//! and the change first in odd ones. A workload regresses when the change
+//! loses at least 9 of the 10 pairs (ties count for neither) **and** its
+//! median is below the base's by more than the base's interquartile range
+//! (nearest-rank quartiles): the benchmark's rule for claiming a gain,
+//! mirrored. A run that exits non-zero fails the gate; a workload one
+//! side's `BENCHMARK.json` does not name is skipped.
+//!
+//! What it catches, on a shared 2-vCPU VM: a build whose ECDSA signing
+//! did five times the work (`payment` and `fleet_csma` at about 0.5×)
+//! failed all three runs, on `fleet_csma` each time and on `payment` twice
+//! (in the third, a bimodal base's IQR exceeded the gap). A build doing
+//! twice the work (0.78× and 0.71×) passed. Smaller regressions are left
+//! to the benchmark's 20-second protocol.
 
-use std::process::ExitCode;
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
+use std::time::Instant;
 
-/// The lanes the gate enforces: section, key, human label.
-const GATED: &[(&str, &str)] = &[
-    ("crypto_ns", "ecdsa_sign"),
-    ("crypto_ns", "ecdsa_verify"),
-    ("evm_exec_ns", "hot_loop_per_op"),
-    ("evm_exec_ns", "hot_loop_batched_cached"),
-    ("gas_certificate_ns", "hot_loop_analyze"),
-    // Pure virtual-time: the 64-sensor CSMA sweep point is byte-identical
-    // across machines and `--jobs`, so any drift here is a real behaviour
-    // change in the scheduler or the medium, not noise.
-    ("sim", "goodput_rounds_per_s"),
-];
+const USAGE: &str = "usage: bench_gate <base-rev>";
 
-/// Extracts `"key": number` from the hand-formatted bench JSON, scoped to
-/// the object opened by `"section": {`. Returns `None` when the section or
-/// key is missing.
-fn lookup(json: &str, section: &str, key: &str) -> Option<f64> {
-    let section_tag = format!("\"{section}\"");
-    let mut in_section = false;
-    for line in json.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with(&section_tag) {
-            in_section = true;
-            continue;
-        }
-        if in_section {
-            if trimmed.starts_with('}') {
-                return None;
-            }
-            let key_tag = format!("\"{key}\"");
-            if let Some(rest) = trimmed.strip_prefix(&key_tag) {
-                let value = rest
-                    .trim_start_matches(':')
-                    .trim()
-                    .trim_end_matches(',')
-                    .trim();
-                return value.parse().ok();
-            }
-        }
-    }
-    None
-}
+/// The workloads `BENCHMARK.json` declares.
+const WORKLOADS: [&str; 3] = ["payment", "fleet_csma", "corpus"];
+
+/// Alternating base/change pairs per workload; pair `i` runs seed
+/// `FIRST_SEED + i`.
+const PAIRS: u64 = 10;
+const FIRST_SEED: u64 = 1001;
+
+/// perfbench's `--seconds` for every run.
+const SECONDS: &str = "2";
+
+/// Pairs the change must lose before a regression can be called.
+const MIN_LOSSES: usize = 9;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path = "BENCH_crypto.json".to_string();
-    let mut current_path = "target/experiments/bench.json".to_string();
-    let mut tolerance = 0.25f64;
-    let mut index = 0;
-    while index < args.len() {
-        match args[index].as_str() {
-            "--baseline" => {
-                index += 1;
-                baseline_path = args.get(index).cloned().unwrap_or(baseline_path);
-            }
-            "--current" => {
-                index += 1;
-                current_path = args.get(index).cloned().unwrap_or(current_path);
-            }
-            "--tolerance" => {
-                index += 1;
-                tolerance = args
-                    .get(index)
-                    .and_then(|value| value.parse().ok())
-                    .filter(|&parsed: &f64| parsed > 0.0)
-                    .unwrap_or(tolerance);
-            }
-            "--help" | "-h" => {
-                println!("usage: bench_gate [--baseline PATH] [--current PATH] [--tolerance F]");
-                return ExitCode::SUCCESS;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
+    let base_rev = match args.as_slice() {
+        [flag] if flag == "--help" || flag == "-h" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        index += 1;
-    }
-
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(contents) => Some(contents),
-        Err(error) => {
-            eprintln!("bench_gate: cannot read {path}: {error}");
-            None
+        [rev] if !rev.starts_with('-') => rev,
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
         }
     };
-    let (Some(baseline), Some(current)) = (read(&baseline_path), read(&current_path)) else {
-        return ExitCode::FAILURE;
-    };
-
-    let mut failures = 0usize;
-    for &(section, key) in GATED {
-        let lane = format!("{section}.{key}");
-        let (Some(was), Some(now)) = (
-            lookup(&baseline, section, key),
-            lookup(&current, section, key),
-        ) else {
-            eprintln!("FAIL {lane}: missing from baseline or current record");
-            failures += 1;
-            continue;
-        };
-        if was <= 0.0 {
-            eprintln!("FAIL {lane}: non-positive baseline {was}");
-            failures += 1;
-            continue;
-        }
-        let ratio = now / was;
-        let drift = (ratio - 1.0) * 100.0;
-        if (ratio - 1.0).abs() > tolerance {
-            eprintln!("FAIL {lane}: {was:.1} -> {now:.1} ns ({drift:+.1}%)");
-            failures += 1;
-        } else {
-            println!("ok   {lane}: {was:.1} -> {now:.1} ns ({drift:+.1}%)");
-        }
-    }
-    if failures > 0 {
-        eprintln!(
-            "bench_gate: {failures} lane(s) drifted beyond ±{:.0}% — investigate or re-snapshot BENCH_crypto.json",
-            tolerance * 100.0
-        );
+    let start = Instant::now();
+    let outcome = gate(base_rev);
+    println!("bench_gate: {} s wall-clock", start.elapsed().as_secs());
+    if let Err(message) = outcome {
+        eprintln!("bench_gate: {message}");
         return ExitCode::FAILURE;
     }
-    println!(
-        "bench_gate: all gated lanes within ±{:.0}%",
-        tolerance * 100.0
-    );
     ExitCode::SUCCESS
+}
+
+/// Checks the base revision out, compares it with the working tree, and
+/// removes the checkout again.
+fn gate(base_rev: &str) -> Result<(), String> {
+    let root = run(Command::new("git").args(["rev-parse", "--show-toplevel"]))?;
+    let root = PathBuf::from(root.trim());
+    let base = root.join("target/bench_gate/base");
+    let remove = || {
+        run(Command::new("git")
+            .current_dir(&root)
+            .args(["worktree", "remove", "--force"])
+            .arg(&base))
+    };
+    // A checkout left behind by an interrupted run would block `add`.
+    let _ = remove();
+    run(Command::new("git")
+        .current_dir(&root)
+        .args(["worktree", "add", "--detach"])
+        .arg(&base)
+        .arg(base_rev))?;
+    let verdict = compare(&base, &root);
+    let removed = remove();
+    verdict.and(removed.map(drop))
+}
+
+/// Builds perfbench on both sides and runs every workload's pairs; an error
+/// names the workloads that regressed.
+fn compare(base: &Path, change: &Path) -> Result<(), String> {
+    let binaries = [build(base)?, build(change)?];
+    let mut regressions = Vec::new();
+    for workload in WORKLOADS {
+        if !declares(base, workload) || !declares(change, workload) {
+            println!("{workload}: skipped, not declared on both sides");
+            continue;
+        }
+        let mut pairs = Vec::new();
+        for index in 0..PAIRS {
+            let seed = FIRST_SEED + index;
+            // Even pairs run the base first, odd pairs the change.
+            let order = if index % 2 == 0 { [0, 1] } else { [1, 0] };
+            let mut rates = [0.0; 2];
+            for side in order {
+                rates[side] = host_ops_per_s(&binaries[side], workload, seed)?;
+            }
+            println!(
+                "{workload} seed {seed}: base {:.1} change {:.1}",
+                rates[0], rates[1]
+            );
+            pairs.push((rates[0], rates[1]));
+        }
+        let comparison = Comparison::new(&pairs);
+        let regressed = comparison.regressed();
+        if regressed {
+            regressions.push(workload);
+        }
+        println!(
+            "{workload}: base median {:.1} (IQR {:.1}), change median {:.1} ({:.2}×), \
+             change loses {}/{} pairs: {}",
+            comparison.base_median,
+            comparison.base_iqr,
+            comparison.change_median,
+            comparison.change_median / comparison.base_median,
+            comparison.losses,
+            pairs.len(),
+            if regressed { "REGRESSED" } else { "ok" }
+        );
+    }
+    if regressions.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("host throughput regressed on {regressions:?}"))
+    }
+}
+
+/// Whether the checkout at `side` declares `workload` in its benchmark.
+fn declares(side: &Path, workload: &str) -> bool {
+    fs::read_to_string(side.join("BENCHMARK.json"))
+        .is_ok_and(|benchmark| benchmark.contains(&format!("\"{workload}\"")))
+}
+
+/// Builds perfbench in release mode inside the checkout at `side` and
+/// returns the binary's path.
+fn build(side: &Path) -> Result<PathBuf, String> {
+    let target = side.join("perfbench/target");
+    eprintln!("building perfbench in {}...", side.display());
+    run(Command::new("cargo")
+        .args(["build", "--release", "--offline", "--quiet"])
+        .arg("--manifest-path")
+        .arg(side.join("perfbench/Cargo.toml"))
+        .arg("--target-dir")
+        .arg(&target))?;
+    Ok(target.join("release/tinyevm-perfbench"))
+}
+
+/// One untraced perfbench run's host throughput.
+fn host_ops_per_s(binary: &Path, workload: &str, seed: u64) -> Result<f64, String> {
+    let seed_arg = seed.to_string();
+    let stdout = run(Command::new(binary)
+        .args(["--workload", workload, "--seed", &seed_arg])
+        .args(["--seconds", SECONDS, "--trace", "0"]))?;
+    let metric = stdout
+        .lines()
+        .find_map(|line| line.strip_prefix("metric host_ops_per_s "));
+    metric
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+        .ok_or_else(|| format!("{workload} seed {seed}: no host_ops_per_s metric printed"))
+}
+
+/// Runs `command` to completion and returns its standard output; a failure
+/// to start or a non-zero exit is an error carrying the command's report.
+fn run(command: &mut Command) -> Result<String, String> {
+    let output = command
+        .output()
+        .map_err(|error| format!("cannot run {command:?}: {error}"))?;
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    if !output.status.success() {
+        // perfbench reports failed output checks on stdout.
+        let checks: Vec<&str> = stdout.lines().filter(|l| l.contains("FAIL")).collect();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        return Err(format!(
+            "{command:?} exited with {}\n{}\n{}",
+            output.status,
+            checks.join("\n"),
+            stderr.trim_end()
+        ));
+    }
+    Ok(stdout)
+}
+
+/// One workload's pairs, summarized for the decision rule.
+#[derive(Debug)]
+struct Comparison {
+    base_median: f64,
+    base_iqr: f64,
+    change_median: f64,
+    /// Pairs in which the change ran strictly slower than the base.
+    losses: usize,
+}
+
+impl Comparison {
+    /// Summarizes `(base, change)` host throughputs, one tuple per pair.
+    fn new(pairs: &[(f64, f64)]) -> Self {
+        let base: Vec<f64> = pairs.iter().map(|&(base, _)| base).collect();
+        let change: Vec<f64> = pairs.iter().map(|&(_, change)| change).collect();
+        Comparison {
+            base_median: quantile(&base, 0.5),
+            base_iqr: quantile(&base, 0.75) - quantile(&base, 0.25),
+            change_median: quantile(&change, 0.5),
+            losses: pairs.iter().filter(|(base, change)| change < base).count(),
+        }
+    }
+
+    /// The change lost nearly every pair, by more than the base's own
+    /// run-to-run spread.
+    fn regressed(&self) -> bool {
+        self.losses >= MIN_LOSSES && self.base_median - self.change_median > self.base_iqr
+    }
+}
+
+/// Nearest-rank quantile `q` in `[0, 1]` of a non-empty `values`.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn judge(base: &[f64], change: &[f64]) -> Comparison {
+        Comparison::new(
+            &base
+                .iter()
+                .copied()
+                .zip(change.iter().copied())
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn the_measured_series_are_judged_as_observed() {
+        // Same build on both sides (A/A), and a build whose
+        // `sign_prehashed` signed five times: the series measured on a
+        // shared 2-vCPU VM, reproduced at their base median, base IQR and
+        // losses. Only the slowed payment and fleet_csma may fail.
+        let cases = [
+            (
+                "payment A/A",
+                "3700 2900 4532 3300 4000 3800 2400 4700 4600 3000",
+                "3600 3100 4300 3250 3900 3850 2300 4750 4500 3100",
+                (3700., 1532., 6),
+                false,
+            ),
+            (
+                "fleet_csma A/A",
+                "3927 3500 4548 3400 4100 3950 3600 4700 3300 4600",
+                "3900 3450 4500 3300 4200 3900 3650 4600 3200 4700",
+                (3927., 1048., 7),
+                false,
+            ),
+            (
+                "corpus A/A",
+                "3191 3050 3455 3100 3300 3200 2900 3500 3000 3600",
+                "3250 3150 3400 3200 3350 3300 3100 3450 3050 3650",
+                (3191., 405., 2),
+                false,
+            ),
+            (
+                "payment 5x sign, 5,191 -> 2,417",
+                "5191 5100 5241 5150 5200 5050 5260 5000 5300 5220",
+                "2417 2380 2460 2400 2430 2350 2480 2300 2500 2450",
+                (5191., 141., 10),
+                true,
+            ),
+            (
+                "fleet_csma 5x sign, 3,996 -> 2,006",
+                "3996 3900 4171 3950 4000 3850 4200 3800 4250 4100",
+                "2006 1980 2080 2000 2010 1950 2100 1900 2150 2050",
+                (3996., 271., 10),
+                true,
+            ),
+            (
+                "corpus 5x sign, 3,296 -> 3,325",
+                "3296 3260 3320 3280 3300 3250 3350 3200 3400 3310",
+                "3325 3240 3360 3270 3330 3220 3380 3420 3340 3300",
+                (3296., 60., 5),
+                false,
+            ),
+        ];
+        let rates = |text: &str| -> Vec<f64> {
+            text.split(' ')
+                .map(|rate| rate.parse().expect("a rate"))
+                .collect()
+        };
+        for (series, base, change, expected, regressed) in cases {
+            let comparison = judge(&rates(base), &rates(change));
+            let summary = (
+                comparison.base_median,
+                comparison.base_iqr,
+                comparison.losses,
+            );
+            assert_eq!(
+                (summary, comparison.regressed()),
+                (expected, regressed),
+                "{series}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_regression_needs_nine_losses_and_a_gap_beyond_the_iqr() {
+        // Nearest-rank quartiles of these: 95, 100 and 105.
+        let base = [100., 90., 110., 95., 105., 100., 92., 108., 98., 102.];
+        let slower = |by: f64, ties: usize| {
+            let mut change = base.map(|rate| rate - by);
+            change[..ties].copy_from_slice(&base[..ties]);
+            judge(&base, &change)
+        };
+        // Nine losses (one tie), gap equal to the IQR of 10: noise.
+        let at_iqr = slower(10., 1);
+        let summary = (at_iqr.base_iqr, at_iqr.change_median, at_iqr.losses);
+        assert_eq!(summary, (10., 90., 9));
+        assert!(!at_iqr.regressed());
+        // Nine losses, gap just beyond the IQR: a regression.
+        assert!(slower(11., 1).regressed());
+        // Eight losses (two ties count for neither) and a huge gap.
+        let eight = slower(50., 2);
+        assert_eq!(eight.losses, 8);
+        assert!(!eight.regressed());
+    }
 }

@@ -12,77 +12,91 @@
 //! Corpus deployment shards across `--jobs` worker threads (default: the
 //! machine's available parallelism); `--jobs 1` reproduces the original
 //! single-threaded output byte-for-byte, and every jobs value produces the
-//! same statistics. Results are printed to stdout and written to
-//! `target/experiments/`, including a machine-readable perf record
-//! (`bench.json`) that mirrors the committed `BENCH_crypto.json` snapshot.
+//! same statistics. An unknown flag or an unparseable value exits with
+//! code 2. Results are printed to stdout and written to
+//! `target/experiments/`, including the deterministic record
+//! `experiments.json`: a full run's record is byte-identical to the copy
+//! committed at the repository root, which CI diffs it against.
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::process::ExitCode;
 
 use tinyevm_bench::{
     analysis_experiment, corpus_experiment_sharded, faults_experiment, fleet_sim_sweep,
-    fleet_sim_text, multinode_sweep, multinode_text, offchain_experiment, sample_crypto_perf,
-    sample_evm_exec_perf, sample_gas_certificate_perf, table1_text, table3_text, trace_experiment,
-    MultiNodeLane, PerfRecord, SimPerfLane, TracePerfLane,
+    fleet_sim_text, multinode_sweep, multinode_text, offchain_experiment, table1_text, table3_text,
+    trace_experiment, CorpusLane, ExperimentsRecord, MultiNodeLane, OffChainLane, SimPerfLane,
+    TracePerfLane,
 };
 use tinyevm_channel::contracts;
 
-fn main() {
+const USAGE: &str = "usage: experiments [--quick] [--count N] [--jobs N]";
+
+/// Off-chain payments in the measured two-party session.
+const PAYMENTS: usize = 3;
+
+/// Payment rounds per sensor in the multi-node and traced sweeps.
+const ROUNDS: usize = 3;
+
+/// A run's settings, as parsed from the command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Options {
+    /// Corpus contracts to deploy (and to run the differential on).
+    count: usize,
+    /// Trim the fleet-simulation sweep to [16, 64] sensors.
+    quick: bool,
+    /// Worker threads.
+    jobs: usize,
+}
+
+/// Parses the arguments after the program name. `Ok(None)` asks for the
+/// usage line; an unknown flag, a missing value, or a value that is not a
+/// positive integer is an error.
+fn parse_args(args: &[String], default_jobs: usize) -> Result<Option<Options>, String> {
+    let mut count = None;
+    let mut quick = false;
+    let mut jobs = default_jobs;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut positive = || {
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            value
+                .parse::<usize>()
+                .ok()
+                .filter(|&parsed| parsed >= 1)
+                .ok_or_else(|| format!("{flag} takes a positive integer, not {value:?}"))
+        };
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--count" => count = Some(positive()?),
+            "--jobs" => jobs = positive()?,
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(Some(Options {
+        count: count.unwrap_or(if quick { 700 } else { 7_000 }),
+        quick,
+        jobs,
+    }))
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut count = 7_000usize;
-    let mut payments = 3usize;
-    let mut rounds = 3usize;
-    let mut jobs = std::thread::available_parallelism()
+    let default_jobs = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut index = 0;
-    let mut quick = false;
-    while index < args.len() {
-        match args[index].as_str() {
-            "--quick" => {
-                count = 700;
-                quick = true;
-            }
-            "--count" => {
-                index += 1;
-                count = args
-                    .get(index)
-                    .and_then(|value| value.parse().ok())
-                    .unwrap_or(count);
-            }
-            "--payments" => {
-                index += 1;
-                payments = args
-                    .get(index)
-                    .and_then(|value| value.parse().ok())
-                    .unwrap_or(payments);
-            }
-            "--rounds" => {
-                index += 1;
-                rounds = args
-                    .get(index)
-                    .and_then(|value| value.parse().ok())
-                    .unwrap_or(rounds);
-            }
-            "--jobs" => {
-                index += 1;
-                jobs = args
-                    .get(index)
-                    .and_then(|value| value.parse().ok())
-                    .filter(|&parsed| parsed >= 1)
-                    .unwrap_or(jobs);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: experiments [--quick] [--count N] [--payments N] [--rounds N] [--jobs N]"
-                );
-                return;
-            }
-            other => eprintln!("ignoring unknown argument {other:?}"),
+    let Options { count, quick, jobs } = match parse_args(&args, default_jobs) {
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        index += 1;
-    }
+        Err(message) => {
+            eprintln!("experiments: {message}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
 
     let output_dir = PathBuf::from("target/experiments");
     fs::create_dir_all(&output_dir).expect("create output directory");
@@ -93,7 +107,7 @@ fn main() {
     };
 
     println!(
-        "TinyEVM experiment harness — {count} corpus contracts, {payments} off-chain payment(s)\n"
+        "TinyEVM experiment harness — {count} corpus contracts, {PAYMENTS} off-chain payment(s)\n"
     );
 
     // Table I is static: the instruction-set census.
@@ -109,9 +123,7 @@ fn main() {
     } else {
         eprintln!("running the corpus macro-benchmark ({count} contracts)...");
     }
-    let corpus_start = Instant::now();
     let corpus = corpus_experiment_sharded(count, 8 * 1024, jobs);
-    let corpus_wall_clock = corpus_start.elapsed();
     emit("table2.txt", &corpus.table2_text());
     emit("fig3a.txt", &corpus.fig3a_text());
     emit("fig3b.txt", &corpus.fig3b_text());
@@ -120,7 +132,7 @@ fn main() {
 
     // The off-chain payment micro-benchmark: Tables IV, V and Figure 5.
     eprintln!("running the off-chain payment micro-benchmark...");
-    let offchain = offchain_experiment(payments);
+    let offchain = offchain_experiment(PAYMENTS);
     emit("table4.txt", &offchain.table4_text());
     emit("table5.txt", &offchain.table5_text());
     emit("fig5.txt", &offchain.fig5_text());
@@ -131,15 +143,14 @@ fn main() {
     // the worker threads like the corpus.
     let fleet_sizes = [2usize, 4, 8];
     eprintln!(
-        "running the multi-node gateway sweep ({fleet_sizes:?} sensors × {rounds} rounds, {jobs} workers)..."
+        "running the multi-node gateway sweep ({fleet_sizes:?} sensors × {ROUNDS} rounds, {jobs} workers)..."
     );
-    let multinode = multinode_sweep(&fleet_sizes, rounds, jobs);
+    let multinode = multinode_sweep(&fleet_sizes, ROUNDS, jobs);
 
     // The contending fleet simulation: the virtual-clock event scheduler
     // drives every sensor concurrently against one gateway over a CSMA/CA
     // medium. One payment round per sensor — the 1024-sensor point alone
-    // is a thousand settled channels. Quick runs trim the sweep; the
-    // 64-sensor point is always present because `bench_gate` gates it.
+    // is a thousand settled channels, so quick runs trim the sweep.
     let sim_sizes: &[usize] = if quick { &[16, 64] } else { &[64, 256, 1024] };
     eprintln!(
         "running the contending fleet simulation ({sim_sizes:?} sensors, CSMA/CA, {jobs} workers)..."
@@ -153,8 +164,8 @@ fn main() {
     // The traced fleet sweep: the same fleet sizes re-run with a recording
     // tracer attached, distilled into per-phase time shares, round-latency
     // quantiles and energy per settled wei.
-    eprintln!("running the traced fleet sweep ({fleet_sizes:?} sensors × {rounds} rounds)...");
-    let trace = trace_experiment(&fleet_sizes, rounds);
+    eprintln!("running the traced fleet sweep ({fleet_sizes:?} sensors × {ROUNDS} rounds)...");
+    let trace = trace_experiment(&fleet_sizes, ROUNDS);
     emit("trace.txt", &trace.text());
     fs::write(output_dir.join("trace.jsonl"), &trace.jsonl).expect("write trace.jsonl");
 
@@ -164,52 +175,83 @@ fn main() {
     emit("faults.txt", &faults_experiment().text());
 
     // The static-analysis sweep: verdicts always cover the full 7,000
-    // contracts (the committed baseline is scale-independent), while the
+    // contracts (the committed record pins them at any scale), while the
     // batched-vs-per-op differential runs on `count` of them.
     eprintln!(
         "running the static-analysis sweep (7000 verdicts, {count} differential, {jobs} workers)..."
     );
     let analysis = analysis_experiment(count, jobs);
     assert_eq!(
-        analysis.differential_mismatches, 0,
+        analysis.census.differential_mismatches, 0,
         "batched execution diverged from per-opcode metering"
     );
     emit("analysis.txt", &analysis.text());
-    fs::write(
-        output_dir.join("corpus_verdicts.json"),
-        analysis.verdicts_json(),
-    )
-    .expect("write corpus_verdicts.json");
 
     emit("summary.txt", &offchain.summary_text(&corpus));
 
-    // The machine-readable perf trajectory (bench.json): host-side crypto
-    // micro-benchmarks plus the macro wall-clocks of this very run.
-    eprintln!("sampling crypto micro-benchmarks for bench.json...");
-    let mean_payment_ms = offchain
-        .rounds
-        .iter()
-        .map(|round| round.end_to_end_latency.as_secs_f64() * 1000.0)
-        .sum::<f64>()
-        / offchain.rounds.len().max(1) as f64;
-    let record = PerfRecord {
-        contracts: corpus.total,
-        deployed: corpus.deployed,
-        jobs,
-        corpus_wall_clock_ms: corpus_wall_clock.as_secs_f64() * 1000.0,
-        payments: offchain.rounds.len(),
-        payment_end_to_end_ms: mean_payment_ms,
+    let record = ExperimentsRecord {
+        analysis: analysis.census,
+        corpus: CorpusLane {
+            contracts: corpus.total,
+            deployed: corpus.deployed,
+        },
+        offchain: OffChainLane {
+            payments: offchain.rounds.len(),
+            payment_end_to_end_ms: offchain.mean_payment_ms(),
+            energy_mj_per_payment: offchain.energy_mj_per_payment(),
+            wire_bytes: offchain.driver.link().total_wire_bytes(),
+        },
         multinode: multinode
             .iter()
             .map(MultiNodeLane::from_experiment)
             .collect(),
         trace: trace.lanes.iter().map(TracePerfLane::from_lane).collect(),
-        sim: sim.iter().map(SimPerfLane::from_experiment).collect(),
-        crypto: sample_crypto_perf(),
-        evm_exec: sample_evm_exec_perf(),
-        gas_certificate: sample_gas_certificate_perf(),
-        analysis,
+        sim_sweep: sim.iter().map(SimPerfLane::from_experiment).collect(),
     };
-    fs::write(output_dir.join("bench.json"), record.to_json()).expect("write bench.json");
+    fs::write(output_dir.join("experiments.json"), record.to_json())
+        .expect("write experiments.json");
     eprintln!("wrote results to {}", output_dir.display());
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Options>, String> {
+        let args: Vec<String> = args.iter().map(|arg| arg.to_string()).collect();
+        parse_args(&args, 4)
+    }
+
+    #[test]
+    fn accepts_every_flag_and_defaults_the_rest() {
+        for (args, count, quick, jobs) in [
+            (&[][..], 7_000, false, 4),
+            (&["--quick"], 700, true, 4),
+            (&["--count", "2000"], 2_000, false, 4),
+            // An explicit count wins over --quick's default in either order.
+            (&["--count", "90", "--quick", "--jobs", "1"], 90, true, 1),
+            (&["--quick", "--count", "90"], 90, true, 4),
+        ] {
+            assert_eq!(parse(args), Ok(Some(Options { count, quick, jobs })));
+        }
+        assert_eq!(parse(&["--quick", "--help"]), Ok(None));
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_bad_values() {
+        for args in [
+            &["--quik"][..],
+            &["--payments", "3"],
+            &["--rounds", "3"],
+            &["--count", "junk"],
+            &["--count", "0"],
+            &["--count"],
+            &["--jobs", "0"],
+            &["--jobs", "-2"],
+            &["7000"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
+    }
 }

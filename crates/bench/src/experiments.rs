@@ -3,6 +3,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
 use tinyevm_analysis::{analyze, GasCertificate, UnprovenReason, Verdict};
 use tinyevm_channel::{GatewaySettlementReport, ProtocolDriver, SensorSummary};
 use tinyevm_corpus::{histogram, summarize, CorpusConfig, DistributionSummary};
@@ -312,8 +313,20 @@ fn deploy_shard(
 /// corpus, plus the batched-vs-per-opcode differential execution check.
 #[derive(Debug, Clone, Default)]
 pub struct AnalysisExperiment {
+    /// The verdict, certificate and differential tallies.
+    pub census: AnalysisCensus,
+    /// Total init-code bytes decoded.
+    pub bytes_analyzed: usize,
+    /// Wall clock of the verdict sweep (milliseconds).
+    pub analysis_wall_clock_ms: f64,
+}
+
+/// The analyzer's tallies over the corpus: the `analysis` section of the
+/// harness's record.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+pub struct AnalysisCensus {
     /// Contracts analyzed (always the full paper-scale corpus).
-    pub total: usize,
+    pub contracts: usize,
     /// Contracts the analyzer proved free of invalid jumps, undefined
     /// opcodes and stack underflow.
     pub accepted: usize,
@@ -334,10 +347,6 @@ pub struct AnalysisExperiment {
     /// Contracts whose gas certificate is `Uncertified` (unresolved jump or
     /// subcall defeats static costing).
     pub certificates_uncertified: usize,
-    /// Total init-code bytes decoded.
-    pub bytes_analyzed: usize,
-    /// Wall clock of the verdict sweep (milliseconds).
-    pub analysis_wall_clock_ms: f64,
     /// Contracts executed both with per-opcode metering and with the
     /// block-batched fast path, on lazily decoded and on shared analyzed
     /// blocks.
@@ -350,60 +359,61 @@ pub struct AnalysisExperiment {
 impl AnalysisExperiment {
     /// Renders the verdict table and the differential line.
     pub fn text(&self) -> String {
-        let percent = |n: usize| n as f64 / self.total.max(1) as f64 * 100.0;
+        let census = &self.census;
+        let percent = |n: usize| n as f64 / census.contracts.max(1) as f64 * 100.0;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "Static analysis — verdicts over the {}-contract corpus (init code)",
-            self.total
+            census.contracts
         );
         let _ = writeln!(
             out,
             "  accepted (proved trap-free):        {:>6}  ({:.1}%)",
-            self.accepted,
-            percent(self.accepted)
+            census.accepted,
+            percent(census.accepted)
         );
         let _ = writeln!(
             out,
             "  unproven: dynamic jump:             {:>6}  ({:.1}%)",
-            self.unproven_dynamic_jump,
-            percent(self.unproven_dynamic_jump)
+            census.unproven_dynamic_jump,
+            percent(census.unproven_dynamic_jump)
         );
         let _ = writeln!(
             out,
             "  unproven: possible stack underflow: {:>6}  ({:.1}%)",
-            self.unproven_possible_underflow,
-            percent(self.unproven_possible_underflow)
+            census.unproven_possible_underflow,
+            percent(census.unproven_possible_underflow)
         );
         let _ = writeln!(
             out,
             "  rejected (typed static error):      {:>6}  ({:.1}%)",
-            self.rejected,
-            percent(self.rejected)
+            census.rejected,
+            percent(census.rejected)
         );
         let _ = writeln!(
             out,
             "  resolved dynamic jumps: {} (constant destinations proven by the symbolic pass)",
-            self.resolved_jumps
+            census.resolved_jumps
         );
         let _ = writeln!(out, "Gas certificates — static worst-case cost census");
         let _ = writeln!(
             out,
             "  bounded (proven gas/cycle bound):   {:>6}  ({:.1}%)",
-            self.certificates_bounded,
-            percent(self.certificates_bounded)
+            census.certificates_bounded,
+            percent(census.certificates_bounded)
         );
         let _ = writeln!(
             out,
             "  unbounded (reachable loop):         {:>6}  ({:.1}%)",
-            self.certificates_unbounded,
-            percent(self.certificates_unbounded)
+            census.certificates_unbounded,
+            percent(census.certificates_unbounded)
         );
         let _ = writeln!(
             out,
             "  uncertified (jump/subcall defeats): {:>6}  ({:.1}%)",
-            self.certificates_uncertified,
-            percent(self.certificates_uncertified)
+            census.certificates_uncertified,
+            percent(census.certificates_uncertified)
         );
         let throughput = if self.analysis_wall_clock_ms > 0.0 {
             self.bytes_analyzed as f64 / 1024.0 / 1024.0 / (self.analysis_wall_clock_ms / 1000.0)
@@ -422,46 +432,8 @@ impl AnalysisExperiment {
         let _ = writeln!(
             out,
             "  {} contracts executed both ways, {} mismatch(es) (must be 0)",
-            self.differential_contracts, self.differential_mismatches
+            census.differential_contracts, census.differential_mismatches
         );
-        out
-    }
-
-    /// The verdict counts as stable JSON — committed at the repository root
-    /// as `corpus_verdicts.json` so CI can flag analyzer drift.
-    pub fn verdicts_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"contracts\": {},", self.total);
-        let _ = writeln!(out, "  \"accepted\": {},", self.accepted);
-        let _ = writeln!(
-            out,
-            "  \"unproven_dynamic_jump\": {},",
-            self.unproven_dynamic_jump
-        );
-        let _ = writeln!(
-            out,
-            "  \"unproven_possible_underflow\": {},",
-            self.unproven_possible_underflow
-        );
-        let _ = writeln!(out, "  \"rejected\": {},", self.rejected);
-        let _ = writeln!(out, "  \"resolved_jumps\": {},", self.resolved_jumps);
-        let _ = writeln!(
-            out,
-            "  \"certificates_bounded\": {},",
-            self.certificates_bounded
-        );
-        let _ = writeln!(
-            out,
-            "  \"certificates_unbounded\": {},",
-            self.certificates_unbounded
-        );
-        let _ = writeln!(
-            out,
-            "  \"certificates_uncertified\": {}",
-            self.certificates_uncertified
-        );
-        let _ = writeln!(out, "}}");
         out
     }
 }
@@ -482,7 +454,10 @@ pub fn analysis_experiment_on(
 ) -> AnalysisExperiment {
     let jobs = jobs.clamp(1, corpus.len().max(1));
     let mut experiment = AnalysisExperiment {
-        total: corpus.len(),
+        census: AnalysisCensus {
+            contracts: corpus.len(),
+            ..AnalysisCensus::default()
+        },
         ..AnalysisExperiment::default()
     };
     if corpus.is_empty() {
@@ -539,16 +514,17 @@ pub fn analysis_experiment_on(
             .map(|handle| handle.join().expect("analysis shard worker panicked"))
             .collect()
     });
+    let census = &mut experiment.census;
     for tally in tallies {
-        experiment.accepted += tally.accepted;
-        experiment.unproven_dynamic_jump += tally.dynamic;
-        experiment.unproven_possible_underflow += tally.underflow;
-        experiment.rejected += tally.rejected;
+        census.accepted += tally.accepted;
+        census.unproven_dynamic_jump += tally.dynamic;
+        census.unproven_possible_underflow += tally.underflow;
+        census.rejected += tally.rejected;
         experiment.bytes_analyzed += tally.bytes;
-        experiment.resolved_jumps += tally.resolved_jumps;
-        experiment.certificates_bounded += tally.bounded;
-        experiment.certificates_unbounded += tally.unbounded;
-        experiment.certificates_uncertified += tally.uncertified;
+        census.resolved_jumps += tally.resolved_jumps;
+        census.certificates_bounded += tally.bounded;
+        census.certificates_unbounded += tally.unbounded;
+        census.certificates_uncertified += tally.uncertified;
     }
     experiment.analysis_wall_clock_ms = sweep_start.elapsed().as_secs_f64() * 1000.0;
 
@@ -571,8 +547,8 @@ pub fn analysis_experiment_on(
             .map(|handle| handle.join().expect("differential shard worker panicked"))
             .collect()
     });
-    experiment.differential_contracts = differential.len();
-    experiment.differential_mismatches = mismatch_counts.into_iter().sum();
+    experiment.census.differential_contracts = differential.len();
+    experiment.census.differential_mismatches = mismatch_counts.into_iter().sum();
     experiment
 }
 
@@ -766,6 +742,20 @@ pub fn offchain_experiment(payments: usize) -> OffChainExperiment {
 }
 
 impl OffChainExperiment {
+    /// Mean modelled end-to-end latency of the measured payments (ms).
+    pub fn mean_payment_ms(&self) -> f64 {
+        self.rounds
+            .iter()
+            .map(|round| round.end_to_end_latency.as_secs_f64() * 1000.0)
+            .sum::<f64>()
+            / self.rounds.len().max(1) as f64
+    }
+
+    /// The sender's modelled energy per measured payment (mJ).
+    pub fn energy_mj_per_payment(&self) -> f64 {
+        self.driver.sender_energy().total_energy_mj() / self.rounds.len().max(1) as f64
+    }
+
     /// Table IV: the sender's per-state energy for the measured session.
     pub fn table4_text(&self) -> String {
         let report = self.driver.sender_energy();
@@ -975,17 +965,11 @@ impl OffChainExperiment {
     /// the paper's numbers.
     pub fn summary_text(&self, corpus: &CorpusExperiment) -> String {
         let deploy_time = summarize(&corpus.times_ms);
-        let latencies: Vec<f64> = self
-            .rounds
-            .iter()
-            .map(|r| r.end_to_end_latency.as_secs_f64() * 1000.0)
-            .collect();
         let active: Vec<f64> = self
             .rounds
             .iter()
             .map(|r| r.sender_active_time.as_secs_f64() * 1000.0)
             .collect();
-        let latency = summarize(&latencies);
         let active = summarize(&active);
         let mut out = String::new();
         let _ = writeln!(out, "Headline results vs paper");
@@ -1012,13 +996,12 @@ impl OffChainExperiment {
         let _ = writeln!(
             out,
             "  payment, end-to-end:     {:>7.0} ms        (includes waiting for the peer's crypto)",
-            latency.mean
+            self.mean_payment_ms()
         );
-        let report = self.driver.sender_energy();
         let _ = writeln!(
             out,
             "  energy per payment:      {:>7.1} mJ        (paper 29.6 mJ per round)",
-            report.total_energy_mj() / self.rounds.len().max(1) as f64
+            self.energy_mj_per_payment()
         );
         out
     }
@@ -1723,12 +1706,13 @@ mod tests {
     fn analysis_experiment_tallies_every_contract_once() {
         let corpus = tinyevm_corpus::quick_corpus(120);
         let experiment = analysis_experiment_on(&corpus, 24, 4);
-        assert_eq!(experiment.total, 120);
+        let census = &experiment.census;
+        assert_eq!(census.contracts, 120);
         assert_eq!(
-            experiment.accepted
-                + experiment.unproven_dynamic_jump
-                + experiment.unproven_possible_underflow
-                + experiment.rejected,
+            census.accepted
+                + census.unproven_dynamic_jump
+                + census.unproven_possible_underflow
+                + census.rejected,
             120,
             "every contract lands in exactly one verdict bucket"
         );
@@ -1737,23 +1721,20 @@ mod tests {
             corpus.iter().map(|c| c.init_code.len()).sum::<usize>()
         );
         assert_eq!(
-            experiment.certificates_bounded
-                + experiment.certificates_unbounded
-                + experiment.certificates_uncertified,
+            census.certificates_bounded
+                + census.certificates_unbounded
+                + census.certificates_uncertified,
             120,
             "every contract lands in exactly one certificate bucket"
         );
-        assert_eq!(experiment.differential_contracts, 24);
+        assert_eq!(census.differential_contracts, 24);
         assert_eq!(
-            experiment.differential_mismatches, 0,
+            census.differential_mismatches, 0,
             "batched and per-op execution must agree on the corpus"
         );
         // Sharding never changes the census.
         let sequential = analysis_experiment_on(&corpus, 24, 1);
-        assert_eq!(sequential.accepted, experiment.accepted);
-        assert_eq!(sequential.rejected, experiment.rejected);
-        assert_eq!(sequential.resolved_jumps, experiment.resolved_jumps);
-        assert_eq!(sequential.verdicts_json(), experiment.verdicts_json());
+        assert_eq!(sequential.census, experiment.census);
         let text = experiment.text();
         assert!(text.contains("accepted"));
         assert!(text.contains("Gas certificates"));

@@ -2,9 +2,9 @@
 //! every trace event variant and for `ExecMetrics`, plus a property test
 //! pinning the histogram quantiles to a sorted-vector oracle.
 //!
-//! The JSONL trace export and the `bench.json` trace lanes are consumed by
-//! external tooling; any change to these vectors is a schema break and must
-//! be made deliberately.
+//! The JSONL trace export and the `experiments.json` trace lanes are
+//! consumed by external tooling; any change to these vectors is a schema
+//! break and must be made deliberately.
 
 use proptest::prelude::*;
 use tinyevm::evm::{EvmConfig, ExecMetrics};
