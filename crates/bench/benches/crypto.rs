@@ -2,7 +2,7 @@
 //! cost on the CC2538; these benches measure the real Rust implementations).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tinyevm_crypto::secp256k1::{point, BatchItem, PrivateKey, Scalar, VerifyingKey};
+use tinyevm_crypto::secp256k1::{point, BatchItem, FieldElement, PrivateKey, Scalar, VerifyingKey};
 use tinyevm_crypto::{keccak256, sha256};
 use tinyevm_types::U256;
 
@@ -135,6 +135,15 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("generator_mul_comb", |bencher| {
         // With the affine normalization, as signing pays it.
         bencher.iter(|| point::generator_mul(black_box(scalar)).to_affine())
+    });
+    // The two inversions each signature and each comb check pay: `Z⁻¹`
+    // and the y parity's in the field, `k⁻¹` and `s⁻¹` modulo the order.
+    let element = FieldElement::new(scalar.to_u256());
+    group.bench_function("field_invert", |bencher| {
+        bencher.iter(|| black_box(element).invert())
+    });
+    group.bench_function("scalar_invert", |bencher| {
+        bencher.iter(|| black_box(scalar).invert())
     });
     group.finish();
 

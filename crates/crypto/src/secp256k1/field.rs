@@ -6,14 +6,15 @@
 //! with the identity `2^256 ≡ 2^32 + 977 (mod p)`. Because that constant
 //! fits in one limb, the fold is four limb products; the ≤34-bit carry it
 //! leaves folds once more, and a single conditional subtraction makes the
-//! result canonical. Inversion and square root use hard-coded addition
-//! chains for their fixed exponents (`p − 2` and `(p + 1)/4`), which cost
-//! ~258 multiplications instead of the ~380 a generic bit-scan
-//! exponentiation pays — and, more importantly, let the point formulas
-//! above this layer avoid inversion almost entirely.
+//! result canonical. Addition and subtraction are limb carry chains whose
+//! final correction is a mask, not a branch. Inversion is the
+//! variable-time safegcd inverter in `modinv`, which the point formulas
+//! above this layer need only once per normalization; the square root
+//! keeps a hard-coded addition chain for its fixed exponent `(p + 1)/4`.
 //! [`FieldElement::batch_invert`] shares one inversion across many elements
 //! (Montgomery's trick) for table normalization.
 
+use super::modinv;
 use super::FIELD_PRIME;
 use tinyevm_types::U256;
 
@@ -55,23 +56,37 @@ impl FieldElement {
         self.0.bit(0)
     }
 
-    /// Field addition.
+    /// Field addition: a limb carry chain, then a subtraction of `p` under
+    /// a mask.
+    #[inline]
     pub fn add(self, rhs: FieldElement) -> FieldElement {
-        let (sum, carry) = self.0.overflowing_add(rhs.0);
-        if carry || sum >= FIELD_PRIME {
-            FieldElement(sum.wrapping_sub(FIELD_PRIME))
-        } else {
-            FieldElement(sum)
+        let (a, b) = (self.0.limbs(), rhs.0.limbs());
+        let mut sum = [0u64; 4];
+        let mut carry = 0;
+        for i in 0..4 {
+            (sum[i], carry) = adc(a[i], b[i], carry);
         }
+        FieldElement(canonical(sum, carry, [REDUCTION_CONSTANT, 0, 0, 0]))
     }
 
-    /// Field subtraction.
+    /// Field subtraction: a limb borrow chain, then `p` added back under a
+    /// mask. After a borrow the wrapped difference is `a − b + 2^256`, and
+    /// adding `p` is subtracting `2^256 − p` from it, which cannot borrow
+    /// again because `a − b + 2^256 > 2^256 − p`.
+    #[inline]
     pub fn sub(self, rhs: FieldElement) -> FieldElement {
-        if self.0 >= rhs.0 {
-            FieldElement(self.0.wrapping_sub(rhs.0))
-        } else {
-            FieldElement(self.0.wrapping_add(FIELD_PRIME).wrapping_sub(rhs.0))
+        let (a, b) = (self.0.limbs(), rhs.0.limbs());
+        let mut diff = [0u64; 4];
+        let mut borrow = 0;
+        for i in 0..4 {
+            (diff[i], borrow) = sbb(a[i], b[i], borrow);
         }
+        let correction = [REDUCTION_CONSTANT & borrow.wrapping_neg(), 0, 0, 0];
+        borrow = 0;
+        for i in 0..4 {
+            (diff[i], borrow) = sbb(diff[i], correction[i], borrow);
+        }
+        FieldElement(U256::from_limbs(diff))
     }
 
     /// Field negation.
@@ -110,30 +125,7 @@ impl FieldElement {
         result
     }
 
-    /// The shared prefix of the inversion and square-root addition chains:
-    /// `x_k` denotes `self^(2^k - 1)`. Returns `(x2, x22, x223)`, the blocks
-    /// the two exponent tails consume.
-    fn chain_x223(self) -> (FieldElement, FieldElement, FieldElement) {
-        let x1 = self;
-        let x2 = x1.sqn(1).mul(x1);
-        let x3 = x2.sqn(1).mul(x1);
-        let x6 = x3.sqn(3).mul(x3);
-        let x9 = x6.sqn(3).mul(x3);
-        let x11 = x9.sqn(2).mul(x2);
-        let x22 = x11.sqn(11).mul(x11);
-        let x44 = x22.sqn(22).mul(x22);
-        let x88 = x44.sqn(44).mul(x44);
-        let x176 = x88.sqn(88).mul(x88);
-        let x220 = x176.sqn(44).mul(x44);
-        let x223 = x220.sqn(3).mul(x3);
-        (x2, x22, x223)
-    }
-
-    /// Multiplicative inverse via Fermat's little theorem (`a^(p-2)`),
-    /// computed with a fixed addition chain: `p − 2` is 223 one-bits
-    /// followed by the 33-bit tail `0x0_FFFF_FC2D`, so the chain squares a
-    /// `2^223 − 1` block into place and stitches the tail from the shared
-    /// `x_k` ladder.
+    /// Multiplicative inverse, by the variable-time safegcd inverter.
     ///
     /// # Panics
     ///
@@ -141,17 +133,10 @@ impl FieldElement {
     /// it (point arithmetic never inverts zero denominators).
     pub fn invert(self) -> FieldElement {
         assert!(!self.is_zero(), "attempted to invert zero field element");
-        let (x2, x22, x223) = self.chain_x223();
-        // Tail bits of p - 2 below the 223-one run: 0 1111111111111111111111
-        // 00001 011 01.
-        x223.sqn(23)
-            .mul(x22)
-            .sqn(5)
-            .mul(self)
-            .sqn(3)
-            .mul(x2)
-            .sqn(2)
-            .mul(self)
+        FieldElement(U256::from_limbs(modinv::invert(
+            self.0.limbs(),
+            &modinv::FIELD,
+        )))
     }
 
     /// Exponentiation by squaring (generic, variable exponent).
@@ -168,16 +153,27 @@ impl FieldElement {
         result
     }
 
-    /// Square root for `p ≡ 3 (mod 4)`: `a^((p+1)/4)`, computed with the
+    /// Square root for `p ≡ 3 (mod 4)`: `a^((p+1)/4)`, computed with a
     /// fixed addition chain for that exponent (223 one-bits then the 31-bit
-    /// tail `0x3FFF_FF0C`).
+    /// tail `0x3FFF_FF0C`), in which `x_k` denotes `a^(2^k − 1)`.
     ///
     /// Returns `None` if the element is not a quadratic residue.
     pub fn sqrt(self) -> Option<FieldElement> {
         if self.is_zero() {
             return Some(self);
         }
-        let (x2, x22, x223) = self.chain_x223();
+        let x1 = self;
+        let x2 = x1.sqn(1).mul(x1);
+        let x3 = x2.sqn(1).mul(x1);
+        let x6 = x3.sqn(3).mul(x3);
+        let x9 = x6.sqn(3).mul(x3);
+        let x11 = x9.sqn(2).mul(x2);
+        let x22 = x11.sqn(11).mul(x11);
+        let x44 = x22.sqn(22).mul(x22);
+        let x88 = x44.sqn(44).mul(x44);
+        let x176 = x88.sqn(88).mul(x88);
+        let x220 = x176.sqn(44).mul(x44);
+        let x223 = x220.sqn(3).mul(x3);
         // Tail bits of (p + 1)/4 below the 223-one run: 0
         // 1111111111111111111111 000011 00.
         let candidate = x223.sqn(23).mul(x22).sqn(6).mul(x2).sqn(2);
@@ -235,6 +231,13 @@ pub(super) fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     (wide as u64, (wide >> 64) as u64)
 }
 
+/// `a − b − borrow` as `(difference, borrow out)`.
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let wide = u128::from(a).wrapping_sub(u128::from(b) + u128::from(borrow));
+    (wide as u64, (wide >> 127) as u64)
+}
+
 /// The 512-bit product of two little-endian 4-limb values (schoolbook, 16
 /// limb products).
 #[inline(always)]
@@ -280,10 +283,10 @@ pub(super) fn square_wide(a: [u64; 4]) -> [u64; 8] {
     out
 }
 
-/// Makes `r + carry·2^256`, a value below `2m`, canonical modulo
-/// `m = 2^256 − complement` with one conditional subtraction of `m`. The
-/// value is at least `m` exactly when a carry is pending or
-/// `r + complement` overflows, and then that wrapped sum is the value
+/// Makes `r + carry·2^256`, a value below `2m` with `carry` 0 or 1,
+/// canonical modulo `m = 2^256 − complement` with one subtraction of `m`
+/// under a mask. The value is at least `m` exactly when a carry is pending
+/// or `r + complement` overflows, and then that wrapped sum is the value
 /// minus `m`. (A pending carry leaves `r` far too small for the sum to
 /// overflow.)
 #[inline(always)]
@@ -293,7 +296,8 @@ pub(super) fn canonical(r: [u64; 4], carry: u64, complement: [u64; 4]) -> U256 {
     for i in 0..4 {
         (sum[i], overflow) = adc(r[i], complement[i], overflow);
     }
-    U256::from_limbs(if carry | overflow != 0 { sum } else { r })
+    let take_sum = (carry | overflow).wrapping_neg();
+    U256::from_limbs(std::array::from_fn(|i| r[i] ^ ((r[i] ^ sum[i]) & take_sum)))
 }
 
 /// Reduces a 512-bit product `lo + hi·2^256` modulo `p` as

@@ -14,29 +14,36 @@
 //! * [`field`] — arithmetic modulo the field prime `p` on 4×64-bit limbs: a
 //!   schoolbook product and a dedicated squaring, reduced by folding the
 //!   high half back in through the one-limb constant `2^256 − p =
-//!   2^32 + 977`; addition-chain inversion / square root and
-//!   Montgomery-trick batch inversion;
+//!   2^32 + 977`; branch-free limb addition and subtraction; safegcd
+//!   inversion, an addition-chain square root and Montgomery-trick batch
+//!   inversion;
 //! * [`scalar`] — arithmetic modulo the group order `n` on the same limb
 //!   products, reduced by folding limb by limb through the 129-bit
-//!   complement `2^256 − n`, with fixed-exponent inversion;
+//!   complement `2^256 − n`, with the same safegcd inversion;
+//! * `modinv` — the one inverter both use: Bernstein–Yang safegcd on
+//!   signed 62-bit limbs, a port of libsecp256k1's `modinv64_var`;
 //! * [`point`] — affine points (kept as the slow, obviously-correct
 //!   reference) and Jacobian projective points with wNAF scalar
-//!   multiplication, a precomputed fixed-base table for the generator,
-//!   Shamir/Straus multi-scalar multiplication, and 5-tooth Lim–Lee combs
-//!   for `u1·G + u2·Q` against a key that is used many times;
+//!   multiplication, Shamir/Straus multi-scalar multiplication, and
+//!   Lim–Lee combs: a 10-tooth one for the generator, which signing rides
+//!   on, and 5-tooth ones for `u1·G + u2·Q` against a key that is used many
+//!   times;
 //! * [`ecdsa`] — keys, signatures, signing, verification, recovery, batch
 //!   verification, and [`VerifyingKey`], which checks a known signer's
 //!   recoverable signatures on its comb instead of recovering each one.
 //!
 //! The implementation favours clarity over constant-time guarantees — it is
 //! a simulator substrate, not a hardened wallet library — but it is a full,
-//! correct implementation of the curve, not a mock. Signatures are
-//! bit-for-bit identical to the original affine double-and-add
-//! implementation (pinned by the known-answer tests in
-//! `tests/ecdsa_kat.rs`).
+//! correct implementation of the curve, not a mock. In particular,
+//! inversion is variable-time (its steps depend on the value inverted,
+//! including the nonce during signing), and [`point::generator_mul`] indexes
+//! its table by the nonce's bits. Signatures are bit-for-bit identical to
+//! the original affine double-and-add implementation (pinned by the
+//! known-answer tests in `tests/ecdsa_kat.rs`).
 
 pub mod ecdsa;
 pub mod field;
+mod modinv;
 pub mod point;
 pub mod scalar;
 
@@ -148,14 +155,29 @@ mod tests {
         assert_eq!(b.mul(b.invert()), FieldElement::ONE);
     }
 
+    /// Inputs for the inverters: 1, 2, `m − 1`, `m − 2`, every power of
+    /// two below `2^256` (the safegcd steps run longest on sparse inputs),
+    /// and a few small and one-limb values.
+    fn inverse_seeds(modulus: U256) -> Vec<U256> {
+        let mut seeds = vec![
+            U256::ONE,
+            U256::from(2u64),
+            modulus.wrapping_sub(U256::ONE),
+            modulus.wrapping_sub(U256::from(2u64)),
+        ];
+        seeds.extend((0..256).map(|k| U256::ONE.shl(k)));
+        seeds.extend([3u64, 41, 977, 0xdead_beef, u64::MAX].map(U256::from));
+        seeds
+    }
+
     #[test]
     fn field_inverse_matches_generic_pow() {
-        // The addition chain must agree with naive square-and-multiply over
-        // the same exponent, p - 2.
+        // The inverter must agree with naive square-and-multiply over the
+        // Fermat exponent p − 2.
         let exp = FIELD_PRIME.wrapping_sub(U256::from(2u64));
-        for seed in [2u64, 3, 977, 0xdead_beef, u64::MAX] {
-            let a = FieldElement::new(U256::from(seed));
-            assert_eq!(a.invert(), a.pow(exp));
+        for seed in inverse_seeds(FIELD_PRIME) {
+            let a = FieldElement::new(seed);
+            assert_eq!(a.invert(), a.pow(exp), "{seed:?}");
         }
     }
 
@@ -227,11 +249,17 @@ mod tests {
     #[test]
     fn scalar_inverse_matches_generic_pow_mod() {
         let exp = CURVE_ORDER.wrapping_sub(U256::from(2u64));
-        for seed in [2u64, 3, 41, 0xdead_beef, u64::MAX] {
-            let a = Scalar::new(U256::from(seed));
+        for seed in inverse_seeds(CURVE_ORDER) {
+            let a = Scalar::new(seed);
             let expected = Scalar::new(a.to_u256().pow_mod(exp, CURVE_ORDER));
-            assert_eq!(a.invert(), expected);
+            assert_eq!(a.invert(), expected, "{seed:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invert zero")]
+    fn scalar_inverse_of_zero_panics() {
+        let _ = Scalar::ZERO.invert();
     }
 
     #[test]

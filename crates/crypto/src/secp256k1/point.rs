@@ -12,19 +12,21 @@
 //! * variable-base scalar multiplication uses width-5 wNAF over a table of
 //!   odd multiples normalized to affine with one shared inversion
 //!   (Montgomery's trick), so every table hit is a cheap mixed addition;
-//! * the generator has a precomputed 64-window × 4-bit comb table (built
-//!   once behind a [`OnceLock`]), making fixed-base multiplication 64 mixed
-//!   additions with **zero** doublings;
 //! * [`multi_scalar_mul`] interleaves wNAF tracks for
 //!   `k_G·G + Σ k_i·P_i` in a single doubling pass (Shamir/Straus), which
 //!   is what ECDSA verification, recovery and batch verification ride on;
-//! * a [`CombTable`] is a 5-tooth Lim–Lee comb (Lim and Lee, CRYPTO 1994)
-//!   with spacing 52 for one fixed point: its 31 affine subset sums of
-//!   `2^(52·i)·P` turn a 256-bit scalar into 52 columns. The generator has
-//!   one, any long-lived key can build one (≈2.2 KB, about half the cost of
-//!   a recovery), and [`double_scalar_mul_comb`] evaluates `u1·G + u2·Q`
-//!   over both combs on a shared track of 51 doublings — the check a
-//!   channel runs on every signature after a peer's first.
+//! * a [`CombTable`] is a Lim–Lee comb (Lim and Lee, CRYPTO 1994) for one
+//!   fixed point: with `t` teeth spaced `s = ⌈256/t⌉` bits apart, its
+//!   `2^t − 1` affine subset sums of `2^(s·i)·P` turn a 256-bit scalar into
+//!   `s` columns, walked with one doubling between neighbours;
+//! * the generator has a 10-tooth comb (1,023 entries, ≈74 KB, built once
+//!   behind a [`OnceLock`]), so [`generator_mul`] is 25 doublings and at
+//!   most 26 mixed additions;
+//! * any long-lived key can build a 5-tooth comb (31 entries, ≈2.2 KB,
+//!   about half the cost of a recovery), and [`double_scalar_mul_comb`]
+//!   evaluates `u1·G + u2·Q` on the key's 52 columns, adding the
+//!   generator's entry in the low 26 of them — the check a channel runs on
+//!   every signature after a peer's first.
 
 use std::sync::OnceLock;
 
@@ -56,19 +58,15 @@ const WNAF_WIDTH: u32 = 5;
 /// Entries per wNAF table: the odd multiples `1P, 3P, …, 15P`.
 const WNAF_TABLE: usize = 1 << (WNAF_WIDTH - 2);
 
-/// Windows in the fixed-base comb table (4 bits each covers 256 bits).
-const COMB_WINDOWS: usize = 64;
+/// Teeth of the generator's comb. Ten, spaced 26 bits apart: 1,023
+/// entries make [`generator_mul`] 26 columns, and the generator half of
+/// [`double_scalar_mul_comb`] fits in the low 26 of a key comb's 52.
+const GENERATOR_COMB_TEETH: usize = 10;
 
-/// Teeth of a [`CombTable`]. Five, not six: a sixth would make the check
-/// ~13% cheaper but each table ~30% dearer to build, and a fleet gateway
-/// builds one per sensor.
-const COMB_TEETH: usize = 5;
-
-/// Bits between neighbouring teeth: `5 × 52 = 260` covers any scalar.
-const COMB_SPACING: usize = 52;
-
-/// Entries of a [`CombTable`]: one per non-empty tooth subset.
-const COMB_ENTRIES: usize = (1 << COMB_TEETH) - 1;
+/// Teeth of a key's [`CombTable`]. Five, not six: a sixth would make the
+/// check ~13% cheaper but each table ~30% dearer to build, and a fleet
+/// gateway builds one per sensor.
+pub const KEY_COMB_TEETH: usize = 5;
 
 // ---------------------------------------------------------------------------
 // Affine points (the reference implementation)
@@ -540,14 +538,11 @@ fn batch_to_affine(points: &[JacobianPoint]) -> Vec<Point> {
 
 /// The generator's precomputed tables, built once per process.
 struct GeneratorTables {
-    /// Comb table: `comb[w][j-1] = j · 16^w · G` for `j` in `1..=15`, all
-    /// affine. Fixed-base multiplication is then one mixed addition per
-    /// non-zero 4-bit window of the scalar — no doublings at all.
-    comb: Vec<[Point; 15]>,
+    /// G's comb: fixed-base multiplication and the generator half of
+    /// [`double_scalar_mul_comb`].
+    comb: CombTable<GENERATOR_COMB_TEETH>,
     /// The odd multiples of G for wNAF tracks in multi-scalar products.
     odd: [Point; WNAF_TABLE],
-    /// G's Lim–Lee comb, the generator half of [`double_scalar_mul_comb`].
-    verify_comb: CombTable,
 }
 
 static GENERATOR_TABLES: OnceLock<GeneratorTables> = OnceLock::new();
@@ -555,52 +550,22 @@ static GENERATOR_TABLES: OnceLock<GeneratorTables> = OnceLock::new();
 fn generator_tables() -> &'static GeneratorTables {
     GENERATOR_TABLES.get_or_init(|| {
         let g = Point::generator();
-        // Build the whole comb in Jacobian form first, then normalize all
-        // 960 entries with a single inversion.
-        let mut rows_jacobian: Vec<[JacobianPoint; 15]> = Vec::with_capacity(COMB_WINDOWS);
-        let mut base = JacobianPoint::from_affine(&g);
-        for _window in 0..COMB_WINDOWS {
-            let mut row = [base; 15];
-            for j in 1..15 {
-                row[j] = row[j - 1].add(&base);
-            }
-            rows_jacobian.push(row);
-            // Next window's base: 16 × the current one.
-            base = base.double().double().double().double();
-        }
-        let flat: Vec<JacobianPoint> = rows_jacobian.iter().flatten().copied().collect();
-        let affine = batch_to_affine(&flat);
-        let comb: Vec<[Point; 15]> = affine
-            .chunks_exact(15)
-            .map(|chunk| {
-                let mut row = [Point::INFINITY; 15];
-                row.copy_from_slice(chunk);
-                row
-            })
-            .collect();
-        let odd = WnafTable::new(&g).odd;
         GeneratorTables {
-            comb,
-            odd,
-            verify_comb: CombTable::new(&g),
+            comb: CombTable::new(&g),
+            odd: WnafTable::new(&g).odd,
         }
     })
 }
 
-/// Fixed-base scalar multiplication `k·G` via the comb table: one mixed
-/// addition per non-zero 4-bit window, zero doublings.
+/// Fixed-base scalar multiplication `k·G` on the generator's comb: 26
+/// columns, 25 doublings, at most 26 mixed additions.
 pub fn generator_mul(scalar: Scalar) -> JacobianPoint {
-    if scalar.is_zero() {
-        return JacobianPoint::INFINITY;
-    }
-    let tables = generator_tables();
-    let limbs = scalar.to_u256().limbs();
+    let comb = &generator_tables().comb;
+    let teeth = CombTable::<GENERATOR_COMB_TEETH>::teeth(scalar);
     let mut acc = JacobianPoint::INFINITY;
-    for window in 0..COMB_WINDOWS {
-        let nibble = (limbs[window / 16] >> (4 * (window % 16))) & 0xF;
-        if nibble != 0 {
-            acc = acc.add_affine(&tables.comb[window][nibble as usize - 1]);
-        }
+    for column in (0..CombTable::<GENERATOR_COMB_TEETH>::SPACING).rev() {
+        acc = acc.double();
+        acc = comb.select_into(acc, &teeth, column);
     }
     acc
 }
@@ -663,30 +628,36 @@ pub fn double_scalar_mul_generator(u1: Scalar, u2: Scalar, q: &Point) -> Jacobia
     multi_scalar_mul(u1, &[(u2, *q)])
 }
 
-/// A 5-tooth Lim–Lee comb with spacing 52 for one fixed point `P`: entry
-/// `m − 1` is `Σ 2^(52·i)·P` over the set bits `i` of the tooth mask `m`,
-/// all 31 normalized to affine with one shared inversion.
+/// A `TEETH`-tooth Lim–Lee comb for one fixed point `P`, with teeth
+/// `SPACING = ⌈256/TEETH⌉` bits apart: entry `m − 1` is
+/// `Σ 2^(SPACING·i)·P` over the set bits `i` of the tooth mask `m`, all
+/// `2^TEETH − 1` normalized to affine with one shared inversion.
 ///
-/// A scalar's bits `c, c + 52, …, c + 208` form the mask of column `c`, so
-/// `k·P` is 52 table hits on a track of 51 doublings — against 256
-/// doublings and a fresh odd-multiples table per product for wNAF. Worth
-/// building for a point that is used many times, such as a channel peer's
-/// public key.
+/// A scalar's bits `c, c + SPACING, …` form the mask of column `c`, so
+/// `k·P` is `SPACING` table hits on a track of `SPACING − 1` doublings —
+/// for five teeth 52 hits and 51 doublings, against 256 doublings and a
+/// fresh odd-multiples table per product for wNAF. Worth building for a
+/// point that is used many times, such as a channel peer's public key.
 #[derive(Clone)]
-pub struct CombTable {
-    entries: [Point; COMB_ENTRIES],
+pub struct CombTable<const TEETH: usize> {
+    entries: Box<[Point]>,
 }
 
-impl CombTable {
-    /// Builds the comb for a finite point: 208 doublings for the tooth
-    /// bases, one addition per remaining subset sum, one inversion.
-    pub fn new(point: &Point) -> CombTable {
+impl<const TEETH: usize> CombTable<TEETH> {
+    /// Bits between neighbouring teeth: the fewest that let the teeth
+    /// cover 256 bits.
+    const SPACING: usize = 256usize.div_ceil(TEETH);
+
+    /// Builds the comb for a finite point: `(TEETH − 1)·SPACING` doublings
+    /// for the tooth bases, one addition per remaining subset sum, one
+    /// inversion.
+    pub fn new(point: &Point) -> CombTable<TEETH> {
         assert!(!point.infinity, "a comb needs a finite base point");
-        let mut sums = [JacobianPoint::INFINITY; COMB_ENTRIES];
+        let mut sums = vec![JacobianPoint::INFINITY; (1 << TEETH) - 1];
         let mut base = JacobianPoint::from_affine(point);
-        for tooth in 0..COMB_TEETH {
+        for tooth in 0..TEETH {
             if tooth > 0 {
-                for _ in 0..COMB_SPACING {
+                for _ in 0..Self::SPACING {
                     base = base.double();
                 }
             }
@@ -697,17 +668,33 @@ impl CombTable {
                 sums[bit + lower - 1] = sums[lower - 1].add(&base);
             }
         }
-        let mut entries = [Point::INFINITY; COMB_ENTRIES];
-        entries.copy_from_slice(&batch_to_affine(&sums));
-        CombTable { entries }
+        CombTable {
+            entries: batch_to_affine(&sums).into_boxed_slice(),
+        }
+    }
+
+    /// Splits a scalar into its tooth words: word `i` holds bits
+    /// `SPACING·i ..` up to the next tooth (the top word only what is left
+    /// of 256 bits).
+    fn teeth(scalar: Scalar) -> [u64; TEETH] {
+        let limbs = scalar.to_u256().limbs();
+        std::array::from_fn(|tooth| {
+            let start = tooth * Self::SPACING;
+            let (limb, offset) = (start / 64, start % 64);
+            let mut word = limbs[limb] >> offset;
+            if offset != 0 && limb + 1 < limbs.len() {
+                word |= limbs[limb + 1] << (64 - offset);
+            }
+            word & ((1 << Self::SPACING) - 1)
+        })
     }
 
     /// Adds the entry for column `column` of a scalar split by
-    /// [`comb_teeth`] (no-op for an empty column).
+    /// `Self::teeth` (no-op for an empty column).
     fn select_into(
         &self,
         acc: JacobianPoint,
-        teeth: &[u64; COMB_TEETH],
+        teeth: &[u64; TEETH],
         column: usize,
     ) -> JacobianPoint {
         let mask = teeth.iter().enumerate().fold(0, |mask, (tooth, bits)| {
@@ -721,31 +708,23 @@ impl CombTable {
     }
 }
 
-/// Splits a scalar into its five 52-bit tooth words: word `i` holds bits
-/// `52·i ..= 52·i + 51` (the top word only 48 of them).
-fn comb_teeth(scalar: Scalar) -> [u64; COMB_TEETH] {
-    let limbs = scalar.to_u256().limbs();
-    std::array::from_fn(|tooth| {
-        let start = tooth * COMB_SPACING;
-        let (limb, offset) = (start / 64, start % 64);
-        let mut word = limbs[limb] >> offset;
-        if offset != 0 && limb + 1 < limbs.len() {
-            word |= limbs[limb + 1] << (64 - offset);
-        }
-        word & ((1 << COMB_SPACING) - 1)
-    })
-}
-
 /// `u1·G + u2·Q` over the generator's comb and `q`'s: 52 columns, one
-/// shared doubling between neighbouring columns, at most two mixed
-/// additions per column.
-pub fn double_scalar_mul_comb(u1: Scalar, u2: Scalar, q: &CombTable) -> JacobianPoint {
-    let g = &generator_tables().verify_comb;
-    let (gen_teeth, key_teeth) = (comb_teeth(u1), comb_teeth(u2));
+/// shared doubling between neighbouring columns, a mixed addition from
+/// `q`'s comb in each and from the generator's in the low 26.
+pub fn double_scalar_mul_comb(
+    u1: Scalar,
+    u2: Scalar,
+    q: &CombTable<KEY_COMB_TEETH>,
+) -> JacobianPoint {
+    let g = &generator_tables().comb;
+    let gen_teeth = CombTable::<GENERATOR_COMB_TEETH>::teeth(u1);
+    let key_teeth = CombTable::<KEY_COMB_TEETH>::teeth(u2);
     let mut acc = JacobianPoint::INFINITY;
-    for column in (0..COMB_SPACING).rev() {
+    for column in (0..CombTable::<KEY_COMB_TEETH>::SPACING).rev() {
         acc = acc.double();
-        acc = g.select_into(acc, &gen_teeth, column);
+        if column < CombTable::<GENERATOR_COMB_TEETH>::SPACING {
+            acc = g.select_into(acc, &gen_teeth, column);
+        }
         acc = q.select_into(acc, &key_teeth, column);
     }
     acc

@@ -7,13 +7,11 @@
 //! long division. Three folds shrink the high part from 256 bits to 130,
 //! to 4, to at most a carry bit, and one conditional subtraction makes the
 //! result canonical. Products and squares come from the same limb-level
-//! `mul_wide`/`square_wide` the field layer uses. Inversion uses a
-//! fixed-exponent chain for `n − 2`: an addition-chain block for its
-//! leading run of 127 one-bits, then plain square-and-multiply over the
-//! remaining 129 (compile-time constant) bits.
+//! `mul_wide`/`square_wide` the field layer uses, and inversion from the
+//! same variable-time safegcd inverter (`modinv`).
 
 use super::field::{adc, canonical, mac, mul_wide, square_wide};
-use super::CURVE_ORDER;
+use super::{modinv, CURVE_ORDER};
 use tinyevm_types::U256;
 
 /// `C = 2^256 − n`, the 129-bit fold constant for reduction modulo the
@@ -22,18 +20,6 @@ const ORDER_COMPLEMENT: [u64; 4] = [0x402D_A173_2FC9_BEBF, 0x4551_2319_50B7_5FC4
 
 /// The limbs of [`ORDER_COMPLEMENT`] below its zero top limb.
 const COMPLEMENT_LIMBS: usize = 3;
-
-/// The low 129 bits of `n − 2` (everything below the leading run of 127
-/// one-bits); bit 128 is zero.
-const ORDER_MINUS_2_TAIL: U256 = U256::from_limbs([
-    0xBFD2_5E8C_D036_413F,
-    0xBAAE_DCE6_AF48_A03B,
-    0x0000_0000_0000_0000,
-    0x0000_0000_0000_0000,
-]);
-
-/// Number of bits in [`ORDER_MINUS_2_TAIL`] (including the zero bit 128).
-const ORDER_TAIL_BITS: usize = 129;
 
 /// A scalar modulo the curve order `n`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,51 +92,17 @@ impl Scalar {
         }
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`a^(n-2)`).
-    ///
-    /// `n − 2` is a run of 127 one-bits followed by the fixed 129-bit tail
-    /// `ORDER_MINUS_2_TAIL`; the run is built with a
-    /// `1→2→3→6→12→24→48→96→120→126→127` addition chain and the tail is
-    /// consumed by square-and-multiply over the compile-time constant — no
-    /// bit-scan of a runtime exponent, and every multiply uses the fast
-    /// fold reduction rather than 512÷256 division.
+    /// Multiplicative inverse, by the variable-time safegcd inverter.
     ///
     /// # Panics
     ///
     /// Panics when called on zero.
     pub fn invert(self) -> Scalar {
         assert!(!self.is_zero(), "attempted to invert zero scalar");
-        // u_k = self^(2^k - 1).
-        let u1 = self;
-        let u2 = u1.sqn(1).mul(u1);
-        let u3 = u2.sqn(1).mul(u1);
-        let u6 = u3.sqn(3).mul(u3);
-        let u12 = u6.sqn(6).mul(u6);
-        let u24 = u12.sqn(12).mul(u12);
-        let u48 = u24.sqn(24).mul(u24);
-        let u96 = u48.sqn(48).mul(u48);
-        let u120 = u96.sqn(24).mul(u24);
-        let u126 = u120.sqn(6).mul(u6);
-        let u127 = u126.sqn(1).mul(u1);
-        // Shift the 127-one block above the tail, multiplying the tail's set
-        // bits in as they stream past.
-        let mut result = u127;
-        for i in (0..ORDER_TAIL_BITS).rev() {
-            result = result.square();
-            if ORDER_MINUS_2_TAIL.bit(i) {
-                result = result.mul(u1);
-            }
-        }
-        result
-    }
-
-    /// `n` successive squarings: `self^(2^n)`.
-    fn sqn(self, n: u32) -> Scalar {
-        let mut result = self;
-        for _ in 0..n {
-            result = result.square();
-        }
-        result
+        Scalar(U256::from_limbs(modinv::invert(
+            self.0.limbs(),
+            &modinv::ORDER,
+        )))
     }
 
     /// Returns `true` when the scalar is greater than `n / 2` — used for the

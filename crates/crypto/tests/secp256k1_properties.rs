@@ -1,13 +1,16 @@
 //! Property-based cross-checks of the fast secp256k1 paths against the
-//! retained affine reference implementation.
+//! retained affine reference implementation and generic arithmetic.
 //!
 //! The affine formulas (`Point::add`, `Point::double`,
 //! `Point::scalar_mul_reference`) perform one field inversion per group
 //! operation and are kept precisely so these tests can pin the
-//! inversion-free Jacobian arithmetic, the wNAF/fixed-base/Shamir/comb
-//! scalar multiplication, and the addition-chain inversions to an
-//! obviously-correct baseline on random inputs. The per-signer comb check
-//! is pinned to recover-and-compare, the check it replaces.
+//! inversion-free Jacobian arithmetic and the wNAF, comb and Shamir scalar
+//! multiplication to an obviously-correct baseline on random inputs. The
+//! limb kernels (field and scalar products, field addition and
+//! subtraction, the safegcd inverter and the square-root chain) are pinned
+//! to the generic `U256` modular arithmetic the interpreter uses, which
+//! shares no code with them. The per-signer comb check is pinned to
+//! recover-and-compare, the check it replaces.
 
 use proptest::prelude::*;
 use tinyevm_crypto::keccak256;
@@ -82,30 +85,51 @@ fn arb_scalar_operand() -> impl Strategy<Value = Scalar> {
     .prop_map(Scalar::new)
 }
 
+/// [`arb_field_operand`] with zero, which has no inverse, mapped to one.
+fn arb_nonzero_field_operand() -> impl Strategy<Value = FieldElement> {
+    arb_field_operand().prop_map(|a| if a.is_zero() { FieldElement::ONE } else { a })
+}
+
+/// [`arb_scalar_operand`] with zero, which has no inverse, mapped to one.
+fn arb_nonzero_scalar_operand() -> impl Strategy<Value = Scalar> {
+    arb_scalar_operand().prop_map(|a| if a.is_zero() { Scalar::ONE } else { a })
+}
+
 /// A random finite curve point, via the (separately cross-checked)
 /// fixed-base table.
 fn arb_point() -> impl Strategy<Value = Point> {
     arb_nonzero_scalar().prop_map(|k| point::generator_mul(k).to_affine())
 }
 
-/// Scalars the comb walk treats specially: 0, 1, `n − 1`, `2^255` (the
-/// top tooth's highest bit), and scalars whose bits lie only in column
-/// 51, the first column the walk reads (bits 51, 103, 155 and 207).
+/// Scalars the comb walks treat specially: 0, 1, `n − 1`, `2^255` (the
+/// highest bit of both combs' top teeth), and scalars whose bits lie only
+/// in the first column a walk reads: column 51 of a key's 5-tooth comb
+/// (bits 51, 103, 155 and 207) and column 25 of the generator's 10-tooth
+/// comb (bits 25, 51, …, 233). The generator's top tooth holds only bits
+/// 234 to 255, so its lowest bit, and all of its bits together, are edges
+/// too.
 fn comb_edge_scalars() -> Vec<Scalar> {
-    let top_column = [51u32, 103, 155, 207].map(|bit| U256::ONE.shl(bit));
-    vec![
-        Scalar::ZERO,
-        Scalar::ONE,
-        Scalar::new(CURVE_ORDER.wrapping_sub(U256::ONE)),
-        Scalar::new(U256::ONE.shl(255)),
-        Scalar::new(top_column[0]),
-        Scalar::new(top_column[3]),
-        Scalar::new(
-            top_column
-                .into_iter()
-                .fold(U256::ZERO, |acc, bit| acc | bit),
-        ),
+    let any_of = |bits: &[u32]| {
+        bits.iter()
+            .fold(U256::ZERO, |acc, &bit| acc | U256::ONE.shl(bit))
+    };
+    let key_first_column = [51, 103, 155, 207];
+    let generator_first_column: Vec<u32> = (25..256).step_by(26).collect();
+    [
+        U256::ZERO,
+        U256::ONE,
+        CURVE_ORDER.wrapping_sub(U256::ONE),
+        U256::ONE.shl(255),
+        U256::ONE.shl(key_first_column[0]),
+        U256::ONE.shl(key_first_column[3]),
+        any_of(&key_first_column),
+        U256::ONE.shl(233),
+        any_of(&generator_first_column),
+        U256::ONE.shl(234),
+        U256::MAX.shl(234),
     ]
+    .map(Scalar::new)
+    .to_vec()
 }
 
 /// Every mutation of a genuine signature over `digest` that the per-signer
@@ -163,10 +187,18 @@ proptest! {
         prop_assert_eq!(a.square().to_u256(), x.mul_mod(x, FIELD_PRIME));
     }
 
+    /// Subtraction is checked as `a + (p − b)`, computed by the generic
+    /// `ADDMOD` too.
     #[test]
-    fn field_invert_chain_matches_generic_pow(v in arb_u256()) {
-        let a = FieldElement::new(v);
-        prop_assume!(!a.is_zero());
+    fn field_add_sub_match_generic_addmod(a in arb_field_operand(), b in arb_field_operand()) {
+        let (x, y) = (a.to_u256(), b.to_u256());
+        prop_assert_eq!(a.add(b).to_u256(), x.add_mod(y, FIELD_PRIME));
+        let minus_y = FIELD_PRIME.wrapping_sub(y);
+        prop_assert_eq!(a.sub(b).to_u256(), x.add_mod(minus_y, FIELD_PRIME));
+    }
+
+    #[test]
+    fn field_invert_matches_generic_pow(a in arb_nonzero_field_operand()) {
         let exp = FIELD_PRIME.wrapping_sub(U256::from(2u64));
         prop_assert_eq!(a.invert(), a.pow(exp));
         prop_assert_eq!(a.mul(a.invert()), FieldElement::ONE);
@@ -209,7 +241,7 @@ proptest! {
     }
 
     #[test]
-    fn scalar_invert_matches_generic_pow_mod(a in arb_nonzero_scalar()) {
+    fn scalar_invert_matches_generic_pow_mod(a in arb_nonzero_scalar_operand()) {
         let exp = CURVE_ORDER.wrapping_sub(U256::from(2u64));
         let expected = a.to_u256().pow_mod(exp, CURVE_ORDER);
         prop_assert_eq!(a.invert().to_u256(), expected);
@@ -406,6 +438,19 @@ fn comb_walk_matches_reference_on_edge_scalars() {
     for u in &edges {
         let cancel = point::double_scalar_mul_comb(*u, u.negate(), &g_comb);
         assert!(cancel.is_infinity(), "u {u:?}");
+    }
+}
+
+/// The generator's comb walk on every edge scalar, against the reference.
+#[test]
+fn generator_mul_matches_reference_on_edge_scalars() {
+    let g = Point::generator();
+    for k in comb_edge_scalars() {
+        assert_eq!(
+            point::generator_mul(k).to_affine(),
+            g.scalar_mul_reference(k),
+            "k {k:?}"
+        );
     }
 }
 
