@@ -25,7 +25,7 @@
 //! example computed jump targets) is [`Verdict::Unproven`] and simply runs
 //! under the ordinary per-opcode checks.
 
-use crate::blocks::{decode_block, scan_jumpdests, BasicBlock, BlockExit, Decoded};
+use crate::blocks::{decode_block, scan_jumpdests, BasicBlock, BlockExit};
 use crate::certificate::{self, GasCertificate};
 use crate::opcode::Opcode;
 use crate::symbolic;
@@ -246,8 +246,15 @@ impl CodeAnalysis {
     /// The block whose leader is exactly `pc`, if any.
     #[inline]
     pub fn block_at(&self, pc: usize) -> Option<&BasicBlock> {
+        self.block_index(pc).map(|index| &self.blocks[index])
+    }
+
+    /// The index in [`CodeAnalysis::blocks`] of the block whose leader is
+    /// exactly `pc`, if any.
+    #[inline]
+    pub fn block_index(&self, pc: usize) -> Option<usize> {
         match self.leader_index.get(pc) {
-            Some(&index) if index != NO_BLOCK => Some(&self.blocks[index as usize]),
+            Some(&index) if index != NO_BLOCK => Some(index as usize),
             _ => None,
         }
     }
@@ -301,7 +308,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
     // themselves decode boundaries. Each block's leader is the previous
     // block's end, so the blocks' instructions are the linear decode.
     let jumpdests = scan_jumpdests(code);
-    let mut instrs: Vec<Decoded> = Vec::new();
+    let mut instruction_count = 0usize;
     let mut blocks: Vec<BasicBlock> = Vec::new();
     let mut leader_index = vec![NO_BLOCK; len];
     // Fatal findings (pc, error), filtered by reachability later.
@@ -313,34 +320,33 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
     let mut pc = 0usize;
     while pc < len {
         let block_index = blocks.len() as u32;
-        let first = instrs.len();
-        let block = decode_block(code, &jumpdests, pc, |instr| instrs.push(instr));
-        for instr in &instrs[first..] {
-            match instr.opcode {
-                None => {
-                    let byte = code[instr.pc];
-                    diagnostics.push(Diagnostic::UndefinedOpcode { pc: instr.pc, byte });
-                    fatal_candidates.push((
-                        block_index,
-                        AnalysisError::UndefinedInstruction { pc: instr.pc, byte },
-                    ));
-                }
-                Some(opcode) if instr.push_missing > 0 => {
-                    diagnostics.push(Diagnostic::TruncatedPush {
-                        pc: instr.pc,
-                        missing: instr.push_missing,
-                    });
-                    fatal_candidates.push((
-                        block_index,
-                        AnalysisError::TruncatedPush {
-                            pc: instr.pc,
-                            opcode,
-                            missing: instr.push_missing,
-                        },
-                    ));
-                }
-                Some(_) => {}
-            }
+        let block = decode_block(code, &jumpdests, pc);
+        instruction_count += block.stream.len() + block.has_undefined as usize;
+        // Only a block's last byte can be undefined (it ends the block),
+        // and only its last push can run off the end of the code.
+        if block.has_undefined {
+            let pc = block.end - 1;
+            let byte = code[pc];
+            diagnostics.push(Diagnostic::UndefinedOpcode { pc, byte });
+            fatal_candidates.push((
+                block_index,
+                AnalysisError::UndefinedInstruction { pc, byte },
+            ));
+        } else if block.end > len {
+            let push = block
+                .stream
+                .last()
+                .expect("a block past the end ends in a push");
+            let (pc, missing) = (push.pc as usize, block.end - len);
+            diagnostics.push(Diagnostic::TruncatedPush { pc, missing });
+            fatal_candidates.push((
+                block_index,
+                AnalysisError::TruncatedPush {
+                    pc,
+                    opcode: push.opcode,
+                    missing,
+                },
+            ));
         }
         // A jump is one byte, so it sits at `end - 1`.
         match block.exit {
@@ -361,7 +367,6 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
         pc = block.end;
         blocks.push(block);
     }
-    let instruction_count = instrs.len();
 
     // Pass 2: constant-edge successors.
     for index in 0..blocks.len() {
@@ -393,7 +398,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
     // dynamic jumps are resolved into real edges and provably dead `JUMPI`
     // branches are pruned; on failure (some reachable destination is not a
     // propagated constant) the conservative treatment below stands.
-    let resolution = symbolic::resolve(code, &instrs, &blocks, &jumpdests, &leader_index);
+    let resolution = symbolic::resolve(&blocks, &jumpdests, &leader_index);
     let mut resolved_jumps: Vec<(usize, usize)> = Vec::new();
     if let Some(resolution) = &resolution {
         for (index, block) in blocks.iter_mut().enumerate() {
@@ -464,7 +469,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
         unresolved_jump_pc = Some(pc);
         unproven = Some(UnprovenReason::DynamicJump { pc });
     } else if !blocks.is_empty() {
-        let (findings, worst) = stack_dataflow(&instrs, &blocks, &reachable);
+        let (findings, worst) = stack_dataflow(&blocks, &reachable);
         worst_case_stack = Some(worst);
         for finding in findings {
             match finding {
@@ -494,7 +499,7 @@ pub fn analyze(code: &[u8]) -> CodeAnalysis {
     };
 
     // Pass 6: the whole-execution cost certificate over the final graph.
-    let certificate = certificate::certify(&instrs, &blocks, &reachable, unresolved_jump_pc);
+    let certificate = certificate::certify(&blocks, &reachable, unresolved_jump_pc);
 
     CodeAnalysis {
         code_len: len,
@@ -555,11 +560,7 @@ enum StackFinding {
 /// Interval dataflow over entry stack depths. Each reachable block gets the
 /// interval `[lo, hi]` of depths any path can reach it with; `lo` is sound
 /// for proving the *absence* of underflow, `hi` for proving its *presence*.
-fn stack_dataflow(
-    instrs: &[Decoded],
-    blocks: &[BasicBlock],
-    reachable: &[bool],
-) -> (Vec<StackFinding>, usize) {
+fn stack_dataflow(blocks: &[BasicBlock], reachable: &[bool]) -> (Vec<StackFinding>, usize) {
     let n = blocks.len();
     let mut entry_lo = vec![usize::MAX; n]; // MAX = not yet visited
     let mut entry_hi = vec![0usize; n];
@@ -601,7 +602,7 @@ fn stack_dataflow(
             // Re-walk the block to name the first offending opcode at the
             // depth bound in question.
             if block.stack_required > hi {
-                if let Some((pc, opcode, needed, available)) = first_underflow(instrs, block, hi) {
+                if let Some((pc, opcode, needed, available)) = first_underflow(block, hi) {
                     findings.push(StackFinding::Definite {
                         pc,
                         error: AnalysisError::StackUnderflow {
@@ -614,7 +615,7 @@ fn stack_dataflow(
                     continue;
                 }
             }
-            if let Some((pc, _, _, _)) = first_underflow(instrs, block, lo) {
+            if let Some((pc, _, _, _)) = first_underflow(block, lo) {
                 findings.push(StackFinding::Possible { pc });
             }
         }
@@ -629,19 +630,19 @@ fn clamp_height(value: i64) -> usize {
 /// Walks a block with the given entry depth and returns the first opcode
 /// that would underflow, as `(pc, opcode, needed, available)`.
 fn first_underflow(
-    instrs: &[Decoded],
     block: &BasicBlock,
     entry_depth: usize,
 ) -> Option<(usize, Opcode, usize, usize)> {
     let mut depth = entry_depth as i64;
-    for instr in instrs
-        .iter()
-        .filter(|instr| instr.pc >= block.start && instr.pc < block.end)
-    {
-        let op = instr.opcode?;
-        let info = op.info();
+    for instr in &block.stream {
+        let info = instr.opcode.info();
         if depth < info.inputs as i64 {
-            return Some((instr.pc, op, info.inputs, depth.max(0) as usize));
+            return Some((
+                instr.pc as usize,
+                instr.opcode,
+                info.inputs,
+                depth.max(0) as usize,
+            ));
         }
         depth += info.outputs as i64 - info.inputs as i64;
     }
@@ -681,7 +682,7 @@ mod tests {
         let block = &analysis.blocks()[0];
         assert_eq!(block.start, 0);
         assert_eq!(block.end, code.len());
-        assert_eq!(block.instructions, 4);
+        assert_eq!(block.stream.len(), 4);
         assert_eq!(block.net_stack, 1);
         assert_eq!(block.stack_required, 0);
         assert_eq!(block.max_stack_growth, 2);

@@ -4,14 +4,18 @@
 //! after a jump, a terminator or an undefined byte — and runs to the first
 //! of: a block-ending instruction (included), the next `JUMPDEST`
 //! (excluded), or the end of the code. [`decode_block`] builds one
-//! [`BasicBlock`] from its leader, and two consumers share it:
+//! [`BasicBlock`] from its leader, including the block's pre-decoded
+//! instruction stream, and two consumers share it:
 //!
 //! * [`analyze`](crate::analyze) decodes every block up front, in code
-//!   order, and runs the CFG, symbolic and certificate passes over them;
+//!   order, and runs the CFG, symbolic and certificate passes over their
+//!   streams;
 //! * [`LazyBlocks`] decodes a block the first time execution enters it, so
 //!   a frame that runs its code once pays only for the blocks it executes.
 //!
 //! Both rely on the same jumpdest scan, [`scan_jumpdests`].
+
+use tinyevm_types::U256;
 
 use crate::opcode::Opcode;
 
@@ -34,6 +38,21 @@ pub enum BlockExit {
     RunOff,
 }
 
+/// One defined instruction of a block's pre-decoded stream: what the
+/// interpreter's batched loop runs instead of re-decoding the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Instruction {
+    /// For `PUSHn`, the zero-padded big-endian immediate (a push truncated
+    /// by the end of the code reads zeros for its missing bytes); zero for
+    /// every other opcode.
+    pub immediate: U256,
+    /// Program counter of the opcode byte. Code is indexed in 32 bits: a
+    /// block table for code of 4 GiB or more would not fit in memory.
+    pub pc: u32,
+    /// The opcode.
+    pub opcode: Opcode,
+}
+
 /// One straight-line run of instructions with single entry (its leader) and
 /// single exit (its last instruction).
 ///
@@ -47,23 +66,28 @@ pub struct BasicBlock {
     /// One past the last byte of the block (including push immediates).
     /// Fall-through execution enters the next block exactly here.
     pub end: usize,
-    /// Number of defined instructions in the block (an undefined trailing
-    /// byte is excluded: the interpreter traps on it before counting it).
-    pub instructions: u32,
     /// Sum of the static gas costs of the block's instructions.
     pub static_gas: u64,
     /// Sum of the modelled MCU cycle costs of the block's instructions.
     pub mcu_cycles: u64,
     /// Net stack-height change from entry to exit.
     pub net_stack: i32,
-    /// Minimum stack depth at entry for no instruction to underflow.
+    /// Minimum stack depth at entry for no instruction to underflow. A
+    /// batched block checks it once at entry, so its instructions run
+    /// without per-instruction underflow checks.
     pub stack_required: usize,
-    /// Maximum stack growth above the entry depth anywhere in the block.
+    /// Maximum stack growth above the entry depth after any instruction of
+    /// the block. A batched block checks at entry that the stack has room
+    /// for it, and raises the high-water mark to `entry + max_stack_growth`
+    /// (exactly where a completed block's pushes take it).
     pub max_stack_growth: usize,
-    /// Per-opcode execution counts `(opcode byte, count)`, so a batched
-    /// block entry can update the metrics histogram without replaying the
-    /// instructions.
-    pub histogram: Vec<(u8, u32)>,
+    /// The block's defined instructions, in order, with push immediates
+    /// already converted. An undefined trailing byte is not part of it: the
+    /// interpreter traps on that byte before counting it. Besides feeding
+    /// the batched loop, the stream is what the analyzer's passes walk, and
+    /// what the interpreter folds into the opcode histogram (entries ×
+    /// stream) when a frame ends.
+    pub stream: Vec<Instruction>,
     /// How the block exits.
     pub exit: BlockExit,
     /// Indices of successor blocks along statically-known edges: constant
@@ -100,14 +124,6 @@ pub struct BasicBlock {
     pub unreachable: bool,
 }
 
-/// One decoded instruction (transient; not part of any artifact).
-pub(crate) struct Decoded {
-    pub(crate) pc: usize,
-    pub(crate) opcode: Option<Opcode>,
-    /// Missing immediate bytes for a truncated trailing push.
-    pub(crate) push_missing: usize,
-}
-
 /// True for the opcodes that run a sub-frame, whose absorbed metrics change
 /// the caller's instruction count (and cost) mid-block.
 pub(crate) fn runs_sub_frame(op: Opcode) -> bool {
@@ -140,27 +156,24 @@ pub(crate) fn scan_jumpdests(code: &[u8]) -> Vec<bool> {
     jumpdests
 }
 
-/// Decodes the block whose leader is `start`, handing each instruction to
-/// `visit` in order. `start` must be a leader of `code` (and in range);
-/// `jumpdests` is [`scan_jumpdests`] of `code`.
-pub(crate) fn decode_block(
-    code: &[u8],
-    jumpdests: &[bool],
-    start: usize,
-    mut visit: impl FnMut(Decoded),
-) -> BasicBlock {
+/// Decodes the block whose leader is `start`. `start` must be a leader of
+/// `code` (and in range); `jumpdests` is [`scan_jumpdests`] of `code`.
+///
+/// # Panics
+///
+/// Panics when `code` is 4 GiB or longer (see [`Instruction::pc`]).
+pub(crate) fn decode_block(code: &[u8], jumpdests: &[bool], start: usize) -> BasicBlock {
     debug_assert!(start < code.len());
     let len = code.len();
     let mut block = BasicBlock {
         start,
         end: start,
-        instructions: 0,
         static_gas: 0,
         mcu_cycles: 0,
         net_stack: 0,
         stack_required: 0,
         max_stack_growth: 0,
-        histogram: Vec::new(),
+        stream: Vec::new(),
         exit: BlockExit::RunOff,
         successors: Vec::new(),
         jump_target_proven: false,
@@ -172,8 +185,6 @@ pub(crate) fn decode_block(
     };
     let mut height = 0i64; // relative to entry depth
     let mut max_height = 0i64;
-    // The previous instruction of this block: (pc, opcode).
-    let mut previous: Option<(usize, Opcode)> = None;
     let mut pc = start;
     while pc < len {
         let byte = code[pc];
@@ -182,34 +193,23 @@ pub(crate) fn decode_block(
             block.exit = BlockExit::FallThrough;
             break;
         }
-        if let Some((_, previous_op)) = previous {
-            if runs_sub_frame(previous_op) {
-                block.interior_call = true;
-            }
+        let previous = block.stream.last().copied();
+        if previous.is_some_and(|previous| runs_sub_frame(previous.opcode)) {
+            block.interior_call = true;
         }
         let op = match op {
             Some(op) => op,
             None => {
                 // The interpreter traps before recording the undefined
                 // byte, so it contributes nothing to the aggregates.
-                visit(Decoded {
-                    pc,
-                    opcode: None,
-                    push_missing: 0,
-                });
                 block.has_undefined = true;
                 block.end = pc + 1;
                 break;
             }
         };
         let info = op.info();
-        block.instructions += 1;
         block.static_gas += info.gas;
         block.mcu_cycles += info.mcu_cycles as u64;
-        match block.histogram.iter_mut().find(|(seen, _)| *seen == byte) {
-            Some((_, count)) => *count += 1,
-            None => block.histogram.push((byte, 1)),
-        }
         // Stack effect: the interpreter checks `inputs` before dispatch,
         // so the entry-depth requirement at this op is inputs - height.
         let needed = info.inputs as i64 - height;
@@ -221,21 +221,30 @@ pub(crate) fn decode_block(
         block.has_removed_off_chain |= op.removed_off_chain();
         block.has_gas_op |= op == Opcode::Gas;
 
-        let next = pc + 1 + op.push_bytes();
+        let push_bytes = op.push_bytes();
+        let next = pc + 1 + push_bytes;
         block.end = next;
-        visit(Decoded {
-            pc,
-            opcode: Some(op),
-            push_missing: next.saturating_sub(len),
+        block.stream.push(Instruction {
+            immediate: if push_bytes == 0 {
+                U256::ZERO
+            } else {
+                push_word(code, pc + 1, push_bytes)
+            },
+            pc: u32::try_from(pc).expect("code is shorter than 4 GiB"),
+            opcode: op,
         });
         if op.is_terminator() {
             block.exit = BlockExit::Terminate;
             break;
         }
         if matches!(op, Opcode::Jump | Opcode::JumpI) {
-            let target = previous.and_then(|(push_pc, push)| push_immediate(code, push_pc, push));
             // A PUSH immediate directly before the jump is exactly what the
-            // interpreter pops, so validity here is unconditional.
+            // interpreter pops, so validity here is unconditional. Anything
+            // beyond `usize::MAX` cannot be a valid destination; it
+            // saturates so the verdict logic rejects it.
+            let target = previous
+                .filter(|previous| previous.opcode.push_bytes() > 0)
+                .map(|push| push.immediate.to_usize().unwrap_or(usize::MAX));
             block.jump_target_proven = target.is_some_and(|t| t < len && jumpdests[t]);
             block.exit = if op == Opcode::Jump {
                 BlockExit::Jump(target)
@@ -244,7 +253,6 @@ pub(crate) fn decode_block(
             };
             break;
         }
-        previous = Some((pc, op));
         pc = next;
     }
     block.net_stack = height as i32;
@@ -252,28 +260,14 @@ pub(crate) fn decode_block(
     block
 }
 
-/// The zero-padded big-endian immediate of the `PUSHn` at `pc`, or `None`
-/// when `op` is not a push. Anything beyond `usize::MAX` cannot be a valid
-/// destination; it saturates so the verdict logic rejects it.
-fn push_immediate(code: &[u8], pc: usize, op: Opcode) -> Option<usize> {
-    let count = op.push_bytes();
-    if count == 0 {
-        return None;
+/// The `count`-byte big-endian word at `code[start..]`, reading zeros past
+/// the end of the code.
+pub fn push_word(code: &[u8], start: usize, count: usize) -> U256 {
+    let mut word = [0u8; 32];
+    for (offset, byte) in word[32 - count..].iter_mut().enumerate() {
+        *byte = code.get(start + offset).copied().unwrap_or(0);
     }
-    let mut value: u128 = 0;
-    let mut saturated = false;
-    for offset in 0..count {
-        let byte = code.get(pc + 1 + offset).copied().unwrap_or(0);
-        if value > (u128::MAX >> 8) {
-            saturated = true;
-        }
-        value = (value << 8) | byte as u128;
-    }
-    if saturated || value > usize::MAX as u128 {
-        Some(usize::MAX)
-    } else {
-        Some(value as usize)
-    }
+    U256::from_be_bytes(word)
 }
 
 /// A block table for one frame's code, filled on demand: it scans the
@@ -298,8 +292,8 @@ fn push_immediate(code: &[u8], pc: usize, op: Opcode) -> Option<usize> {
 /// let entry = blocks.block_at(0).unwrap();
 /// assert_eq!(entry.exit, BlockExit::Jump(Some(4)));
 /// assert!(entry.jump_target_proven);
-/// assert_eq!(blocks.block_at(4).unwrap().instructions, 2);
-/// assert_eq!(blocks.decoded(), 2); // the INVALID block was never decoded
+/// assert_eq!(blocks.block_at(4).unwrap().stream.len(), 2);
+/// assert_eq!(blocks.blocks().len(), 2); // the INVALID block was never decoded
 /// ```
 #[derive(Debug, Clone)]
 pub struct LazyBlocks<'a> {
@@ -333,20 +327,27 @@ impl<'a> LazyBlocks<'a> {
     /// jump destination, or the `end` of a block this table returned.
     #[inline]
     pub fn block_at(&mut self, pc: usize) -> Option<&BasicBlock> {
-        let slot = *self.slots.get(pc)?;
-        let index = if slot == 0 {
-            self.blocks
-                .push(decode_block(self.code, &self.jumpdests, pc, |_| {}));
-            self.slots[pc] = self.blocks.len() as u32;
-            self.blocks.len() - 1
-        } else {
-            slot as usize - 1
-        };
+        let index = self.block_index(pc)?;
         Some(&self.blocks[index])
     }
 
-    /// Number of blocks decoded so far.
-    pub fn decoded(&self) -> usize {
-        self.blocks.len()
+    /// Like [`LazyBlocks::block_at`], but returns the block's index in
+    /// [`LazyBlocks::blocks`]: blocks are numbered in the order they were
+    /// first requested.
+    #[inline]
+    pub fn block_index(&mut self, pc: usize) -> Option<usize> {
+        let slot = *self.slots.get(pc)?;
+        if slot != 0 {
+            return Some(slot as usize - 1);
+        }
+        self.blocks
+            .push(decode_block(self.code, &self.jumpdests, pc));
+        self.slots[pc] = self.blocks.len() as u32;
+        Some(self.blocks.len() - 1)
+    }
+
+    /// The blocks decoded so far, in decode order.
+    pub fn blocks(&self) -> &[BasicBlock] {
+        &self.blocks
     }
 }

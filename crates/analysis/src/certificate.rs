@@ -14,7 +14,7 @@
 //! bytecode — an unresolved dynamic jump, or a `CALL`/`CREATE`-family
 //! opcode whose callee's metrics are absorbed into the caller's frame.
 
-use crate::blocks::{runs_sub_frame, BasicBlock, Decoded};
+use crate::blocks::{runs_sub_frame, BasicBlock};
 
 /// A typed static claim about one contract's whole-execution cost, computed
 /// by [`crate::analyze`] alongside the verdict.
@@ -96,7 +96,6 @@ impl core::fmt::Display for GasCertificate {
 /// symbolic pass failed; `reachable` must then be ignored (it was computed
 /// with conservative any-jumpdest roots).
 pub(crate) fn certify(
-    instrs: &[Decoded],
     blocks: &[BasicBlock],
     reachable: &[bool],
     unresolved: Option<usize>,
@@ -112,22 +111,18 @@ pub(crate) fn certify(
     }
 
     // A reachable call/create defeats the own-frame bound.
-    let mut instr_cursor = 0usize;
     for (index, block) in blocks.iter().enumerate() {
-        while instr_cursor < instrs.len() && instrs[instr_cursor].pc < block.start {
-            instr_cursor += 1;
-        }
         if !reachable[index] {
             continue;
         }
-        let mut k = instr_cursor;
-        while k < instrs.len() && instrs[k].pc < block.end {
-            if let Some(op) = instrs[k].opcode {
-                if runs_sub_frame(op) {
-                    return GasCertificate::Uncertified { pc: instrs[k].pc };
-                }
-            }
-            k += 1;
+        if let Some(call) = block
+            .stream
+            .iter()
+            .find(|instr| runs_sub_frame(instr.opcode))
+        {
+            return GasCertificate::Uncertified {
+                pc: call.pc as usize,
+            };
         }
     }
 

@@ -37,7 +37,7 @@ pub mod opcode;
 mod symbolic;
 
 pub use analyzer::{analyze, AnalysisError, CodeAnalysis, Diagnostic, UnprovenReason, Verdict};
-pub use blocks::{BasicBlock, BlockExit, LazyBlocks};
+pub use blocks::{push_word, BasicBlock, BlockExit, Instruction, LazyBlocks};
 pub use cache::AnalysisCache;
 pub use certificate::GasCertificate;
 pub use opcode::{Opcode, OpcodeCategory, OpcodeInfo};

@@ -21,7 +21,7 @@
 //! (reclassifying `DynamicJump` and `PossibleUnderflow`) and the
 //! [`crate::GasCertificate`] computed over the resolved graph.
 
-use crate::blocks::{BasicBlock, BlockExit, Decoded};
+use crate::blocks::{BasicBlock, BlockExit, Instruction};
 use crate::opcode::Opcode;
 use tinyevm_types::U256;
 
@@ -143,12 +143,11 @@ pub(crate) struct Resolution {
 /// falls back to the conservative any-jumpdest treatment), or when the
 /// iteration budget is exhausted.
 pub(crate) fn resolve(
-    code: &[u8],
-    instrs: &[Decoded],
     blocks: &[BasicBlock],
     jumpdests: &[bool],
     leader_index: &[u32],
 ) -> Option<Resolution> {
+    let code_len = jumpdests.len();
     if blocks.is_empty() {
         return Some(Resolution {
             successors: Vec::new(),
@@ -159,20 +158,6 @@ pub(crate) fn resolve(
     }
 
     let n = blocks.len();
-    // Map each block to its instruction range once, so transfer functions
-    // don't rescan the instruction list.
-    let mut first_instr = vec![0usize; n];
-    {
-        let mut block = 0usize;
-        for (index, instr) in instrs.iter().enumerate() {
-            if block < n && instr.pc == blocks[block].start {
-                first_instr[block] = index;
-                block += 1;
-            }
-        }
-        debug_assert_eq!(block, n);
-    }
-
     let mut entry: Vec<Option<SymStack>> = vec![None; n];
     let mut jump_state = vec![JumpState::NoInfo; n];
     let mut cond_state = vec![CondState::NoInfo; n];
@@ -188,22 +173,16 @@ pub(crate) fn resolve(
         let block = &blocks[index];
         let mut stack = entry[index].clone().expect("queued blocks have a state");
 
-        // Walk the block; capture the jump operands just before the final
-        // instruction consumes them.
+        // Walk the block; capture the jump operands just before the jump
+        // (always the block's last instruction) consumes them.
         let mut jump_target = SymValue::Unknown;
         let mut jump_cond = SymValue::Unknown;
-        let last = last_instr(instrs, first_instr[index], block);
-        for k in first_instr[index]..=last {
-            let instr = &instrs[k];
-            let op = match instr.opcode {
-                Some(op) => op,
-                None => break, // undefined byte: the block traps here
-            };
-            if k == last && matches!(op, Opcode::Jump | Opcode::JumpI) {
+        for instr in &block.stream {
+            if matches!(instr.opcode, Opcode::Jump | Opcode::JumpI) {
                 jump_target = stack.peek(1);
                 jump_cond = stack.peek(2);
             }
-            transfer(&mut stack, code, instr, op);
+            transfer(&mut stack, instr);
         }
 
         // Classify the exit under the current abstract state.
@@ -221,7 +200,7 @@ pub(crate) fn resolve(
                     },
                 };
                 if let Some(target) = target {
-                    if let Some(succ) = leader_of(leader_index, target, code.len()) {
+                    if let Some(succ) = leader_of(leader_index, target, code_len) {
                         successors.push((succ as usize, &stack));
                     }
                 }
@@ -243,7 +222,7 @@ pub(crate) fn resolve(
                 };
                 if cond != CondState::NeverTaken {
                     if let Some(target) = target {
-                        if let Some(succ) = leader_of(leader_index, target, code.len()) {
+                        if let Some(succ) = leader_of(leader_index, target, code_len) {
                             successors.push((succ as usize, &stack));
                         }
                     }
@@ -279,7 +258,8 @@ pub(crate) fn resolve(
     };
     for index in 0..n {
         let block = &blocks[index];
-        let last_pc = instrs[last_instr(instrs, first_instr[index], block)].pc;
+        // A jump is one byte and ends its block.
+        let last_pc = block.end - 1;
         let next = (index + 1) as u32;
         let mut successors = Vec::new();
         match block.exit {
@@ -297,7 +277,7 @@ pub(crate) fn resolve(
                     (None, JumpState::Unresolved) => unreachable!("early return above"),
                 };
                 if let Some(target) = target {
-                    let valid = target < code.len() && jumpdests[target];
+                    let valid = target < code_len && jumpdests[target];
                     resolution.proven_valid[index] = valid;
                     if !valid && syntactic.is_none() {
                         resolution
@@ -308,7 +288,7 @@ pub(crate) fn resolve(
                     // invalid destination that happens to land on a block
                     // leader: reachability stays an over-approximation and
                     // the fatal invalid-target finding drives the verdict.
-                    if let Some(succ) = leader_of(leader_index, target, code.len()) {
+                    if let Some(succ) = leader_of(leader_index, target, code_len) {
                         successors.push(succ);
                     }
                 }
@@ -325,7 +305,7 @@ pub(crate) fn resolve(
                     (None, JumpState::Unresolved) => unreachable!("early return above"),
                 };
                 if let Some(target) = target {
-                    let valid = target < code.len() && jumpdests[target];
+                    let valid = target < code_len && jumpdests[target];
                     resolution.proven_valid[index] = valid;
                     if !valid && syntactic.is_none() && cond != CondState::NeverTaken {
                         resolution
@@ -333,7 +313,7 @@ pub(crate) fn resolve(
                             .push((index as u32, last_pc, target));
                     }
                     if cond != CondState::NeverTaken {
-                        if let Some(succ) = leader_of(leader_index, target, code.len()) {
+                        if let Some(succ) = leader_of(leader_index, target, code_len) {
                             successors.push(succ);
                         }
                     }
@@ -347,15 +327,6 @@ pub(crate) fn resolve(
     }
     resolution.resolved_jumps.sort_unstable();
     Some(resolution)
-}
-
-/// Index of the final instruction of `block`.
-fn last_instr(instrs: &[Decoded], first: usize, block: &BasicBlock) -> usize {
-    let mut last = first;
-    while last + 1 < instrs.len() && instrs[last + 1].pc < block.end {
-        last += 1;
-    }
-    last
 }
 
 fn leader_of(leader_index: &[u32], target: usize, len: usize) -> Option<u32> {
@@ -410,17 +381,12 @@ fn advance_cond_state(state: &mut CondState, observed: SymValue) {
 
 /// The abstract transfer function of one instruction, mirroring the
 /// interpreter exactly: `binary_op` pops `a` (top) then `b` and pushes
-/// `f(a, b)`, pushes read their zero-padded big-endian immediate, and
+/// `f(a, b)`, pushes push their zero-padded big-endian immediate, and
 /// `DUP`/`SWAP` shuffle by depth.
-fn transfer(stack: &mut SymStack, code: &[u8], instr: &Decoded, op: Opcode) {
-    let push_bytes = op.push_bytes();
-    if push_bytes > 0 {
-        let start = instr.pc + 1;
-        let mut word = [0u8; 32];
-        for offset in 0..push_bytes {
-            word[32 - push_bytes + offset] = code.get(start + offset).copied().unwrap_or(0);
-        }
-        stack.push(SymValue::Const(U256::from_be_bytes(word)));
+fn transfer(stack: &mut SymStack, instr: &Instruction) {
+    let op = instr.opcode;
+    if op.push_bytes() > 0 {
+        stack.push(SymValue::Const(instr.immediate));
         return;
     }
     let dup = op.dup_depth();
@@ -505,12 +471,12 @@ mod tests {
     fn swap_beyond_tracked_depth_degrades_the_top() {
         let mut stack = SymStack::empty();
         stack.push(SymValue::Const(U256::from(3u64)));
-        let instr = Decoded {
+        let instr = Instruction {
+            immediate: U256::ZERO,
             pc: 0,
-            opcode: Some(Opcode::Swap2),
-            push_missing: 0,
+            opcode: Opcode::Swap2,
         };
-        transfer(&mut stack, &[], &instr, Opcode::Swap2);
+        transfer(&mut stack, &instr);
         assert_eq!(stack.values, vec![SymValue::Unknown]);
     }
 

@@ -372,9 +372,9 @@ fn batch_coefficients(items: &[BatchItem]) -> Vec<Scalar> {
     let mut coefficients = Vec::with_capacity(items.len());
     coefficients.push(Scalar::ONE);
     for index in 1..items.len() {
-        let mut input = Vec::with_capacity(36);
-        input.extend_from_slice(&seed);
-        input.extend_from_slice(&(index as u32).to_be_bytes());
+        let mut input = [0u8; 36];
+        input[..32].copy_from_slice(&seed);
+        input[32..].copy_from_slice(&(index as u32).to_be_bytes());
         let digest = sha256(&input);
         // Keep coefficients at 128 bits: half-width scalars halve the wNAF
         // track length. A zero coefficient (probability 2^-128) would skip

@@ -215,7 +215,8 @@ impl Point {
             return Point::INFINITY;
         }
         let table = WnafTable::new(self);
-        let digits = wnaf(scalar);
+        let wnaf = Wnaf::new(scalar);
+        let digits = wnaf.digits();
         let mut acc = JacobianPoint::INFINITY;
         for index in (0..digits.len()).rev() {
             acc = acc.double();
@@ -460,28 +461,44 @@ impl Eq for JacobianPoint {}
 /// Width-5 non-adjacent form: little-endian digits, each zero or odd in
 /// `[-15, 15]`, at most one non-zero digit in any 5-bit window. Cuts the
 /// expected additions per 256-bit scalar from ~128 (double-and-add) to ~43.
-fn wnaf(scalar: Scalar) -> Vec<i8> {
-    let mut k = scalar.to_u256();
-    let radix = 1u64 << WNAF_WIDTH;
-    let half = 1u64 << (WNAF_WIDTH - 1);
-    let mut digits = Vec::with_capacity(257);
-    while !k.is_zero() {
-        if k.bit(0) {
-            let word = k.low_u64() & (radix - 1);
-            if word >= half {
-                // Negative digit; borrow from the bits above.
-                digits.push((word as i64 - radix as i64) as i8);
-                k = k.wrapping_add(U256::from(radix - word));
-            } else {
-                digits.push(word as i8);
-                k = k.wrapping_sub(U256::from(word));
+/// A scalar below `2^256` has at most 257 digits; they live inline, so a
+/// recoding allocates nothing.
+struct Wnaf {
+    digits: [i8; 257],
+    len: usize,
+}
+
+impl Wnaf {
+    fn new(scalar: Scalar) -> Wnaf {
+        let mut k = scalar.to_u256();
+        let radix = 1u64 << WNAF_WIDTH;
+        let half = 1u64 << (WNAF_WIDTH - 1);
+        let mut wnaf = Wnaf {
+            digits: [0; 257],
+            len: 0,
+        };
+        while !k.is_zero() {
+            if k.bit(0) {
+                let word = k.low_u64() & (radix - 1);
+                if word >= half {
+                    // Negative digit; borrow from the bits above.
+                    wnaf.digits[wnaf.len] = (word as i64 - radix as i64) as i8;
+                    k = k.wrapping_add(U256::from(radix - word));
+                } else {
+                    wnaf.digits[wnaf.len] = word as i8;
+                    k = k.wrapping_sub(U256::from(word));
+                }
             }
-        } else {
-            digits.push(0);
+            wnaf.len += 1;
+            k = k.shr(1);
         }
-        k = k.shr(1);
+        wnaf
     }
-    digits
+
+    /// The digits, least significant first; empty for the zero scalar.
+    fn digits(&self) -> &[i8] {
+        &self.digits[..self.len]
+    }
 }
 
 /// The odd multiples `1P, 3P, …, 15P` of a point, normalized to affine with
@@ -576,21 +593,18 @@ pub fn generator_mul(scalar: Scalar) -> JacobianPoint {
 /// verification calls this with one pair, recovery with one pair, batch
 /// verification with `2k` pairs.
 pub fn multi_scalar_mul(gen_scalar: Scalar, pairs: &[(Scalar, Point)]) -> JacobianPoint {
-    let gen_digits = if gen_scalar.is_zero() {
-        Vec::new()
-    } else {
-        wnaf(gen_scalar)
-    };
-    let mut tracks: Vec<(Vec<i8>, WnafTable)> = Vec::with_capacity(pairs.len());
+    let gen_wnaf = Wnaf::new(gen_scalar);
+    let gen_digits = gen_wnaf.digits();
+    let mut tracks: Vec<(Wnaf, WnafTable)> = Vec::with_capacity(pairs.len());
     for (scalar, point) in pairs {
         if scalar.is_zero() || point.infinity {
             continue;
         }
-        tracks.push((wnaf(*scalar), WnafTable::new(point)));
+        tracks.push((Wnaf::new(*scalar), WnafTable::new(point)));
     }
     let length = tracks
         .iter()
-        .map(|(digits, _)| digits.len())
+        .map(|(wnaf, _)| wnaf.len)
         .chain(std::iter::once(gen_digits.len()))
         .max()
         .unwrap_or(0);
@@ -605,8 +619,8 @@ pub fn multi_scalar_mul(gen_scalar: Scalar, pairs: &[(Scalar, Point)]) -> Jacobi
         if let (Some(odd), Some(&digit)) = (gen_odd, gen_digits.get(index)) {
             acc = select_from(odd, acc, digit);
         }
-        for (digits, table) in &tracks {
-            if let Some(&digit) = digits.get(index) {
+        for (wnaf, table) in &tracks {
+            if let Some(&digit) = wnaf.digits().get(index) {
                 acc = table.select_into(acc, digit);
             }
         }

@@ -11,22 +11,42 @@
 //!   frame enters it, through [`LazyBlocks`], and skip the whole-code
 //!   analysis.
 //!
-//! Either way, basic blocks are accounted *per block* — one
-//! instruction-limit check, one gas check and one bulk metrics update at
-//! block entry — rather than per opcode. If a batched block traps before
-//! its last instruction (memory, storage, hashing, calldata, copy, log or
-//! IoT opcodes can), the trap refunds the instructions after the trapping
-//! one. Five cases fall back to the per-opcode slow path: blocks with a
-//! call or `CREATE` before their last instruction (the sub-frame adds
-//! instructions mid-block), blocks whose budgets are nearly exhausted,
-//! blocks ending at an undefined byte, blocks with off-chain-removed
-//! opcodes, and blocks with a metered `GAS`. Execution results, gas
-//! accounting, [`ExecMetrics`], trap PCs and retired-instruction counts
-//! stay byte-identical to per-opcode interpretation
-//! (`EvmConfig::per_op_metering` forces the slow path everywhere for
-//! differential testing).
+//! Either way, basic blocks are accounted *per block*. At block entry one
+//! check each covers the instruction limit, the gas, and the stack: the
+//! entry depth must be at least the block's `stack_required`, and the
+//! depth plus its `max_stack_growth` must fit the limit. The entry then
+//! charges the block's instructions, cycles and gas, raises the stack's
+//! high-water mark to `depth + max_stack_growth`, and bumps the frame's
+//! entry count for the block. The block then runs as one tight loop over
+//! its pre-decoded instruction stream: pushes take their ready immediate,
+//! and every other opcode goes through `step`, the one implementation of
+//! opcode semantics, with no per-instruction pc, decode, budget or
+//! stack-depth check (`Stack`'s data operations are unchecked).
+//!
+//! Hoisting the stack checks is exact. Only net +1 opcodes (`PUSHn`,
+//! `DUPn` and the zero-input getters) can overflow, and none of them can
+//! trap before its push, so checking room before an opcode runs (per
+//! opcode) or before a block runs (per block) traps exactly where the
+//! push would. A batched block either completes, and its pushes reach
+//! exactly `entry + max_stack_growth`, or it traps, and a trap reports no
+//! high-water mark. The opcode histogram is not updated per entry either:
+//! the frame folds its entry counts × each block's stream into it once,
+//! when the frame ends.
+//!
+//! If a batched block traps before its last instruction (memory, storage,
+//! hashing, calldata, copy, log or IoT opcodes can), the trap folds the
+//! histogram and then refunds the stream's instructions after the trapping
+//! one. Five cases fall back to the per-opcode path, which checks every
+//! opcode's budgets and stack depth in a preamble: blocks with a call or
+//! `CREATE` before their last instruction (the sub-frame adds instructions
+//! mid-block), blocks whose budgets are nearly exhausted, blocks ending at
+//! an undefined byte, blocks with off-chain-removed opcodes, and blocks
+//! with a metered `GAS`. Execution results, gas accounting, [`ExecMetrics`],
+//! trap PCs and retired-instruction counts stay byte-identical to
+//! per-opcode interpretation (`EvmConfig::per_op_metering` forces the
+//! per-opcode path everywhere for differential testing).
 
-use tinyevm_analysis::{BasicBlock, CodeAnalysis, LazyBlocks};
+use tinyevm_analysis::{push_word, BasicBlock, BlockExit, CodeAnalysis, Instruction, LazyBlocks};
 use tinyevm_trace::{TraceEvent, TraceHandle};
 use tinyevm_types::{Address, I256, U256};
 
@@ -275,10 +295,10 @@ impl Evm {
         static_mode: bool,
         depth_remaining: usize,
     ) -> Result<ExecResult, ExecError> {
+        let mut blocks = blocks;
         let result = Frame {
             config: &self.config,
             code,
-            blocks,
             context,
             storage,
             host,
@@ -295,10 +315,10 @@ impl Evm {
             },
             pc: 0,
             block_limit: 0,
-            batched: false,
             block_jump_proven: false,
+            entries: Vec::new(),
         }
-        .run();
+        .run(&mut blocks);
         self.tracer.event(|| match &result {
             Ok(exec) => {
                 let outcome = match exec.outcome {
@@ -363,11 +383,22 @@ enum Blocks<'a> {
 }
 
 impl Blocks<'_> {
+    /// The index of the block whose leader is `pc`, decoding it on the
+    /// first request when the blocks are lazy.
     #[inline]
-    fn block_at(&mut self, pc: usize) -> Option<&BasicBlock> {
+    fn index_at(&mut self, pc: usize) -> Option<usize> {
         match self {
-            Blocks::Shared(analysis) => analysis.block_at(pc),
-            Blocks::Lazy(table) => table.block_at(pc),
+            Blocks::Shared(analysis) => analysis.block_index(pc),
+            Blocks::Lazy(table) => table.block_index(pc),
+        }
+    }
+
+    /// The block [`Blocks::index_at`] returned `index` for.
+    #[inline]
+    fn get(&self, index: usize) -> &BasicBlock {
+        match self {
+            Blocks::Shared(analysis) => &analysis.blocks()[index],
+            Blocks::Lazy(table) => &table.blocks()[index],
         }
     }
 
@@ -380,11 +411,12 @@ impl Blocks<'_> {
     }
 }
 
-/// One in-flight execution frame.
+/// One in-flight execution frame. Its blocks are not a field: the frame
+/// borrows them beside itself, so a batched block's stream stays borrowed
+/// while `step` mutates the frame.
 struct Frame<'a> {
     config: &'a EvmConfig,
     code: &'a [u8],
-    blocks: Blocks<'a>,
     context: CallContext,
     storage: &'a mut dyn StorageBackend,
     host: &'a mut dyn Host,
@@ -397,16 +429,16 @@ struct Frame<'a> {
     return_data: Vec<u8>,
     gas_remaining: u64,
     pc: usize,
-    /// First pc past the current basic block; reaching it (or jumping,
+    /// First pc past the current per-opcode block; reaching it (or jumping,
     /// which resets it to 0) re-enters block accounting.
     block_limit: usize,
-    /// True while executing a block whose budgets were charged in bulk at
-    /// entry, so the per-opcode bookkeeping must not run.
-    batched: bool,
     /// True while executing a block whose terminating jump's destination the
     /// static analyzer proved to be a valid `JUMPDEST`, so the runtime
     /// bitmap check can be skipped.
     block_jump_proven: bool,
+    /// Per block index: how many times the frame entered the block batched.
+    /// Folded into the opcode histogram when the frame ends.
+    entries: Vec<u64>,
 }
 
 enum Step {
@@ -415,54 +447,89 @@ enum Step {
 }
 
 impl<'a> Frame<'a> {
-    fn run(mut self) -> Result<ExecResult, ExecError> {
-        loop {
-            if self.pc >= self.code.len() {
-                return Ok(self.finish(ExecOutcome::Stop, Vec::new()));
-            }
-            if self.pc >= self.block_limit {
-                self.enter_block();
-            }
-            let byte = self.code[self.pc];
-            let opcode = match Opcode::from_byte(byte) {
-                Some(op) => op,
-                None => return Err(self.trap(TrapReason::UndefinedInstruction { byte })),
+    fn run(mut self, blocks: &mut Blocks<'_>) -> Result<ExecResult, ExecError> {
+        while self.pc < self.code.len() {
+            let step = match self.enter_block(blocks) {
+                Some(index) => self.run_batched(blocks, index)?,
+                None => self.run_per_op(blocks)?,
             };
-            if !self.batched {
-                self.metrics.record(opcode);
-                if self.metrics.instructions > self.config.instruction_limit {
-                    return Err(self.trap(TrapReason::InstructionLimitExceeded {
-                        limit: self.config.instruction_limit,
-                    }));
-                }
-                if let GasMode::Metered { limit } = self.config.gas_mode {
-                    let cost = opcode.info().gas;
-                    if cost > self.gas_remaining {
-                        return Err(self.trap(TrapReason::OutOfGas { limit }));
-                    }
-                    self.gas_remaining -= cost;
-                    self.metrics.gas_used += cost;
-                }
-                if self.config.off_chain && opcode.removed_off_chain() {
-                    return Err(self.trap(TrapReason::UnsupportedOpcode { opcode }));
-                }
-                self.stack
-                    .require(opcode, opcode.info().inputs)
-                    .map_err(|reason| self.trap(reason))?;
-            }
-
-            match self.step(opcode) {
-                Ok(Step::Continue) => {}
-                Ok(Step::Finish(outcome, output)) => return Ok(self.finish(outcome, output)),
-                Err(reason) => return Err(self.trap(reason)),
+            if let Step::Finish(outcome, output) = step {
+                return Ok(self.finish(blocks, outcome, output));
             }
         }
+        Ok(self.finish(blocks, ExecOutcome::Stop, Vec::new()))
+    }
+
+    /// Runs a block whose budgets [`Frame::enter_block`] charged in full:
+    /// one pass over its pre-decoded stream, with no per-instruction pc,
+    /// decode, budget or stack-depth checks. Pushes take their ready
+    /// immediate; every other opcode goes through [`Frame::step`].
+    fn run_batched(&mut self, blocks: &Blocks<'_>, index: usize) -> Result<Step, ExecError> {
+        let block = blocks.get(index);
+        for (position, instruction) in block.stream.iter().enumerate() {
+            if instruction.opcode.push_bytes() > 0 {
+                self.stack.push(instruction.immediate);
+                continue;
+            }
+            self.pc = instruction.pc as usize;
+            match self.step(instruction.opcode, blocks) {
+                Ok(Step::Continue) => {}
+                Ok(finish) => return Ok(finish),
+                Err(reason) => {
+                    return Err(self.trap(blocks, reason, &block.stream[position + 1..]));
+                }
+            }
+        }
+        // A jump set the pc itself; any other block falls through to its
+        // end (a trailing push never went through `step`).
+        if !matches!(block.exit, BlockExit::Jump(_) | BlockExit::JumpI(_)) {
+            self.pc = block.end;
+        }
+        Ok(Step::Continue)
+    }
+
+    /// Runs the current block one opcode at a time, each behind the full
+    /// preamble: decode, instruction limit, gas, off-chain removal and
+    /// stack depth. Stops at the block's end or at a jump.
+    fn run_per_op(&mut self, blocks: &Blocks<'_>) -> Result<Step, ExecError> {
+        while self.pc < self.block_limit {
+            let byte = self.code[self.pc];
+            let Some(opcode) = Opcode::from_byte(byte) else {
+                return Err(self.trap(blocks, TrapReason::UndefinedInstruction { byte }, &[]));
+            };
+            self.metrics.record(opcode);
+            if self.metrics.instructions > self.config.instruction_limit {
+                let limit = self.config.instruction_limit;
+                return Err(self.trap(blocks, TrapReason::InstructionLimitExceeded { limit }, &[]));
+            }
+            if let GasMode::Metered { limit } = self.config.gas_mode {
+                let cost = opcode.info().gas;
+                if cost > self.gas_remaining {
+                    return Err(self.trap(blocks, TrapReason::OutOfGas { limit }, &[]));
+                }
+                self.gas_remaining -= cost;
+                self.metrics.gas_used += cost;
+            }
+            if self.config.off_chain && opcode.removed_off_chain() {
+                return Err(self.trap(blocks, TrapReason::UnsupportedOpcode { opcode }, &[]));
+            }
+            if let Err(reason) = self.stack.require(opcode) {
+                return Err(self.trap(blocks, reason, &[]));
+            }
+            match self.step(opcode, blocks) {
+                Ok(Step::Continue) => {}
+                Ok(finish) => return Ok(finish),
+                Err(reason) => return Err(self.trap(blocks, reason, &[])),
+            }
+        }
+        Ok(Step::Continue)
     }
 
     /// Called whenever execution crosses into a new basic block. Decides
     /// between batched accounting (charge the whole block's instruction
-    /// count, gas, cycles and histogram now; skip per-opcode bookkeeping
-    /// until the block ends) and the per-opcode slow path.
+    /// count, gas and cycles now, count the entry for the histogram, and
+    /// return the block's index for [`Frame::run_batched`]) and the
+    /// per-opcode slow path (`None`).
     ///
     /// Batching is only chosen when it is observationally equivalent:
     /// the budget checks below rule out limit, gas, underflow and overflow
@@ -475,56 +542,68 @@ impl<'a> Frame<'a> {
     /// [`Frame::trap`] then refunds the instructions after the trapping one,
     /// so the reported pc and instruction count match the per-opcode
     /// interpreter exactly.
-    fn enter_block(&mut self) {
-        self.batched = false;
-        self.block_jump_proven = false;
-        let block = match self.blocks.block_at(self.pc) {
-            Some(block) => block,
-            None => {
-                // Not a block leader (cannot happen for analyses produced
-                // from this code); run per-opcode, one instruction at a time.
-                self.block_limit = self.pc + 1;
-                return;
-            }
+    fn enter_block(&mut self, blocks: &mut Blocks<'_>) -> Option<usize> {
+        let Some(index) = blocks.index_at(self.pc) else {
+            // Not a block leader (cannot happen for analyses produced from
+            // this code); run per-opcode, one instruction at a time.
+            self.block_limit = self.pc + 1;
+            self.block_jump_proven = false;
+            return None;
         };
-        self.block_limit = block.end.max(self.pc + 1);
+        let block = blocks.get(index);
+        self.block_limit = block.end.min(self.code.len());
         self.block_jump_proven = block.jump_target_proven;
         if self.config.per_op_metering
             || block.interior_call
             || block.has_undefined
             || (self.config.off_chain && block.has_removed_off_chain)
         {
-            return;
+            return None;
         }
         let metered = matches!(self.config.gas_mode, GasMode::Metered { .. });
-        if metered && block.has_gas_op {
-            return;
+        if metered && (block.has_gas_op || block.static_gas > self.gas_remaining) {
+            return None;
         }
-        let instructions = block.instructions as u64;
+        let instructions = block.stream.len() as u64;
         if self.metrics.instructions + instructions > self.config.instruction_limit {
-            return;
+            return None;
         }
-        if self.stack.depth() < block.stack_required
-            || self.stack.depth() + block.max_stack_growth > self.config.max_stack_depth
+        // Last, because on success it raises the stack's high-water mark.
+        if !self
+            .stack
+            .reserve(block.stack_required, block.max_stack_growth)
         {
-            return;
-        }
-        if metered && block.static_gas > self.gas_remaining {
-            return;
+            return None;
         }
         self.metrics.instructions += instructions;
         self.metrics.mcu_cycles += block.mcu_cycles;
-        for &(byte, count) in &block.histogram {
-            self.metrics.opcode_histogram[byte as usize] += count as u64;
-        }
         if metered {
             self.gas_remaining -= block.static_gas;
             self.metrics.gas_used += block.static_gas;
         }
-        self.batched = true;
+        if index >= self.entries.len() {
+            self.entries.resize(index + 1, 0);
+        }
+        self.entries[index] += 1;
+        Some(index)
     }
 
-    fn finish(mut self, outcome: ExecOutcome, output: Vec<u8>) -> ExecResult {
+    /// Adds each batched block's opcodes, times its entries, to the opcode
+    /// histogram, and zeroes the entry counts.
+    fn fold_histogram(&mut self, blocks: &Blocks<'_>) {
+        for (index, entries) in self.entries.iter_mut().enumerate() {
+            if *entries == 0 {
+                continue;
+            }
+            for instruction in &blocks.get(index).stream {
+                self.metrics.opcode_histogram[instruction.opcode.to_byte() as usize] += *entries;
+            }
+            *entries = 0;
+        }
+    }
+
+    fn finish(mut self, blocks: &Blocks<'_>, outcome: ExecOutcome, output: Vec<u8>) -> ExecResult {
+        self.fold_histogram(blocks);
         self.metrics.max_stack_pointer = self.stack.max_pointer();
         self.metrics.memory_high_water = self
             .metrics
@@ -538,15 +617,25 @@ impl<'a> Frame<'a> {
         }
     }
 
-    fn trap(&mut self, reason: TrapReason) -> ExecError {
-        if self.batched {
-            self.refund_rest_of_block();
+    /// Ends the frame on a trap at `self.pc`. `rest` is what a batched
+    /// block charged at entry but never ran: the instructions after the
+    /// trapping one. They are refunded after the histogram fold, so the
+    /// frame's counters are exactly what per-opcode metering leaves. The
+    /// error carries the instruction count; no high-water mark leaves a
+    /// trapped frame.
+    fn trap(&mut self, blocks: &Blocks<'_>, reason: TrapReason, rest: &[Instruction]) -> ExecError {
+        self.fold_histogram(blocks);
+        let metered = matches!(self.config.gas_mode, GasMode::Metered { .. });
+        for instruction in rest {
+            let info = instruction.opcode.info();
+            self.metrics.instructions -= 1;
+            self.metrics.mcu_cycles -= info.mcu_cycles as u64;
+            self.metrics.opcode_histogram[instruction.opcode.to_byte() as usize] -= 1;
+            if metered {
+                self.gas_remaining += info.gas;
+                self.metrics.gas_used -= info.gas;
+            }
         }
-        self.metrics.max_stack_pointer = self.stack.max_pointer();
-        self.metrics.memory_high_water = self
-            .metrics
-            .memory_high_water
-            .max(self.memory.high_water_mark());
         ExecError {
             reason,
             pc: self.pc,
@@ -554,86 +643,64 @@ impl<'a> Frame<'a> {
         }
     }
 
-    /// A batched block was charged in full at entry, but per-opcode
-    /// metering stops at the trapping instruction: uncharge every
-    /// instruction after `self.pc` up to the block's end.
-    fn refund_rest_of_block(&mut self) {
-        // Every instruction before a batched block's end lies inside the
-        // code and is defined.
-        let code = self.code;
-        let defined = |pc: usize| Opcode::from_byte(code[pc]).expect("batched blocks are defined");
-        let metered = matches!(self.config.gas_mode, GasMode::Metered { .. });
-        let mut pc = self.pc + 1 + defined(self.pc).push_bytes();
-        while pc < self.block_limit {
-            let opcode = defined(pc);
-            let info = opcode.info();
-            self.metrics.instructions -= 1;
-            self.metrics.mcu_cycles -= info.mcu_cycles as u64;
-            self.metrics.opcode_histogram[opcode.to_byte() as usize] -= 1;
-            if metered {
-                self.gas_remaining += info.gas;
-                self.metrics.gas_used -= info.gas;
-            }
-            pc += 1 + opcode.push_bytes();
-        }
-    }
-
-    fn step(&mut self, opcode: Opcode) -> Result<Step, TrapReason> {
+    /// Runs one opcode whose stack depth and budgets the caller checked:
+    /// the one implementation of every opcode's semantics.
+    #[inline(always)]
+    fn step(&mut self, opcode: Opcode, blocks: &Blocks<'_>) -> Result<Step, TrapReason> {
         use Opcode::*;
         let mut next_pc = self.pc + 1;
         match opcode {
             Stop => return Ok(Step::Finish(ExecOutcome::Stop, Vec::new())),
 
             // --- arithmetic ------------------------------------------------
-            Add => self.binary_op(|a, b| a.wrapping_add(b))?,
-            Mul => self.binary_op(|a, b| a.wrapping_mul(b))?,
-            Sub => self.binary_op(|a, b| a.wrapping_sub(b))?,
-            Div => self.binary_op(|a, b| a.div(b))?,
-            SDiv => self.binary_op(|a, b| I256::from(a).sdiv(I256::from(b)).into_raw())?,
-            Mod => self.binary_op(|a, b| a.rem(b))?,
-            SMod => self.binary_op(|a, b| I256::from(a).smod(I256::from(b)).into_raw())?,
-            AddMod => self.ternary_op(|a, b, m| a.add_mod(b, m))?,
-            MulMod => self.ternary_op(|a, b, m| a.mul_mod(b, m))?,
-            Exp => self.binary_op(|a, b| a.wrapping_pow(b))?,
-            SignExtend => self.binary_op(|index, value| value.sign_extend(index))?,
+            Add => self.binary_op(|a, b| a.wrapping_add(b)),
+            Mul => self.binary_op(|a, b| a.wrapping_mul(b)),
+            Sub => self.binary_op(|a, b| a.wrapping_sub(b)),
+            Div => self.binary_op(|a, b| a.div(b)),
+            SDiv => self.binary_op(|a, b| I256::from(a).sdiv(I256::from(b)).into_raw()),
+            Mod => self.binary_op(|a, b| a.rem(b)),
+            SMod => self.binary_op(|a, b| I256::from(a).smod(I256::from(b)).into_raw()),
+            AddMod => self.ternary_op(|a, b, m| a.add_mod(b, m)),
+            MulMod => self.ternary_op(|a, b, m| a.mul_mod(b, m)),
+            Exp => self.binary_op(|a, b| a.wrapping_pow(b)),
+            SignExtend => self.binary_op(|index, value| value.sign_extend(index)),
 
             // --- comparison / bitwise -------------------------------------
-            Lt => self.binary_op(|a, b| bool_word(a < b))?,
-            Gt => self.binary_op(|a, b| bool_word(a > b))?,
-            Slt => self.binary_op(|a, b| bool_word(I256::from(a).slt(I256::from(b))))?,
-            Sgt => self.binary_op(|a, b| bool_word(I256::from(a).sgt(I256::from(b))))?,
-            Eq => self.binary_op(|a, b| bool_word(a == b))?,
-            IsZero => self.unary_op(|a| bool_word(a.is_zero()))?,
-            And => self.binary_op(|a, b| a & b)?,
-            Or => self.binary_op(|a, b| a | b)?,
-            Xor => self.binary_op(|a, b| a ^ b)?,
-            Not => self.unary_op(|a| !a)?,
+            Lt => self.binary_op(|a, b| bool_word(a < b)),
+            Gt => self.binary_op(|a, b| bool_word(a > b)),
+            Slt => self.binary_op(|a, b| bool_word(I256::from(a).slt(I256::from(b)))),
+            Sgt => self.binary_op(|a, b| bool_word(I256::from(a).sgt(I256::from(b)))),
+            Eq => self.binary_op(|a, b| bool_word(a == b)),
+            IsZero => self.unary_op(|a| bool_word(a.is_zero())),
+            And => self.binary_op(|a, b| a & b),
+            Or => self.binary_op(|a, b| a | b),
+            Xor => self.binary_op(|a, b| a ^ b),
+            Not => self.unary_op(|a| !a),
             Byte => self.binary_op(|index, value| {
                 U256::from(value.byte_be(index.to_usize().unwrap_or(usize::MAX).min(32)) as u64)
-            })?,
-            Shl => self.binary_op(|shift, value| value.shl(shift_amount(shift)))?,
-            Shr => self.binary_op(|shift, value| value.shr(shift_amount(shift)))?,
-            Sar => self.binary_op(|shift, value| value.sar(shift_amount(shift)))?,
+            }),
+            Shl => self.binary_op(|shift, value| value.shl(shift_amount(shift))),
+            Shr => self.binary_op(|shift, value| value.shr(shift_amount(shift))),
+            Sar => self.binary_op(|shift, value| value.sar(shift_amount(shift))),
 
             // --- hashing ---------------------------------------------------
             Sha3 => {
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
-                let data = self.memory.load_slice(offset, len)?;
+                let offset = self.pop_usize();
+                let len = self.pop_usize();
+                let digest = tinyevm_crypto::keccak256(self.memory.slice(offset, len)?);
                 self.metrics.keccak_invocations += 1;
                 self.metrics.keccak_bytes += len as u64;
-                let digest = tinyevm_crypto::keccak256(&data);
-                self.stack.push(U256::from_be_bytes(digest))?;
+                self.stack.push(U256::from_be_bytes(digest));
             }
 
             // --- IoT opcode ------------------------------------------------
             Iot => {
-                let selector = self.stack.pop()?;
-                let parameter = self.stack.pop()?;
+                let selector = self.stack.pop();
+                let parameter = self.stack.pop();
                 let request = IotRequest::decode(selector, parameter);
                 self.metrics.iot_invocations += 1;
                 match self.iot.handle(request) {
-                    Some(value) => self.stack.push(value)?,
+                    Some(value) => self.stack.push(value),
                     None => {
                         return Err(TrapReason::IotUnavailable {
                             id: request.peripheral_id(),
@@ -643,17 +710,17 @@ impl<'a> Frame<'a> {
             }
 
             // --- environment ----------------------------------------------
-            Address => self.stack.push(self.context.address.to_u256())?,
+            Address => self.stack.push(self.context.address.to_u256()),
             Balance => {
-                let address = tinyevm_types::Address::from_u256(self.stack.pop()?);
+                let address = tinyevm_types::Address::from_u256(self.stack.pop());
                 let balance = self.host.balance(&address);
-                self.stack.push(balance)?;
+                self.stack.push(balance);
             }
-            Origin => self.stack.push(self.context.origin.to_u256())?,
-            Caller => self.stack.push(self.context.caller.to_u256())?,
-            CallValue => self.stack.push(self.context.call_value)?,
+            Origin => self.stack.push(self.context.origin.to_u256()),
+            Caller => self.stack.push(self.context.caller.to_u256()),
+            CallValue => self.stack.push(self.context.call_value),
             CallDataLoad => {
-                let offset = self.pop_usize()?;
+                let offset = self.pop_usize();
                 let mut word = [0u8; 32];
                 for (i, byte) in word.iter_mut().enumerate() {
                     *byte = self
@@ -663,113 +730,112 @@ impl<'a> Frame<'a> {
                         .copied()
                         .unwrap_or(0);
                 }
-                self.stack.push(U256::from_be_bytes(word))?;
+                self.stack.push(U256::from_be_bytes(word));
             }
-            CallDataSize => self.stack.push(U256::from(self.context.call_data.len()))?,
+            CallDataSize => self.stack.push(U256::from(self.context.call_data.len())),
             CallDataCopy => {
-                let dest = self.pop_usize()?;
-                let src = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let dest = self.pop_usize();
+                let src = self.pop_usize();
+                let len = self.pop_usize();
                 self.memory
                     .copy_padded(dest, &self.context.call_data, src, len)?;
             }
-            CodeSize => self.stack.push(U256::from(self.code.len()))?,
+            CodeSize => self.stack.push(U256::from(self.code.len())),
             CodeCopy => {
-                let dest = self.pop_usize()?;
-                let src = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let dest = self.pop_usize();
+                let src = self.pop_usize();
+                let len = self.pop_usize();
                 self.memory.copy_padded(dest, self.code, src, len)?;
             }
-            GasPrice => self.stack.push(U256::ZERO)?,
+            GasPrice => self.stack.push(U256::ZERO),
             ExtCodeSize => {
-                let address = tinyevm_types::Address::from_u256(self.stack.pop()?);
-                self.stack
-                    .push(U256::from(self.host.code(&address).len()))?;
+                let address = tinyevm_types::Address::from_u256(self.stack.pop());
+                self.stack.push(U256::from(self.host.code(&address).len()));
             }
             ExtCodeCopy => {
-                let address = tinyevm_types::Address::from_u256(self.stack.pop()?);
-                let dest = self.pop_usize()?;
-                let src = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let address = tinyevm_types::Address::from_u256(self.stack.pop());
+                let dest = self.pop_usize();
+                let src = self.pop_usize();
+                let len = self.pop_usize();
                 let code = self.host.code(&address);
                 self.memory.copy_padded(dest, &code, src, len)?;
             }
-            ReturnDataSize => self.stack.push(U256::from(self.return_data.len()))?,
+            ReturnDataSize => self.stack.push(U256::from(self.return_data.len())),
             ReturnDataCopy => {
-                let dest = self.pop_usize()?;
-                let src = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let dest = self.pop_usize();
+                let src = self.pop_usize();
+                let len = self.pop_usize();
                 self.memory.copy_padded(dest, &self.return_data, src, len)?;
             }
             ExtCodeHash => {
-                let address = tinyevm_types::Address::from_u256(self.stack.pop()?);
+                let address = tinyevm_types::Address::from_u256(self.stack.pop());
                 let code = self.host.code(&address);
                 if code.is_empty() {
-                    self.stack.push(U256::ZERO)?;
+                    self.stack.push(U256::ZERO);
                 } else {
                     self.stack
-                        .push(U256::from_be_bytes(tinyevm_crypto::keccak256(&code)))?;
+                        .push(U256::from_be_bytes(tinyevm_crypto::keccak256(&code)));
                 }
             }
 
             // --- blockchain information (on-chain mode only) ----------------
             BlockHash => {
-                self.stack.pop()?;
-                self.stack.push(U256::ZERO)?;
+                self.stack.pop();
+                self.stack.push(U256::ZERO);
             }
             Coinbase | Timestamp | Number | Difficulty | GasLimit => {
-                self.stack.push(U256::ZERO)?;
+                self.stack.push(U256::ZERO);
             }
 
             // --- stack / memory / storage -----------------------------------
             Pop => {
-                self.stack.pop()?;
+                self.stack.pop();
             }
             MLoad => {
-                let offset = self.pop_usize()?;
+                let offset = self.pop_usize();
                 let value = self.memory.load_word(offset)?;
-                self.stack.push(value)?;
+                self.stack.push(value);
             }
             MStore => {
-                let offset = self.pop_usize()?;
-                let value = self.stack.pop()?;
+                let offset = self.pop_usize();
+                let value = self.stack.pop();
                 self.memory.store_word(offset, value)?;
             }
             MStore8 => {
-                let offset = self.pop_usize()?;
-                let value = self.stack.pop()?;
+                let offset = self.pop_usize();
+                let value = self.stack.pop();
                 self.memory.store_byte(offset, value.byte_le(0))?;
             }
             SLoad => {
-                let key = self.stack.pop()?;
-                self.stack.push(self.storage.load(key))?;
+                let key = self.stack.pop();
+                self.stack.push(self.storage.load(key));
             }
             SStore => {
                 if self.static_mode {
                     return Err(TrapReason::StaticModeViolation);
                 }
-                let key = self.stack.pop()?;
-                let value = self.stack.pop()?;
+                let key = self.stack.pop();
+                let value = self.stack.pop();
                 self.storage.store(key, value)?;
             }
             Jump => {
-                let destination = self.pop_usize()?;
-                self.validate_jump(destination)?;
+                let destination = self.pop_usize();
+                self.validate_jump(blocks, destination)?;
                 next_pc = destination;
                 self.block_limit = 0;
             }
             JumpI => {
-                let destination = self.pop_usize()?;
-                let condition = self.stack.pop()?;
+                let destination = self.pop_usize();
+                let condition = self.stack.pop();
                 if !condition.is_zero() {
-                    self.validate_jump(destination)?;
+                    self.validate_jump(blocks, destination)?;
                     next_pc = destination;
                     self.block_limit = 0;
                 }
             }
-            Pc => self.stack.push(U256::from(self.pc))?,
-            MSize => self.stack.push(U256::from(self.memory.size()))?,
-            Gas => self.stack.push(U256::from(self.gas_remaining))?,
+            Pc => self.stack.push(U256::from(self.pc)),
+            MSize => self.stack.push(U256::from(self.memory.size())),
+            Gas => self.stack.push(U256::from(self.gas_remaining)),
             JumpDest => {}
 
             // --- pushes, dups, swaps ----------------------------------------
@@ -778,21 +844,16 @@ impl<'a> Frame<'a> {
             | Push20 | Push21 | Push22 | Push23 | Push24 | Push25 | Push26 | Push27 | Push28
             | Push29 | Push30 | Push31 | Push32 => {
                 let count = opcode.push_bytes();
-                let start = self.pc + 1;
-                let mut word = [0u8; 32];
-                for i in 0..count {
-                    word[32 - count + i] = self.code.get(start + i).copied().unwrap_or(0);
-                }
-                self.stack.push(U256::from_be_bytes(word))?;
-                next_pc = start + count;
+                self.stack.push(push_word(self.code, self.pc + 1, count));
+                next_pc = self.pc + 1 + count;
             }
             Dup1 | Dup2 | Dup3 | Dup4 | Dup5 | Dup6 | Dup7 | Dup8 | Dup9 | Dup10 | Dup11
             | Dup12 | Dup13 | Dup14 | Dup15 | Dup16 => {
-                self.stack.dup(opcode, opcode.dup_depth())?;
+                self.stack.dup(opcode.dup_depth());
             }
             Swap1 | Swap2 | Swap3 | Swap4 | Swap5 | Swap6 | Swap7 | Swap8 | Swap9 | Swap10
             | Swap11 | Swap12 | Swap13 | Swap14 | Swap15 | Swap16 => {
-                self.stack.swap(opcode, opcode.swap_depth())?;
+                self.stack.swap(opcode.swap_depth());
             }
 
             // --- logging -----------------------------------------------------
@@ -800,11 +861,11 @@ impl<'a> Frame<'a> {
                 if self.static_mode {
                     return Err(TrapReason::StaticModeViolation);
                 }
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let offset = self.pop_usize();
+                let len = self.pop_usize();
                 let mut topics = Vec::with_capacity(opcode.log_topics());
                 for _ in 0..opcode.log_topics() {
-                    topics.push(self.stack.pop()?);
+                    topics.push(self.stack.pop());
                 }
                 let data = self.memory.load_slice(offset, len)?;
                 self.host.emit_log(LogEntry {
@@ -819,9 +880,9 @@ impl<'a> Frame<'a> {
                 if self.static_mode {
                     return Err(TrapReason::StaticModeViolation);
                 }
-                let value = self.stack.pop()?;
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let value = self.stack.pop();
+                let offset = self.pop_usize();
+                let len = self.pop_usize();
                 if self.depth_remaining == 0 {
                     return Err(TrapReason::CallDepthExceeded {
                         limit: self.config.max_call_depth,
@@ -842,8 +903,8 @@ impl<'a> Frame<'a> {
                     outcome.output
                 };
                 match outcome.created {
-                    Some(address) if outcome.success => self.stack.push(address.to_u256())?,
-                    _ => self.stack.push(U256::ZERO)?,
+                    Some(address) if outcome.success => self.stack.push(address.to_u256()),
+                    _ => self.stack.push(U256::ZERO),
                 }
             }
             Call | CallCode | DelegateCall | StaticCall => {
@@ -853,14 +914,14 @@ impl<'a> Frame<'a> {
                 }
             }
             Return => {
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let offset = self.pop_usize();
+                let len = self.pop_usize();
                 let output = self.memory.load_slice(offset, len)?;
                 return Ok(Step::Finish(ExecOutcome::Return, output));
             }
             Revert => {
-                let offset = self.pop_usize()?;
-                let len = self.pop_usize()?;
+                let offset = self.pop_usize();
+                let len = self.pop_usize();
                 let output = self.memory.load_slice(offset, len)?;
                 return Ok(Step::Finish(ExecOutcome::Revert, output));
             }
@@ -869,7 +930,7 @@ impl<'a> Frame<'a> {
                 if self.static_mode {
                     return Err(TrapReason::StaticModeViolation);
                 }
-                let beneficiary = tinyevm_types::Address::from_u256(self.stack.pop()?);
+                let beneficiary = tinyevm_types::Address::from_u256(self.stack.pop());
                 self.host.selfdestruct(self.context.address, beneficiary);
                 return Ok(Step::Finish(ExecOutcome::SelfDestruct, Vec::new()));
             }
@@ -880,17 +941,17 @@ impl<'a> Frame<'a> {
 
     fn do_call(&mut self, opcode: Opcode) -> Result<Step, TrapReason> {
         // gas operand is ignored in unmetered mode but still popped.
-        let _gas = self.stack.pop()?;
-        let target = tinyevm_types::Address::from_u256(self.stack.pop()?);
+        let _gas = self.stack.pop();
+        let target = tinyevm_types::Address::from_u256(self.stack.pop());
         let value = if matches!(opcode, Opcode::Call | Opcode::CallCode) {
-            self.stack.pop()?
+            self.stack.pop()
         } else {
             U256::ZERO
         };
-        let in_offset = self.pop_usize()?;
-        let in_len = self.pop_usize()?;
-        let out_offset = self.pop_usize()?;
-        let out_len = self.pop_usize()?;
+        let in_offset = self.pop_usize();
+        let in_len = self.pop_usize();
+        let out_offset = self.pop_usize();
+        let out_len = self.pop_usize();
 
         if self.static_mode && !value.is_zero() {
             return Err(TrapReason::StaticModeViolation);
@@ -926,48 +987,48 @@ impl<'a> Frame<'a> {
         let copy_len = out_len.min(outcome.output.len());
         self.memory
             .copy_padded(out_offset, &outcome.output, 0, copy_len)?;
-        self.stack.push(bool_word(outcome.success))?;
+        self.stack.push(bool_word(outcome.success));
         Ok(Step::Continue)
     }
 
-    fn validate_jump(&self, destination: usize) -> Result<(), TrapReason> {
+    fn validate_jump(&self, blocks: &Blocks<'_>, destination: usize) -> Result<(), TrapReason> {
         if self.block_jump_proven {
             // The analyzer proved the destination this block's jump pops
             // is a valid JUMPDEST on every path (a PUSH right before the
             // jump, or the symbolic pass); skip the bitmap probe.
-            debug_assert!(self.blocks.is_jumpdest(destination));
+            debug_assert!(blocks.is_jumpdest(destination));
             return Ok(());
         }
-        if !self.blocks.is_jumpdest(destination) {
+        if !blocks.is_jumpdest(destination) {
             return Err(TrapReason::InvalidJump { destination });
         }
         Ok(())
     }
 
-    fn unary_op<F: FnOnce(U256) -> U256>(&mut self, f: F) -> Result<(), TrapReason> {
-        let a = self.stack.pop()?;
-        self.stack.push(f(a))
+    fn unary_op<F: FnOnce(U256) -> U256>(&mut self, f: F) {
+        let a = self.stack.pop();
+        self.stack.push(f(a));
     }
 
-    fn binary_op<F: FnOnce(U256, U256) -> U256>(&mut self, f: F) -> Result<(), TrapReason> {
-        let a = self.stack.pop()?;
-        let b = self.stack.pop()?;
-        self.stack.push(f(a, b))
+    fn binary_op<F: FnOnce(U256, U256) -> U256>(&mut self, f: F) {
+        let a = self.stack.pop();
+        let b = self.stack.pop();
+        self.stack.push(f(a, b));
     }
 
-    fn ternary_op<F: FnOnce(U256, U256, U256) -> U256>(&mut self, f: F) -> Result<(), TrapReason> {
-        let a = self.stack.pop()?;
-        let b = self.stack.pop()?;
-        let c = self.stack.pop()?;
-        self.stack.push(f(a, b, c))
+    fn ternary_op<F: FnOnce(U256, U256, U256) -> U256>(&mut self, f: F) {
+        let a = self.stack.pop();
+        let b = self.stack.pop();
+        let c = self.stack.pop();
+        self.stack.push(f(a, b, c));
     }
 
-    fn pop_usize(&mut self) -> Result<usize, TrapReason> {
-        let value = self.stack.pop()?;
-        value.to_usize().ok_or(TrapReason::MemoryLimitExceeded {
-            requested: usize::MAX,
-            limit: self.config.max_memory_bytes,
-        })
+    /// Pops an offset, length or jump destination. A word past `usize`
+    /// saturates to `usize::MAX`: as a jump destination it is invalid, as
+    /// a source offset it reads zeros, and as a memory extent it exceeds
+    /// any budget, unless the range is empty.
+    fn pop_usize(&mut self) -> usize {
+        self.stack.pop().to_usize().unwrap_or(usize::MAX)
     }
 }
 
@@ -1455,6 +1516,60 @@ mod tests {
         assert_eq!(&outcome.output[0x40..], &[0xaa, 0x60]);
         // ...and past a huge offset, zeros.
         assert_eq!(&outcome.output[..0x40], &[0u8; 0x40][..]);
+    }
+
+    #[test]
+    fn operands_past_usize_saturate() {
+        // Each probe pops an operand of 2^64 (PUSH9 0x01 0x00...).
+        const HUGE: &str = "PUSH9 0x010000000000000000";
+        let run_both = |source: String| {
+            let code = assemble(&source).unwrap();
+            let batched = Evm::new(EvmConfig::cc2538()).execute(&code, &[0xaa; 4]);
+            let per_op =
+                Evm::new(EvmConfig::cc2538().with_per_op_metering(true)).execute(&code, &[0xaa; 4]);
+            match (&batched, &per_op) {
+                (Ok(a), Ok(b)) => assert_eq!((&a.output, &a.metrics), (&b.output, &b.metrics)),
+                (a, b) => assert_eq!(a.as_ref().err(), b.as_ref().err()),
+            }
+            batched
+        };
+        let zero_word = vec![0u8; 32];
+        let store_and_return = "PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN";
+
+        // A taken jump past usize is invalid, as the analyzer saturates it.
+        let error = run_both(format!("{HUGE} JUMP")).unwrap_err();
+        assert_eq!(
+            error.reason,
+            TrapReason::InvalidJump {
+                destination: usize::MAX
+            }
+        );
+        // A JUMPI that is not taken never looks at its destination.
+        let result = run_both(format!("PUSH1 0x00 {HUGE} JUMPI")).unwrap();
+        assert_eq!(result.outcome, ExecOutcome::Stop);
+        // Source offsets past usize read zeros.
+        let result = run_both(format!("{HUGE} CALLDATALOAD {store_and_return}")).unwrap();
+        assert_eq!(result.output, zero_word);
+        let result = run_both(format!(
+            "PUSH1 0x20 {HUGE} PUSH1 0x00 CODECOPY PUSH1 0x20 PUSH1 0x00 RETURN"
+        ))
+        .unwrap();
+        assert_eq!(result.output, zero_word);
+        // A zero-length memory range never traps, wherever it starts.
+        let result = run_both(format!("PUSH1 0x00 {HUGE} SHA3 {store_and_return}")).unwrap();
+        assert_eq!(result.output, tinyevm_crypto::keccak256(&[]).to_vec());
+        let result = run_both(format!("PUSH1 0x00 {HUGE} RETURN")).unwrap();
+        assert_eq!(result.outcome, ExecOutcome::Return);
+        assert!(result.output.is_empty());
+        // A non-empty range there still exceeds the memory budget.
+        let error = run_both(format!("PUSH1 0x01 {HUGE} SHA3")).unwrap_err();
+        assert_eq!(
+            error.reason,
+            TrapReason::MemoryLimitExceeded {
+                requested: usize::MAX,
+                limit: 8 * 1024
+            }
+        );
     }
 
     #[test]

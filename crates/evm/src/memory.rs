@@ -161,17 +161,27 @@ impl Memory {
         Ok(())
     }
 
-    /// Reads `len` bytes starting at `offset`.
+    /// Borrows `len` bytes starting at `offset`, expanding memory to cover
+    /// them. A zero-length range is empty wherever it starts.
+    ///
+    /// # Errors
+    ///
+    /// Returns a memory-limit trap if the extent is out of budget.
+    pub fn slice(&mut self, offset: usize, len: usize) -> Result<&[u8], TrapReason> {
+        if len == 0 {
+            return Ok(&[]);
+        }
+        self.expand(offset, len)?;
+        Ok(&self.bytes[offset..offset + len])
+    }
+
+    /// Reads `len` bytes starting at `offset` into a fresh vector.
     ///
     /// # Errors
     ///
     /// Returns a memory-limit trap if the extent is out of budget.
     pub fn load_slice(&mut self, offset: usize, len: usize) -> Result<Vec<u8>, TrapReason> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        self.expand(offset, len)?;
-        Ok(self.bytes[offset..offset + len].to_vec())
+        self.slice(offset, len).map(<[u8]>::to_vec)
     }
 
     /// Borrow of the raw backing bytes (for tests and tracing).
@@ -235,6 +245,7 @@ mod tests {
         memory.store_slice(1_000_000, &[]).unwrap();
         memory.copy_padded(1_000_000, &[1, 2, 3], 0, 0).unwrap();
         assert_eq!(memory.load_slice(500, 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(memory.slice(usize::MAX, 0).unwrap(), &[] as &[u8]);
         assert_eq!(memory.size(), 0);
     }
 
@@ -268,6 +279,7 @@ mod tests {
         let mut memory = Memory::new(128);
         memory.store_slice(3, b"tinyevm").unwrap();
         assert_eq!(memory.load_slice(3, 7).unwrap(), b"tinyevm");
+        assert_eq!(memory.slice(3, 7).unwrap(), b"tinyevm");
     }
 
     #[test]

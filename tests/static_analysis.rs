@@ -3,11 +3,14 @@
 //! property suites — `Accepted` verdicts really do rule out the static
 //! trap classes; block-batched accounting, on lazily decoded and on shared
 //! analyzed blocks, is observationally identical to per-opcode metering on
-//! arbitrary bytecode and on programs built to trap mid-block; and the lazy
-//! block table decodes exactly the blocks `analyze` does.
+//! arbitrary bytecode, on programs built to trap mid-block and on counted
+//! loops that re-enter their blocks and trap on a late iteration; and the
+//! lazy block table decodes exactly the blocks `analyze` does.
 
 use proptest::prelude::*;
-use tinyevm::analysis::{analyze, AnalysisError, BlockExit, Diagnostic, LazyBlocks, Verdict};
+use tinyevm::analysis::{
+    analyze, AnalysisError, BlockExit, Diagnostic, LazyBlocks, Opcode, Verdict,
+};
 use tinyevm::evm::error::TrapReason;
 use tinyevm::evm::{
     deploy, CallContext, DeployError, Evm, EvmConfig, ExecError, ExecOutcome, ExecResult, NullHost,
@@ -162,44 +165,129 @@ fn assert_batched_matches_per_op(code: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Values that straddle the 8 KB memory budget (`0x1ff0`, `0x2000`,
+/// `0xffff`).
+const VALUES: [u16; 6] = [0, 1, 0x40, 0x1ff0, 0x2000, 0xffff];
+
+/// Appends `PUSH2 value`.
+fn push2(code: &mut Vec<u8>, value: u16) {
+    let [high, low] = value.to_be_bytes();
+    code.extend_from_slice(&[0x61, high, low]);
+}
+
+/// One letter of the mid-block-trap alphabet: `None` for a pushed operand
+/// (`VALUES[pick & 0xff]`), or an opcode byte — a memory, storage,
+/// hashing, calldata, copy, log, IoT, call or create opcode, a block
+/// boundary, or junk.
+fn letter(pick: u16) -> Option<u8> {
+    let low = (pick & 0xff) as u8;
+    match (pick >> 8) % 20 {
+        0..=4 => None,
+        5 => Some(0x52),  // MSTORE
+        6 => Some(0x51),  // MLOAD
+        7 => Some(0x53),  // MSTORE8
+        8 => Some(0x20),  // SHA3
+        9 => Some(0x55),  // SSTORE
+        10 => Some(0x54), // SLOAD
+        11 => Some(0x35), // CALLDATALOAD
+        12 => Some(0x37), // CALLDATACOPY
+        13 => Some(0x39), // CODECOPY
+        14 => Some(0xa1), // LOG1
+        15 => Some(0x0c), // IOT
+        16 => Some(0xf1), // CALL
+        17 => Some(0xf0), // CREATE
+        // JUMPDEST, or now and then STOP
+        18 => Some(if low < 0xe0 { 0x5b } else { 0x00 }),
+        _ => Some(low), // junk
+    }
+}
+
+fn operand(pick: u16) -> u16 {
+    VALUES[(pick & 0xff) as usize % VALUES.len()]
+}
+
 /// Programs whose blocks batch and then trap mid-block. Each first pushes
 /// `pushes.len()` values, so blocks find the stack depth they need, and
-/// then stitches memory, storage, hashing, calldata, copy, log, IoT, call
-/// and create opcodes between more pushes, block boundaries and junk. The
-/// values straddle the 8 KB memory budget (`0x1ff0`, `0x2000`, `0xffff`).
+/// then spells `body` in the [`letter`] alphabet.
 fn mid_block_trap_program(pushes: &[u8], body: &[u16]) -> Vec<u8> {
-    const VALUES: [u16; 6] = [0, 1, 0x40, 0x1ff0, 0x2000, 0xffff];
-    fn push(code: &mut Vec<u8>, value: u16) {
-        let [high, low] = value.to_be_bytes();
-        code.extend_from_slice(&[0x61, high, low]); // PUSH2
-    }
     let mut code = Vec::new();
     for &pick in pushes {
-        push(&mut code, VALUES[pick as usize % VALUES.len()]);
+        push2(&mut code, VALUES[pick as usize % VALUES.len()]);
     }
     for &pick in body {
-        let low = (pick & 0xff) as u8;
-        match (pick >> 8) % 20 {
-            0..=4 => push(&mut code, VALUES[low as usize % VALUES.len()]),
-            5 => code.push(0x52),  // MSTORE
-            6 => code.push(0x51),  // MLOAD
-            7 => code.push(0x53),  // MSTORE8
-            8 => code.push(0x20),  // SHA3
-            9 => code.push(0x55),  // SSTORE
-            10 => code.push(0x54), // SLOAD
-            11 => code.push(0x35), // CALLDATALOAD
-            12 => code.push(0x37), // CALLDATACOPY
-            13 => code.push(0x39), // CODECOPY
-            14 => code.push(0xa1), // LOG1
-            15 => code.push(0x0c), // IOT
-            16 => code.push(0xf1), // CALL
-            17 => code.push(0xf0), // CREATE
-            // JUMPDEST, or now and then STOP
-            18 => code.push(if low < 0xe0 { 0x5b } else { 0x00 }),
-            _ => code.push(low), // junk
+        match letter(pick) {
+            None => push2(&mut code, operand(pick)),
+            Some(byte) => code.push(byte),
         }
     }
     code
+}
+
+/// The corpus generator's counted loop, which keeps `[limit, i]` on the
+/// stack: `PUSH3 trips PUSH1 0 JUMPDEST body PUSH1 1 ADD DUP2 DUP2 LT
+/// PUSH2 head JUMPI POP POP STOP`, with `body` spelled in the [`letter`]
+/// alphabet. The body stays stack-neutral: before each opcode it pushes
+/// the operands the opcode would otherwise take from the loop's own
+/// words, and at the end it pops what it left. One operand in two is the
+/// counter times 0x40, so memory, hashing, copy and storage opcodes trap
+/// on a late iteration, and long bodies run into the instruction budget
+/// mid-loop.
+fn counted_loop_program(trips: u32, body: &[u16]) -> Vec<u8> {
+    const HEAD: u8 = 6;
+    let [_, t2, t1, t0] = trips.to_be_bytes();
+    let mut code = vec![0x62, t2, t1, t0, 0x60, 0x00, 0x5b];
+    // Stack items the body holds above the loop's `[limit, i]`.
+    let mut height = 0usize;
+    let push_operand = |code: &mut Vec<u8>, height: &mut usize, pick: u16| {
+        if (pick >> 15) == 0 && *height < 16 {
+            // DUPn of the counter, then PUSH1 0x40 MUL.
+            code.extend_from_slice(&[0x80 + *height as u8, 0x60, 0x40, 0x02]);
+        } else {
+            push2(code, operand(pick));
+        }
+        *height += 1;
+    };
+    for &pick in body {
+        let Some(byte) = letter(pick) else {
+            push_operand(&mut code, &mut height, pick);
+            continue;
+        };
+        let (inputs, outputs) =
+            Opcode::from_byte(byte).map_or((0, 0), |op| (op.info().inputs, op.info().outputs));
+        let mut salt = pick;
+        while height < inputs {
+            salt = salt.wrapping_mul(31).wrapping_add(17);
+            push_operand(&mut code, &mut height, salt);
+        }
+        code.push(byte);
+        // A junk PUSHn takes zero immediates rather than swallowing the
+        // bytes after it.
+        code.extend(
+            std::iter::repeat(0).take(Opcode::from_byte(byte).map_or(0, |op| op.push_bytes())),
+        );
+        height = height - inputs + outputs;
+    }
+    code.extend(std::iter::repeat(0x50).take(height)); // POP
+    code.extend_from_slice(&[0x60, 0x01, 0x01, 0x81, 0x81, 0x10, 0x61, 0x00, HEAD, 0x57]);
+    code.extend_from_slice(&[0x50, 0x50, 0x00]);
+    code
+}
+
+#[test]
+fn a_counted_loop_traps_on_a_late_iteration_in_every_lane() {
+    // Body: MSTORE at the counter times 0x40. Iteration 128 writes past the
+    // 8 KB budget, long after the loop's blocks were first entered.
+    let body = [0x5001, 0x0000, 0x0500];
+    let code = counted_loop_program(300, &body);
+    let error = Evm::new(EvmConfig::cc2538())
+        .execute(&code, &[])
+        .expect_err("the store at 128 * 0x40 is past the budget");
+    assert!(matches!(
+        error.reason,
+        TrapReason::MemoryLimitExceeded { .. }
+    ));
+    assert!(error.instructions_executed > 128 * 10);
+    assert_batched_matches_per_op(&code).unwrap();
 }
 
 proptest! {
@@ -245,6 +333,14 @@ proptest! {
     }
 
     #[test]
+    fn batched_accounting_matches_per_op_on_loops(
+        trips in 1u32..=300,
+        body in proptest::collection::vec(any::<u16>(), 0..8)
+    ) {
+        assert_batched_matches_per_op(&counted_loop_program(trips, &body))?;
+    }
+
+    #[test]
     fn lazy_blocks_decode_what_analyze_decodes(
         code in proptest::collection::vec(any::<u8>(), 0..160)
     ) {
@@ -261,7 +357,7 @@ proptest! {
             }
             prop_assert_eq!(&decoded, block);
         }
-        prop_assert_eq!(lazy.decoded(), analysis.blocks().len());
+        prop_assert_eq!(lazy.blocks().len(), analysis.blocks().len());
         for pc in 0..code.len() {
             prop_assert_eq!(lazy.is_jumpdest(pc), analysis.is_jumpdest(pc));
         }
