@@ -8,9 +8,8 @@
 //!
 //! The crate sits directly above `tinyevm-crypto` in the layer stack and
 //! below `tinyevm-evm`: it owns the opcode table (re-exported by the EVM
-//! crate) and knows nothing about execution state, so deployment gates in
-//! the chain and channel layers can use it without pulling in the
-//! interpreter.
+//! crate) and knows nothing about execution state, so the channel layer's
+//! deployment gate can use it without pulling in the interpreter.
 //!
 //! Three consumers:
 //!
@@ -20,8 +19,8 @@
 //!   that run code once — init code above all — decode blocks on first
 //!   entry through [`LazyBlocks`], which shares [`analyze`]'s block decoder
 //!   and jumpdest scan;
-//! * the **deploy-time gate** (`tinyevm-evm`'s `deploy` module and the
-//!   chain layer) rejects code whose verdict is [`Verdict::Rejected`];
+//! * the **deploy-time gate** (`tinyevm-evm`'s `deploy` module and its
+//!   contract store) rejects code whose verdict is [`Verdict::Rejected`];
 //! * the **fleet gate** (channel endpoints) refuses to install statically
 //!   invalid contract templates, and the experiments harness tabulates
 //!   verdicts over the whole contract corpus.

@@ -2,9 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use tinyevm_analysis::{analyze, AnalysisError, GasCertificate, Verdict};
 use tinyevm_crypto::keccak256_h256;
-use tinyevm_evm::{ContractStore, EvmConfig, Host, NullIotEnvironment};
 use tinyevm_types::{Address, Wei, H256};
 
 use crate::state::CommitEnvelope;
@@ -48,11 +46,6 @@ pub enum TransactionKind {
         /// True when the insurance went to the honest party.
         fraud_detected: bool,
     },
-    /// Deployment of raw EVM bytecode (metered, on-chain execution).
-    DeployEvmContract {
-        /// Address of the deployed contract.
-        contract: Address,
-    },
 }
 
 /// One recorded transaction.
@@ -95,20 +88,6 @@ pub enum ChainError {
     UnknownTemplate(Address),
     /// The template rejected the operation.
     Template(TemplateError),
-    /// On-chain EVM deployment failed.
-    EvmDeploymentFailed,
-    /// The static analyzer rejected the submitted init code before any of
-    /// it executed (only on chains built with deploy validation enabled).
-    EvmCodeRejected(AnalysisError),
-    /// The submitted init code lacks a worst-case gas proof within the
-    /// chain's admission budget (only on chains built with
-    /// [`Blockchain::with_gas_certificate_budget`]).
-    EvmCodeOverBudget {
-        /// What the analyzer could prove about the init code's cost.
-        certificate: GasCertificate,
-        /// The chain's admission budget in gas units.
-        budget: u64,
-    },
 }
 
 impl core::fmt::Display for ChainError {
@@ -121,19 +100,6 @@ impl core::fmt::Display for ChainError {
             } => write!(f, "{account} needs {needed} but has {available}"),
             ChainError::UnknownTemplate(address) => write!(f, "no template at {address}"),
             ChainError::Template(error) => write!(f, "template rejected: {error}"),
-            ChainError::EvmDeploymentFailed => write!(f, "on-chain EVM deployment failed"),
-            ChainError::EvmCodeRejected(error) => {
-                write!(f, "static analysis rejected the init code: {error}")
-            }
-            ChainError::EvmCodeOverBudget {
-                certificate,
-                budget,
-            } => {
-                write!(
-                    f,
-                    "init code not provably within the chain's {budget}-gas admission budget ({certificate})"
-                )
-            }
         }
     }
 }
@@ -165,7 +131,6 @@ pub struct Blockchain {
     templates: BTreeMap<Address, TemplateContract>,
     blocks: Vec<Block>,
     transactions: Vec<Transaction>,
-    evm_world: ContractStore,
     next_template_nonce: u64,
 }
 
@@ -183,38 +148,8 @@ impl Blockchain {
             templates: BTreeMap::new(),
             blocks: vec![genesis],
             transactions: Vec::new(),
-            evm_world: ContractStore::new(EvmConfig::unconstrained()),
             next_template_nonce: 0,
         }
-    }
-
-    /// Returns a copy with the deploy-time static-analysis gate toggled on
-    /// the embedded EVM world: a validating chain refuses statically-invalid
-    /// init code with [`ChainError::EvmCodeRejected`] before executing it,
-    /// and refuses to install statically-rejected runtime code.
-    pub fn with_deploy_validation(mut self, enabled: bool) -> Self {
-        let config = self
-            .evm_world
-            .config()
-            .clone()
-            .with_deploy_validation(enabled);
-        self.evm_world = ContractStore::new(config);
-        self
-    }
-
-    /// Returns a copy whose embedded EVM world demands a static worst-case
-    /// gas proof of at most `max_gas` from every deployed contract:
-    /// submitted init code is refused with [`ChainError::EvmCodeOverBudget`]
-    /// unless its certificate is `Bounded` within the budget, and nested
-    /// `CREATE`s refuse runtime code the same way.
-    pub fn with_gas_certificate_budget(mut self, max_gas: u64) -> Self {
-        let config = self
-            .evm_world
-            .config()
-            .clone()
-            .with_gas_certificate_budget(max_gas);
-        self.evm_world = ContractStore::new(config);
-        self
     }
 
     /// Reconstructs a chain from persisted parts (the `tinyevm-wire`
@@ -225,8 +160,7 @@ impl Blockchain {
     ///
     /// The transaction *log* is a convenience record for reports, not
     /// consensus state, and is not part of a snapshot; a restored chain
-    /// starts with an empty log. The same goes for the on-chain EVM world
-    /// used by the deployment ablation.
+    /// starts with an empty log.
     pub fn restore_from_parts(
         balances: Vec<(Address, Wei)>,
         block_transaction_counts: &[u32],
@@ -523,73 +457,6 @@ impl Blockchain {
         );
         Ok(settlement)
     }
-
-    /// Deploys raw EVM init code on-chain (metered execution with the
-    /// full-node profile) and returns the contract address. This is how the
-    /// gas-metering ablation gets an on-chain comparison point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChainError::EvmDeploymentFailed`] when the init code
-    /// reverts, traps or runs out of gas, and — on a chain built with
-    /// [`Blockchain::with_deploy_validation`] — [`ChainError::EvmCodeRejected`]
-    /// when the static analyzer refuses the init code before execution.
-    pub fn deploy_evm_contract(
-        &mut self,
-        creator: Address,
-        init_code: &[u8],
-    ) -> Result<Address, ChainError> {
-        let config = self.evm_world.config();
-        if config.validate_on_deploy || config.gas_certificate_budget.is_some() {
-            let analysis = analyze(init_code);
-            if config.validate_on_deploy {
-                if let Verdict::Rejected(error) = analysis.verdict() {
-                    return Err(ChainError::EvmCodeRejected(error.clone()));
-                }
-            }
-            if let Some(budget) = config.gas_certificate_budget {
-                if !analysis.gas_certificate().within_gas_budget(budget) {
-                    return Err(ChainError::EvmCodeOverBudget {
-                        certificate: *analysis.gas_certificate(),
-                        budget,
-                    });
-                }
-            }
-        }
-        let outcome = self.evm_world.create(
-            creator,
-            tinyevm_types::U256::ZERO,
-            init_code,
-            16,
-            &mut NullIotEnvironment,
-        );
-        let address = outcome
-            .created
-            .filter(|_| outcome.success)
-            .ok_or(ChainError::EvmDeploymentFailed)?;
-        self.record(
-            creator,
-            TransactionKind::DeployEvmContract { contract: address },
-        );
-        Ok(address)
-    }
-
-    /// Calls a previously deployed on-chain EVM contract.
-    pub fn call_evm_contract(
-        &mut self,
-        caller: Address,
-        contract: Address,
-        input: &[u8],
-    ) -> (Vec<u8>, bool) {
-        let outcome = self.evm_world.execute_contract(
-            caller,
-            contract,
-            tinyevm_types::U256::ZERO,
-            input,
-            &mut NullIotEnvironment,
-        );
-        (outcome.output, outcome.success)
-    }
 }
 
 impl Default for Blockchain {
@@ -603,7 +470,6 @@ mod tests {
     use super::*;
     use crate::state::ChannelState;
     use tinyevm_crypto::secp256k1::PrivateKey;
-    use tinyevm_evm::asm;
 
     fn setup() -> (Blockchain, PrivateKey, PrivateKey) {
         let mut chain = Blockchain::new();
@@ -805,96 +671,5 @@ mod tests {
             .finalize_template(receiver.eth_address(), template)
             .unwrap();
         assert_eq!(settlement.to_receiver, Wei::from(900u64));
-    }
-
-    #[test]
-    fn on_chain_evm_deployment_and_call() {
-        let (mut chain, sender, _) = setup();
-        let runtime =
-            asm::assemble("PUSH1 0x2a PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN").unwrap();
-        let init = asm::wrap_as_init_code(&runtime);
-        let contract = chain
-            .deploy_evm_contract(sender.eth_address(), &init)
-            .unwrap();
-        let (output, success) = chain.call_evm_contract(sender.eth_address(), contract, &[]);
-        assert!(success);
-        assert_eq!(output[31], 42);
-        // A reverting constructor fails deployment.
-        let bad_init = asm::assemble("PUSH1 0x00 PUSH1 0x00 REVERT").unwrap();
-        assert!(matches!(
-            chain.deploy_evm_contract(sender.eth_address(), &bad_init),
-            Err(ChainError::EvmDeploymentFailed)
-        ));
-    }
-
-    #[test]
-    fn validating_chain_rejects_bad_init_code_before_execution() {
-        let mut chain = Blockchain::new().with_deploy_validation(true);
-        let sender = PrivateKey::from_seed(b"deployer");
-        chain.fund(sender.eth_address(), Wei::from(10_000u64));
-
-        // Jump into the middle of a push immediate: statically invalid.
-        let bad_init = asm::assemble("PUSH1 0x03 JUMP STOP").unwrap();
-        match chain.deploy_evm_contract(sender.eth_address(), &bad_init) {
-            Err(ChainError::EvmCodeRejected(AnalysisError::InvalidJumpTarget { pc, target })) => {
-                assert_eq!(pc, 2);
-                assert_eq!(target, 3);
-            }
-            other => panic!("expected EvmCodeRejected, got {other:?}"),
-        }
-        // Nothing executed, so no transaction was recorded either.
-        assert!(chain.transactions().is_empty());
-
-        // Well-formed contracts still deploy and run on the gated chain.
-        let runtime =
-            asm::assemble("PUSH1 0x2a PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN").unwrap();
-        let init = asm::wrap_as_init_code(&runtime);
-        let contract = chain
-            .deploy_evm_contract(sender.eth_address(), &init)
-            .unwrap();
-        let (output, success) = chain.call_evm_contract(sender.eth_address(), contract, &[]);
-        assert!(success);
-        assert_eq!(output[31], 42);
-
-        // The default chain keeps accepting the same bad code (it fails at
-        // runtime instead, preserving the corpus experiments' semantics).
-        let (mut open, open_sender, _) = setup();
-        assert!(matches!(
-            open.deploy_evm_contract(open_sender.eth_address(), &bad_init),
-            Err(ChainError::EvmDeploymentFailed)
-        ));
-    }
-
-    #[test]
-    fn budgeted_chain_demands_a_bounded_gas_proof() {
-        let mut chain = Blockchain::new().with_gas_certificate_budget(100_000);
-        let sender = PrivateKey::from_seed(b"budgeted");
-        chain.fund(sender.eth_address(), Wei::from(10_000u64));
-
-        // A looping constructor can never prove a bound: refused before
-        // execution, regardless of whether it would actually halt.
-        let looping = asm::assemble("JUMPDEST PUSH1 0x00 JUMP").unwrap();
-        match chain.deploy_evm_contract(sender.eth_address(), &looping) {
-            Err(ChainError::EvmCodeOverBudget {
-                certificate,
-                budget,
-            }) => {
-                assert_eq!(certificate, GasCertificate::Unbounded { loop_head: 0 });
-                assert_eq!(budget, 100_000);
-            }
-            other => panic!("expected EvmCodeOverBudget, got {other:?}"),
-        }
-        assert!(chain.transactions().is_empty());
-
-        // A straight-line contract carries its proof and deploys.
-        let runtime =
-            asm::assemble("PUSH1 0x2a PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 RETURN").unwrap();
-        let init = asm::wrap_as_init_code(&runtime);
-        let contract = chain
-            .deploy_evm_contract(sender.eth_address(), &init)
-            .unwrap();
-        let (output, success) = chain.call_evm_contract(sender.eth_address(), contract, &[]);
-        assert!(success);
-        assert_eq!(output[31], 42);
     }
 }

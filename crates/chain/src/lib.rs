@@ -15,10 +15,6 @@
 //!   logical-clock high-water mark, commit, challenge, exit and payout.
 //! * [`Blockchain`] — accounts, balances, blocks and the transaction entry
 //!   points the IoT nodes use (through their gateway) to talk to the chain.
-//!
-//! The chain can also execute real EVM bytecode in metered mode (see
-//! [`Blockchain::deploy_evm_contract`]) so the gas-metering ablation has an
-//! on-chain counterpart to compare against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

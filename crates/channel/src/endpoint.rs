@@ -188,6 +188,43 @@ impl core::fmt::Display for EndpointError {
 
 impl std::error::Error for EndpointError {}
 
+impl EndpointError {
+    /// True for the errors a transport drops as line noise when it hands a
+    /// peer's frame to [`ChannelEndpoint::handle_wire`]. Committed state is
+    /// untouched, and the live round, if any, converges through the
+    /// sender's stall-retransmit or aborts through its retry budget:
+    ///
+    /// * [`EndpointError::Wire`] — corruption that survived framing: the
+    ///   bytes reassembled but do not decode.
+    /// * a [`PaymentError::StaleSequence`] payment — a replayed (or
+    ///   crash-recovery-retransmitted) payment the channel already holds;
+    ///   committed state is monotone.
+    /// * [`EndpointError::BadSignature`] — bit flips that survive framing
+    ///   *and* RLP can only land in free-form byte strings (signatures and
+    ///   public keys), so the message decodes but fails verification.
+    ///   Deliberate tampering looks identical on the wire, is equally
+    ///   refused, and still surfaces as `BadSignature` when the endpoint is
+    ///   driven directly.
+    /// * [`EndpointError::UnexpectedMessage`] and
+    ///   [`EndpointError::OutOfOrder`] — an out-of-phase message: a peer
+    ///   that power-cycled mid round (its RAM dedup state is gone) or an
+    ///   aborted round's straggler retransmits something this endpoint is
+    ///   not waiting for, such as a re-sent acknowledgement for a payment
+    ///   the rebooted sender already holds in flash. `OutOfOrder` from a
+    ///   local intent (paying while a round is in flight) is raised before
+    ///   any frame is handled and still propagates.
+    pub fn is_droppable(&self) -> bool {
+        matches!(
+            self,
+            EndpointError::Wire(_)
+                | EndpointError::Channel(ChannelError::Payment(PaymentError::StaleSequence { .. }))
+                | EndpointError::BadSignature
+                | EndpointError::UnexpectedMessage { .. }
+                | EndpointError::OutOfOrder(_)
+        )
+    }
+}
+
 impl From<ChannelError> for EndpointError {
     fn from(error: ChannelError) -> Self {
         EndpointError::Channel(error)
@@ -298,58 +335,23 @@ pub enum Effect {
     },
 }
 
-/// Protocol-profile knobs distinguishing the paper's two deployments. The
-/// two-party smart-parking session exchanges sensor readings in both
-/// directions and paces both devices between steps; the fleet scenario
-/// sends only the sensor's reading uplink and leaves pacing to the sensor.
-#[derive(Debug, Clone)]
-pub struct EndpointProfile {
-    /// Peripheral this node reads and transmits.
-    pub reading_peripheral: u64,
-    /// Sender: exchange readings during the open handshake.
-    pub handshake_readings: bool,
-    /// Sender: wait for the peer's reading and fold it into the payment's
-    /// sensor hash.
-    pub expect_peer_reading: bool,
-    /// Receiver: answer an incoming reading with a reading of its own.
-    pub reply_with_reading: bool,
-    /// Receiver: idle for the gap after acknowledging a payment.
-    pub pace_after_ack: bool,
-    /// Idle gap inserted between protocol steps (TSCH slot waiting /
-    /// application pacing), spent in LPM2.
-    pub idle_gap: Duration,
-}
+/// Idle gap inserted between protocol steps (TSCH slot waiting /
+/// application pacing), spent in LPM2.
+pub const IDLE_GAP: Duration = Duration::from_millis(120);
 
-impl EndpointProfile {
-    /// The two-party smart-parking profile for the given role.
-    pub fn two_party(role: ChannelRole) -> Self {
-        EndpointProfile {
-            reading_peripheral: match role {
-                ChannelRole::Sender => tinyevm_device::sensors::peripheral_id::TEMPERATURE,
-                ChannelRole::Receiver => tinyevm_device::sensors::peripheral_id::OCCUPANCY,
-            },
-            handshake_readings: true,
-            expect_peer_reading: true,
-            reply_with_reading: true,
-            pace_after_ack: true,
-            idle_gap: Duration::from_millis(120),
-        }
-    }
-
-    /// The fleet (N sensors, one gateway) profile for the given role.
-    pub fn fleet(role: ChannelRole) -> Self {
-        EndpointProfile {
-            reading_peripheral: match role {
-                ChannelRole::Sender => tinyevm_device::sensors::peripheral_id::TEMPERATURE,
-                ChannelRole::Receiver => tinyevm_device::sensors::peripheral_id::OCCUPANCY,
-            },
-            handshake_readings: false,
-            expect_peer_reading: false,
-            reply_with_reading: false,
-            pace_after_ack: false,
-            idle_gap: Duration::from_millis(120),
-        }
-    }
+/// Which of the paper's two deployments an endpoint runs in. Either way a
+/// sender reads the temperature sensor and a receiver the occupancy sensor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EndpointProfile {
+    /// The two-party smart-parking session: the sender exchanges readings
+    /// during the open handshake and waits for the peer's reading before
+    /// each payment, folding it into the payment's sensor hash; the
+    /// receiver answers every reading with one of its own and idles for
+    /// [`IDLE_GAP`] after acknowledging a payment.
+    TwoParty,
+    /// The fleet (N sensors, one gateway): only the sensor's reading goes
+    /// uplink, and pacing is left to the sensor.
+    Fleet,
 }
 
 /// What kind of message the last [`ChannelEndpoint::poll_transmit`] handed
@@ -540,7 +542,7 @@ impl ChannelEndpoint {
             Device::openmote_b(name),
             addr,
             ChannelRole::Sender,
-            EndpointProfile::two_party(ChannelRole::Sender),
+            EndpointProfile::TwoParty,
         )
     }
 
@@ -550,7 +552,7 @@ impl ChannelEndpoint {
             Device::openmote_b(name),
             addr,
             ChannelRole::Receiver,
-            EndpointProfile::two_party(ChannelRole::Receiver),
+            EndpointProfile::TwoParty,
         )
     }
 
@@ -560,7 +562,7 @@ impl ChannelEndpoint {
             Device::openmote_b(name),
             addr,
             ChannelRole::Sender,
-            EndpointProfile::fleet(ChannelRole::Sender),
+            EndpointProfile::Fleet,
         )
     }
 
@@ -571,7 +573,7 @@ impl ChannelEndpoint {
             Device::openmote_b(name),
             addr,
             ChannelRole::Receiver,
-            EndpointProfile::fleet(ChannelRole::Receiver),
+            EndpointProfile::Fleet,
         )
     }
 
@@ -600,21 +602,6 @@ impl ChannelEndpoint {
     /// This endpoint's channel role.
     pub fn role(&self) -> ChannelRole {
         self.role
-    }
-
-    /// The protocol profile.
-    pub fn profile(&self) -> &EndpointProfile {
-        &self.profile
-    }
-
-    /// Adjusts the idle gap inserted between protocol steps.
-    pub fn set_idle_gap(&mut self, gap: Duration) {
-        self.profile.idle_gap = gap;
-    }
-
-    /// The retransmission policy for in-flight rounds.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Adjusts the retransmission policy.
@@ -728,7 +715,7 @@ impl ChannelEndpoint {
                 last_reply: Vec::new(),
             },
         );
-        if self.profile.handshake_readings {
+        if self.two_party() {
             self.queue_own_reading(peer, OutKind::Reading);
             self.session_mut(peer)?.pending = Pending::OpenAwaitingReading;
             Ok(Vec::new())
@@ -759,7 +746,7 @@ impl ChannelEndpoint {
         let started_at = self.device.now();
         let own_value = self.read_own_sensor();
         self.queue_reading_value(peer, own_value, OutKind::Reading);
-        if self.profile.expect_peer_reading {
+        if self.two_party() {
             self.session_mut(peer)?.pending = Pending::AwaitingPeerReading {
                 amount,
                 own_value,
@@ -1043,10 +1030,8 @@ impl ChannelEndpoint {
         self.device
             .account_radio(RadioDirection::Transmit, wire_bytes);
         match self.in_flight.take() {
-            Some(OutKind::OpenReply) => self.device.sleep(self.profile.idle_gap),
-            Some(OutKind::Ack) if self.profile.pace_after_ack => {
-                self.device.sleep(self.profile.idle_gap);
-            }
+            Some(OutKind::OpenReply) => self.device.sleep(IDLE_GAP),
+            Some(OutKind::Ack) if self.two_party() => self.device.sleep(IDLE_GAP),
             _ => {}
         }
     }
@@ -1149,7 +1134,7 @@ impl ChannelEndpoint {
                 if !self.sessions.contains_key(&from) && !self.expected.contains_key(&from) {
                     return Err(EndpointError::UnknownPeer(from));
                 }
-                if self.profile.reply_with_reading {
+                if self.two_party() {
                     let value = self.read_own_sensor();
                     let kind = if self.sessions.contains_key(&from) {
                         OutKind::Reading
@@ -1170,7 +1155,7 @@ impl ChannelEndpoint {
                     std::mem::replace(&mut self.session_mut(from)?.pending, Pending::Idle);
                 match pending {
                     Pending::OpenAwaitingReading => {
-                        self.device.sleep(self.profile.idle_gap);
+                        self.device.sleep(IDLE_GAP);
                         self.finish_open(from)
                     }
                     Pending::AwaitingPeerReading {
@@ -1262,8 +1247,8 @@ impl ChannelEndpoint {
                 last_reply: Vec::new(),
             },
         );
-        if self.profile.reply_with_reading {
-            self.device.sleep(self.profile.idle_gap);
+        if self.two_party() {
+            self.device.sleep(IDLE_GAP);
         }
         Ok(vec![Effect::ChannelOpened {
             peer: from,
@@ -1445,7 +1430,7 @@ impl ChannelEndpoint {
             || format!("channel.cumulative_wei.{from}"),
             payment.cumulative.amount().low_u64() as f64,
         );
-        self.device.sleep(self.profile.idle_gap);
+        self.device.sleep(IDLE_GAP);
         let active_time = sign_time
             + register_time
             + self.device.airtime(payment_wire_len)
@@ -1664,10 +1649,23 @@ impl ChannelEndpoint {
             .map_err(|e| EndpointError::Device(e.to_string()))
     }
 
-    /// Reads this node's configured peripheral (500 µs of CPU).
+    /// True for an endpoint of the two-party session.
+    fn two_party(&self) -> bool {
+        self.profile == EndpointProfile::TwoParty
+    }
+
+    /// The peripheral this node reads and transmits, by role.
+    fn reading_peripheral(&self) -> u64 {
+        match self.role {
+            ChannelRole::Sender => tinyevm_device::sensors::peripheral_id::TEMPERATURE,
+            ChannelRole::Receiver => tinyevm_device::sensors::peripheral_id::OCCUPANCY,
+        }
+    }
+
+    /// Reads this node's peripheral (500 µs of CPU).
     fn read_own_sensor(&mut self) -> U256 {
         self.device
-            .read_sensor(self.profile.reading_peripheral, 0)
+            .read_sensor(self.reading_peripheral(), 0)
             .unwrap_or(U256::ZERO)
     }
 
@@ -1680,7 +1678,7 @@ impl ChannelEndpoint {
         self.outbox.push_back(Outgoing {
             to: peer,
             message: Message::SensorReading(SensorReading {
-                peripheral: self.profile.reading_peripheral,
+                peripheral: self.reading_peripheral(),
                 value,
             }),
             kind,
@@ -1708,8 +1706,8 @@ impl ChannelEndpoint {
             }),
             kind: OutKind::Proposal,
         });
-        if self.profile.handshake_readings {
-            self.device.sleep(self.profile.idle_gap);
+        if self.two_party() {
+            self.device.sleep(IDLE_GAP);
         }
         Ok(vec![Effect::ChannelOpened {
             peer,

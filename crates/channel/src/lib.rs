@@ -49,7 +49,7 @@ pub mod sidechain;
 pub use channel::{ChannelConfig, ChannelError, ChannelRole, ChannelStatus, PaymentChannel};
 pub use endpoint::{
     ChannelEndpoint, ChannelRegistration, Effect, EndpointError, EndpointProfile, Envelope,
-    PaymentReceipt, RetryPolicy,
+    PaymentReceipt, RetryPolicy, IDLE_GAP,
 };
 pub use gateway::{
     GatewayRoundReport, GatewaySettlementReport, SensorHealth, SensorSummary, QUARANTINE_THRESHOLD,

@@ -251,9 +251,10 @@ pub(crate) struct PumpControl {
 /// * a transport-level [`LinkError`](tinyevm_net::LinkError) hands the
 ///   transmitter to its retry/backoff machinery
 ///   ([`ChannelEndpoint::on_transport_error`]);
-/// * undecodable bytes (corruption that survived framing) and stale
-///   replayed payments are dropped — the sender's stall-retransmit path
-///   recovers the round;
+/// * line noise ([`EndpointError::is_droppable`]: undecodable bytes,
+///   stale replayed payments, corrupted signatures, out-of-phase
+///   messages) is dropped — the sender's stall-retransmit path recovers
+///   the round;
 /// * when both outboxes drain with a round still pending (a message
 ///   vanished whole), the stalled endpoint retransmits with backoff until
 ///   the round completes or aborts.
@@ -332,70 +333,15 @@ pub(crate) fn pump_pair_with<R: Radio>(
         control.conveyed += 1;
         tx.account_transmitted(report.wire_bytes);
         rx.account_received(report.wire_bytes);
-        let effects = match rx.handle_wire(tx.addr(), &delivered) {
-            Ok(effects) => effects,
-            Err(EndpointError::Wire(_)) => {
-                // Corruption that survived framing: the bytes reassembled
-                // but do not decode. Drop them; the sender's
-                // stall-retransmit recovers the round.
-                log.transfers.push(Transfer {
-                    label: envelope.message.label(),
-                    wire_bytes: report.wire_bytes,
-                });
-                continue;
-            }
-            Err(EndpointError::Channel(crate::channel::ChannelError::Payment(
-                crate::payment::PaymentError::StaleSequence { .. },
-            ))) => {
-                // A replayed (or crash-recovery-retransmitted) payment the
-                // channel already holds. Ignoring it is safe: committed
-                // state is monotone and the live round, if any, recovers
-                // via stall-retransmit.
-                log.transfers.push(Transfer {
-                    label: envelope.message.label(),
-                    wire_bytes: report.wire_bytes,
-                });
-                continue;
-            }
-            Err(EndpointError::BadSignature) => {
-                // Bit flips that survive framing *and* RLP can only land in
-                // free-form byte strings — signatures and public keys — so
-                // the message decodes but fails verification. Treat it as
-                // line noise, exactly like a framing error: drop it and let
-                // the retransmission machinery re-deliver the original.
-                // (Deliberate tampering looks identical on the wire, is
-                // equally refused here, and still surfaces as
-                // `BadSignature` when the endpoint is driven directly.)
-                log.transfers.push(Transfer {
-                    label: envelope.message.label(),
-                    wire_bytes: report.wire_bytes,
-                });
-                continue;
-            }
-            Err(EndpointError::UnexpectedMessage { .. } | EndpointError::OutOfOrder(_)) => {
-                // An out-of-phase message: a peer that power-cycled mid
-                // round (its RAM dedup state is gone) or an aborted round's
-                // straggler retransmits something this endpoint is not
-                // waiting for — e.g. a re-sent acknowledgement for a
-                // payment the rebooted sender already holds in flash.
-                // Dropping it is the sans-IO answer — the live round
-                // converges via stall-retransmit or aborts through the
-                // retry budget; committed state is untouched either way.
-                // (`OutOfOrder` from *local intents* — say, paying while a
-                // round is in flight — is raised before the pump runs and
-                // still propagates.)
-                log.transfers.push(Transfer {
-                    label: envelope.message.label(),
-                    wire_bytes: report.wire_bytes,
-                });
-                continue;
-            }
-            Err(other) => return Err(other.into()),
-        };
         log.transfers.push(Transfer {
             label: envelope.message.label(),
             wire_bytes: report.wire_bytes,
         });
+        let effects = match rx.handle_wire(tx.addr(), &delivered) {
+            Ok(effects) => effects,
+            Err(error) if error.is_droppable() => continue,
+            Err(other) => return Err(other.into()),
+        };
         let rx_addr = rx.addr();
         for effect in effects {
             if let Effect::PaymentAccepted { processing, .. } = &effect {
@@ -706,12 +652,6 @@ impl ProtocolDriver {
     /// statistics).
     pub fn link(&self) -> &Link {
         &self.link
-    }
-
-    /// Adjusts the idle gap inserted between protocol steps.
-    pub fn set_idle_gap(&mut self, gap: Duration) {
-        self.sender.endpoint.set_idle_gap(gap);
-        self.receiver.endpoint.set_idle_gap(gap);
     }
 
     /// The sender's power-state timeline (Figure 5 raw data).
@@ -1221,6 +1161,17 @@ mod tests {
         assert!(settlement.sender_balance >= Wei::from(950_000u64));
         // The whole session needed only a handful of on-chain transactions.
         assert!(settlement.on_chain_transactions <= 6);
+    }
+
+    #[test]
+    fn a_channel_closed_without_payments_refunds_the_whole_deposit() {
+        let mut d = driver();
+        assert!(d.run_session(0, Wei::from(10_000u64)).unwrap().is_empty());
+        let settlement = d.close_and_settle().unwrap();
+        assert_eq!(settlement.payments_exchanged, 0);
+        assert_eq!(settlement.settlement.to_receiver, Wei::ZERO);
+        assert_eq!(settlement.settlement.to_sender, Wei::from(1_000_000u64));
+        assert_eq!(settlement.receiver_balance, Wei::ZERO);
     }
 
     #[test]

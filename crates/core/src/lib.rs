@@ -7,8 +7,7 @@
 //! main-chain substrates needed to evaluate them end to end.
 //!
 //! This crate is the umbrella: it re-exports the public API of every
-//! subsystem crate and adds a small [`scenario`] module with the
-//! smart-parking workload the paper's introduction motivates.
+//! subsystem crate and gathers the most used items in [`prelude`].
 //!
 //! ## Subsystems
 //!
@@ -59,8 +58,6 @@ pub use tinyevm_trace as trace;
 pub use tinyevm_types as types;
 pub use tinyevm_wire as wire;
 
-pub mod scenario;
-
 /// The most commonly used items, importable with one `use`.
 pub mod prelude {
     pub use tinyevm_chain::{Blockchain, TemplateConfig, TemplateContract};
@@ -76,8 +73,6 @@ pub mod prelude {
     pub use tinyevm_trace::{TraceHandle, TraceSnapshot};
     pub use tinyevm_types::{Address, Wei, H256, U256};
     pub use tinyevm_wire::{ChainSnapshot, ChannelSnapshot, Message, WireError};
-
-    pub use crate::scenario::{ParkingScenario, ParkingSummary};
 }
 
 #[cfg(test)]

@@ -181,11 +181,6 @@ impl Device {
         &self.world
     }
 
-    /// The sensor registry.
-    pub fn sensors_mut(&mut self) -> &mut DeviceSensors {
-        &mut self.sensors
-    }
-
     /// The device's simulated clock.
     pub fn now(&self) -> Duration {
         self.meter.now()

@@ -7,7 +7,9 @@
 //! exactly that flow and returns the per-contract measurements that populate
 //! Table II and Figures 3 and 4.
 
-use tinyevm_analysis::{analyze, AnalysisError, GasCertificate, Verdict};
+use std::borrow::Borrow;
+
+use tinyevm_analysis::{analyze, AnalysisError, CodeAnalysis, GasCertificate, Verdict};
 use tinyevm_types::{Address, U256};
 
 use crate::config::EvmConfig;
@@ -135,6 +137,56 @@ impl DeployError {
     }
 }
 
+/// The code a deploy-time gate checks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DeployStage {
+    /// Init code, before the constructor runs.
+    Init,
+    /// The runtime code a constructor returned, before it is installed.
+    Runtime,
+}
+
+/// The deploy-time gate: refuses code the static analyzer `Rejected` under
+/// [`EvmConfig::validate_on_deploy`], and code whose gas certificate is not
+/// within [`EvmConfig::gas_certificate_budget`] when one is set.
+/// `analysis` runs only when one of the two is on.
+pub(crate) fn deploy_gate<A: Borrow<CodeAnalysis>>(
+    config: &EvmConfig,
+    stage: DeployStage,
+    analysis: impl FnOnce() -> A,
+) -> Result<(), DeployError> {
+    if !config.validate_on_deploy && config.gas_certificate_budget.is_none() {
+        return Ok(());
+    }
+    let analysis = analysis();
+    let analysis = analysis.borrow();
+    if config.validate_on_deploy {
+        if let Verdict::Rejected(error) = analysis.verdict() {
+            let error = error.clone();
+            return Err(match stage {
+                DeployStage::Init => DeployError::InitCodeRejected(error),
+                DeployStage::Runtime => DeployError::RuntimeCodeRejected(error),
+            });
+        }
+    }
+    if let Some(budget) = config.gas_certificate_budget {
+        let certificate = *analysis.gas_certificate();
+        if !certificate.within_gas_budget(budget) {
+            return Err(match stage {
+                DeployStage::Init => DeployError::InitCodeOverBudget {
+                    certificate,
+                    budget,
+                },
+                DeployStage::Runtime => DeployError::RuntimeCodeOverBudget {
+                    certificate,
+                    budget,
+                },
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A successful deployment.
 #[derive(Debug, Clone)]
 pub struct DeployResult {
@@ -212,25 +264,10 @@ pub fn deploy_with(
     full_code.extend_from_slice(init_code);
     full_code.extend_from_slice(constructor_args);
 
-    // Deploy-time gate: refuse statically-rejected init code before a single
-    // instruction runs. Constructor arguments are appended to the code but
-    // never executed, so only the init code proper is analyzed.
-    if config.validate_on_deploy || config.gas_certificate_budget.is_some() {
-        let analysis = analyze(init_code);
-        if config.validate_on_deploy {
-            if let Verdict::Rejected(error) = analysis.verdict() {
-                return Err(DeployError::InitCodeRejected(error.clone()));
-            }
-        }
-        if let Some(budget) = config.gas_certificate_budget {
-            if !analysis.gas_certificate().within_gas_budget(budget) {
-                return Err(DeployError::InitCodeOverBudget {
-                    certificate: *analysis.gas_certificate(),
-                    budget,
-                });
-            }
-        }
-    }
+    // Refuse gated init code before a single instruction runs. Constructor
+    // arguments are appended to the code but never executed, so only the
+    // init code proper is analyzed.
+    deploy_gate(config, DeployStage::Init, || analyze(init_code))?;
 
     let mut evm = Evm::new(config.clone());
     let mut storage = SideChainStorage::new(config.max_storage_bytes);
@@ -269,22 +306,7 @@ pub fn deploy_with(
                     limit: config.max_code_size,
                 });
             }
-            if config.validate_on_deploy || config.gas_certificate_budget.is_some() {
-                let analysis = analyze(&runtime_code);
-                if config.validate_on_deploy {
-                    if let Verdict::Rejected(error) = analysis.verdict() {
-                        return Err(DeployError::RuntimeCodeRejected(error.clone()));
-                    }
-                }
-                if let Some(budget) = config.gas_certificate_budget {
-                    if !analysis.gas_certificate().within_gas_budget(budget) {
-                        return Err(DeployError::RuntimeCodeOverBudget {
-                            certificate: *analysis.gas_certificate(),
-                            budget,
-                        });
-                    }
-                }
-            }
+            deploy_gate(config, DeployStage::Runtime, || analyze(&runtime_code))?;
             let deployed_memory_bytes = runtime_code.len();
             Ok(DeployResult {
                 runtime_code,
@@ -560,6 +582,21 @@ mod tests {
             } => assert!(certificate.is_bounded()),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn budget_gate_refuses_looping_init_code_before_it_runs() {
+        // A looping constructor can never prove a bound: refused before
+        // execution, regardless of whether it would actually halt.
+        let looping = assemble("JUMPDEST PUSH1 0x00 JUMP").unwrap();
+        let error = deploy(&config().with_gas_certificate_budget(100_000), &looping).unwrap_err();
+        assert_eq!(
+            error,
+            DeployError::InitCodeOverBudget {
+                certificate: GasCertificate::Unbounded { loop_head: 0 },
+                budget: 100_000,
+            }
+        );
     }
 
     #[test]

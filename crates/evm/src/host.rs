@@ -17,6 +17,7 @@ use tinyevm_trace::TraceHandle;
 use tinyevm_types::{Address, U256};
 
 use crate::config::EvmConfig;
+use crate::deploy::{deploy_gate, DeployStage};
 use crate::interpreter::{CallContext, Evm, ExecOutcome};
 use crate::iot::IotEnvironment;
 use crate::metrics::ExecMetrics;
@@ -527,24 +528,16 @@ impl Host for ContractStore {
                 created: None,
             };
         }
-        // Deploy-time gate: a world with validation enabled refuses to
-        // install statically-rejected runtime code, and a world with a gas
-        // budget demands a bounded worst-case-cost proof within it.
-        if self.config.validate_on_deploy || self.config.gas_certificate_budget.is_some() {
-            let analysis = self.analyses.analyze(&frame.output);
-            let rejected = self.config.validate_on_deploy && analysis.verdict().is_rejected();
-            let over_budget = self
-                .config
-                .gas_certificate_budget
-                .is_some_and(|budget| !analysis.gas_certificate().within_gas_budget(budget));
-            if rejected || over_budget {
-                return CallOutcome {
-                    success: false,
-                    output: Vec::new(),
-                    metrics: frame.metrics,
-                    created: None,
-                };
-            }
+        let gate = deploy_gate(&self.config, DeployStage::Runtime, || {
+            self.analyses.analyze(&frame.output)
+        });
+        if gate.is_err() {
+            return CallOutcome {
+                success: false,
+                output: Vec::new(),
+                metrics: frame.metrics,
+                created: None,
+            };
         }
         self.install_code(new_address, frame.output.clone());
         CallOutcome {

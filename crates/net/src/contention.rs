@@ -8,12 +8,10 @@
 //! senders contend for it. [`ContendingMedium`] wraps a [`SharedMedium`]
 //! with a slot-granular medium-access model:
 //!
-//! * **Slotted ALOHA** — every ready sender transmits in a slot with
-//!   probability `p`; two or more transmissions collide.
 //! * **CSMA/CA** — every ready sender draws a backoff counter uniformly
 //!   from its contention window, counts idle slots down, and transmits
-//!   (p-persistently) when the counter expires; simultaneous expiries
-//!   collide and double the losers' windows (binary exponential backoff).
+//!   when the counter expires; simultaneous expiries collide and double
+//!   the losers' windows (binary exponential backoff).
 //! * **Capture** — when several frames overlap, the strongest may still be
 //!   decoded if it beats the runner-up by the configured power ratio
 //!   (drawn from each sender's own seeded process), as real 802.15.4
@@ -54,19 +52,10 @@ pub enum AccessScheme {
     /// No randomness, no backoff — the TSCH-style serialization the
     /// legacy lockstep pumps assume.
     SingleSlot,
-    /// Slotted ALOHA: each ready sender transmits with probability
-    /// `tx_probability` per slot; overlaps collide.
-    SlottedAloha {
-        /// Per-slot transmission probability of a ready sender.
-        tx_probability: f64,
-    },
     /// CSMA/CA with binary exponential backoff: ready senders count a
-    /// uniformly drawn backoff down across idle slots and transmit
-    /// (p-persistently) on expiry; collisions double the window.
+    /// uniformly drawn backoff down across idle slots and transmit on
+    /// expiry; collisions double the window.
     CsmaCa {
-        /// Probability of actually transmitting once the backoff counter
-        /// expires (1.0 = standard CSMA/CA).
-        persistence: f64,
         /// Initial (and post-success) contention window, in slots.
         cw_min: u32,
         /// Ceiling the window doubles up to.
@@ -87,30 +76,19 @@ pub struct ContentionConfig {
     /// ratio. `f64::INFINITY` disables capture; `1.0` means the strongest
     /// always captures.
     pub capture_ratio: f64,
-    /// Seed of the per-sender draw streams (power, persistence, backoff).
+    /// Seed of the per-sender draw streams (power, backoff).
     pub seed: u64,
 }
 
 impl ContentionConfig {
-    /// CSMA/CA with 802.15.4-flavoured defaults: full persistence,
-    /// windows 8..=1024 slots, 5 ms slots, capture at 4× power.
+    /// CSMA/CA with 802.15.4-flavoured defaults: windows 8..=1024 slots,
+    /// 5 ms slots, capture at 4× power.
     pub fn csma(seed: u64) -> Self {
         ContentionConfig {
             scheme: AccessScheme::CsmaCa {
-                persistence: 1.0,
                 cw_min: 8,
                 cw_max: 1024,
             },
-            slot: Duration::from_millis(5),
-            capture_ratio: 4.0,
-            seed,
-        }
-    }
-
-    /// Slotted ALOHA with a fixed per-slot transmit probability.
-    pub fn aloha(tx_probability: f64, seed: u64) -> Self {
-        ContentionConfig {
-            scheme: AccessScheme::SlottedAloha { tx_probability },
             slot: Duration::from_millis(5),
             capture_ratio: 4.0,
             seed,
@@ -293,7 +271,7 @@ impl ContendingMedium {
     fn register_sender(&mut self, addr: NodeAddr) {
         let cw_min = match self.config.scheme {
             AccessScheme::CsmaCa { cw_min, .. } => cw_min,
-            _ => 1,
+            AccessScheme::SingleSlot => 1,
         };
         self.senders.insert(
             addr,
@@ -309,11 +287,11 @@ impl ContendingMedium {
     /// Resolves one contention slot among `ready` senders (those with a
     /// frame pending and their device clock caught up to the slot).
     ///
-    /// Decrements backoff counters, draws transmit decisions from each
-    /// sender's own seeded stream, applies the capture model when frames
-    /// overlap, grows losers' contention windows and accounts the wasted
-    /// slot. The caller then conveys the winner's frame (if any) through
-    /// the [`Radio`] implementation.
+    /// Decrements backoff counters, draws each sender's backoff from its
+    /// own seeded stream, applies the capture model when frames overlap,
+    /// grows losers' contention windows and accounts the wasted slot. The
+    /// caller then conveys the winner's frame (if any) through the
+    /// [`Radio`] implementation.
     ///
     /// `ready` may arrive in any order; arbitration is order-independent
     /// because every sender draws only from its own stream.
@@ -337,42 +315,17 @@ impl ContendingMedium {
             let Some(state) = self.senders.get_mut(addr) else {
                 continue;
             };
-            let transmits = match self.config.scheme {
-                AccessScheme::SingleSlot => unreachable!("handled above"),
-                AccessScheme::SlottedAloha { tx_probability } => {
-                    match state.counter {
-                        // Still spending a post-collision retransmission wait.
-                        Some(slots_left) if slots_left > 0 => {
-                            state.counter = Some(slots_left - 1);
-                            false
-                        }
-                        _ => {
-                            state.counter = None;
-                            state.next_f64() < tx_probability
-                        }
-                    }
-                }
-                AccessScheme::CsmaCa { persistence, .. } => {
-                    let counter = match state.counter {
-                        Some(counter) => counter,
-                        None => {
-                            let drawn = state.draw_counter();
-                            state.counter = Some(drawn);
-                            drawn
-                        }
-                    };
-                    if counter > 0 {
-                        state.counter = Some(counter - 1);
-                        false
-                    } else if persistence >= 1.0 || state.next_f64() < persistence {
-                        true
-                    } else {
-                        // Deferred p-persistently: retry next slot.
-                        false
-                    }
+            let counter = match state.counter {
+                Some(counter) => counter,
+                None => {
+                    let drawn = state.draw_counter();
+                    state.counter = Some(drawn);
+                    drawn
                 }
             };
-            if transmits {
+            if counter > 0 {
+                state.counter = Some(counter - 1);
+            } else {
                 transmitting.push(*addr);
             }
         }
@@ -464,26 +417,16 @@ impl ContendingMedium {
                 continue;
             };
             state.collisions += 1;
-            match self.config.scheme {
-                AccessScheme::CsmaCa { cw_max, .. } => {
-                    state.cw = (state.cw.saturating_mul(2)).min(cw_max.max(1));
-                    let drawn = state.draw_counter();
-                    state.counter = Some(drawn);
-                    let (node, cw, slots) = (addr.to_string(), state.cw, drawn);
-                    self.tracer.event(|| TraceEvent::Backoff {
-                        node,
-                        window_slots: cw,
-                        wait_slots: slots,
-                    });
-                }
-                AccessScheme::SlottedAloha { .. } => {
-                    // Retransmit after a random wait that doubles with
-                    // consecutive collisions (capped at 64 slots).
-                    state.cw = (state.cw.saturating_mul(2)).min(64);
-                    let drawn = state.draw_counter();
-                    state.counter = Some(drawn);
-                }
-                AccessScheme::SingleSlot => {}
+            if let AccessScheme::CsmaCa { cw_max, .. } = self.config.scheme {
+                state.cw = (state.cw.saturating_mul(2)).min(cw_max.max(1));
+                let drawn = state.draw_counter();
+                state.counter = Some(drawn);
+                let (node, cw, slots) = (addr.to_string(), state.cw, drawn);
+                self.tracer.event(|| TraceEvent::Backoff {
+                    node,
+                    window_slots: cw,
+                    wait_slots: slots,
+                });
             }
             lost.push(*addr);
         }
@@ -622,35 +565,13 @@ mod tests {
     }
 
     #[test]
-    fn aloha_low_probability_reduces_collisions() {
-        let gateway = NodeAddr::new(0xFE);
-        let collide_count = |p: f64| {
-            let mut medium = ContendingMedium::new(
-                gateway,
-                LinkConfig::lossless(LinkProfile::Tsch),
-                ContentionConfig::aloha(p, 5),
-            )
-            .unwrap();
-            let addrs: Vec<NodeAddr> = (1..=10).map(NodeAddr::new).collect();
-            for addr in &addrs {
-                medium.attach(*addr).unwrap();
-            }
-            drain(&mut medium, &addrs, 300);
-            medium.collision_events()
-        };
-        let aggressive = collide_count(0.9);
-        let polite = collide_count(0.05);
-        assert!(
-            polite < aggressive,
-            "p=0.05 ({polite} collisions) should collide less than p=0.9 ({aggressive})"
-        );
-    }
-
-    #[test]
     fn capture_lets_the_strongest_frame_survive_sometimes() {
         let gateway = NodeAddr::new(0xFE);
-        let mut config = ContentionConfig::aloha(1.0, 3);
+        let mut config = ContentionConfig::csma(3);
         config.capture_ratio = 1.0; // strongest always captures
+        if let AccessScheme::CsmaCa { cw_min, .. } = &mut config.scheme {
+            *cw_min = 1; // both draw counter 0 → guaranteed first-slot collision
+        }
         let mut medium =
             ContendingMedium::new(gateway, LinkConfig::lossless(LinkProfile::Tsch), config)
                 .unwrap();
@@ -658,7 +579,7 @@ mod tests {
         for addr in &addrs {
             medium.attach(*addr).unwrap();
         }
-        // Both always transmit; with ratio 1.0 every overlap is captured.
+        // Both transmit at once; with ratio 1.0 every overlap is captured.
         let outcome = medium.resolve_slot(&addrs);
         match outcome {
             SlotOutcome::Collision { captured, lost } => {
@@ -695,46 +616,30 @@ mod tests {
         assert_eq!(medium.sender_collisions(NodeAddr::new(0x55)), 0);
     }
 
-    fn aloha_medium(sensors: u16, seed: u64) -> (ContendingMedium, Vec<NodeAddr>) {
-        let mut medium = ContendingMedium::new(
-            NodeAddr::new(0xFE),
-            LinkConfig::lossless(LinkProfile::Tsch),
-            ContentionConfig::aloha(0.6, seed),
-        )
-        .unwrap();
-        let addrs: Vec<NodeAddr> = (1..=sensors).map(NodeAddr::new).collect();
-        for addr in &addrs {
-            medium.attach(*addr).unwrap();
-        }
-        (medium, addrs)
-    }
-
     /// Skipping a run of idle slots must leave the medium exactly where
     /// resolving them one by one leaves it: same slot count, same
     /// counters, so every later slot resolves the same way.
     #[test]
     fn skipping_idle_slots_matches_resolving_them_one_by_one() {
-        for build in [csma_medium, aloha_medium] {
-            for seed in 1..=12u64 {
-                let (mut stepped, addrs) = build(6, seed);
-                let (mut skipped, _) = build(6, seed);
-                let mut jumps = 0;
-                for _ in 0..300 {
-                    // A capped skip stops early; an uncapped one runs up
-                    // to the first slot a sender acts in.
-                    let cap = if jumps % 2 == 0 { 3 } else { u64::MAX };
-                    let jumped = skipped.skip_idle_slots(&addrs, cap);
-                    jumps += u64::from(jumped > 0);
-                    for _ in 0..jumped {
-                        assert_eq!(stepped.resolve_slot(&addrs), SlotOutcome::Idle);
-                    }
-                    assert_eq!(stepped.slots_elapsed(), skipped.slots_elapsed());
-                    assert_eq!(stepped.resolve_slot(&addrs), skipped.resolve_slot(&addrs));
+        for seed in 1..=12u64 {
+            let (mut stepped, addrs) = csma_medium(6, seed);
+            let (mut skipped, _) = csma_medium(6, seed);
+            let mut jumps = 0;
+            for _ in 0..300 {
+                // A capped skip stops early; an uncapped one runs up to the
+                // first slot a sender acts in.
+                let cap = if jumps % 2 == 0 { 3 } else { u64::MAX };
+                let jumped = skipped.skip_idle_slots(&addrs, cap);
+                jumps += u64::from(jumped > 0);
+                for _ in 0..jumped {
+                    assert_eq!(stepped.resolve_slot(&addrs), SlotOutcome::Idle);
                 }
-                assert!(jumps > 0, "seed {seed}: back-off must leave idle runs");
-                assert_eq!(stepped.collision_events(), skipped.collision_events());
-                assert_eq!(stepped.frames_collided(), skipped.frames_collided());
+                assert_eq!(stepped.slots_elapsed(), skipped.slots_elapsed());
+                assert_eq!(stepped.resolve_slot(&addrs), skipped.resolve_slot(&addrs));
             }
+            assert!(jumps > 0, "seed {seed}: back-off must leave idle runs");
+            assert_eq!(stepped.collision_events(), skipped.collision_events());
+            assert_eq!(stepped.frames_collided(), skipped.frames_collided());
         }
     }
 

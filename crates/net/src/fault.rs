@@ -158,11 +158,6 @@ impl FaultPlan {
         &self.config
     }
 
-    /// Messages this plan has inspected so far (its window clock).
-    pub fn messages_seen(&self) -> u64 {
-        self.messages
-    }
-
     /// Claims the next message index (advancing the window clock).
     pub(crate) fn next_message(&mut self) -> u64 {
         let index = self.messages;

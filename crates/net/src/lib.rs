@@ -23,12 +23,13 @@
 //! * **Addressing and a shared medium**: every frame names its
 //!   [`NodeAddr`] endpoints, and a [`SharedMedium`] lets N addressed
 //!   senders contend for one gateway with per-endpoint loss processes,
-//!   bounded per-peer RX queues and wire-byte / airtime accounting — the
-//!   radio topology of the paper's many-sensors-one-gateway deployment.
-//! * **Contention**: a [`ContendingMedium`] layers slotted-ALOHA and
-//!   CSMA/CA medium access (p-persistence, binary exponential backoff,
-//!   capture threshold, per-slot collision loss) over the shared medium
-//!   for event-driven fleet simulation — see [`contention`].
+//!   the gateway's bounded per-peer RX queues and wire-byte / airtime
+//!   accounting — the radio topology of the paper's
+//!   many-sensors-one-gateway deployment.
+//! * **Contention**: a [`ContendingMedium`] layers CSMA/CA medium access
+//!   (binary exponential backoff, capture threshold, per-slot collision
+//!   loss) or a contention-free single-slot schedule over the shared
+//!   medium for event-driven fleet simulation — see [`contention`].
 //!
 //! The crate deliberately moves *bytes*, not protocol objects — message
 //! semantics live in `tinyevm-channel`.

@@ -17,9 +17,9 @@ use std::time::Duration;
 use crate::addr::NodeAddr;
 use crate::link::{Link, LinkConfig, LinkError, TransferReport};
 
-/// Default bound on each per-peer RX queue — frames parked for a receiver
-/// beyond this depth are dropped and counted, the way a real radio driver
-/// sheds load when the MAC cannot drain its buffers.
+/// Default bound on each of the gateway's per-peer RX queues — frames
+/// parked for it beyond this depth are dropped and counted, the way a real
+/// radio driver sheds load when the MAC cannot drain its buffers.
 pub const DEFAULT_RX_QUEUE_CAPACITY: usize = 64;
 
 /// Errors produced by [`SharedMedium`] operations.
@@ -111,9 +111,6 @@ impl EndpointStats {
 struct MediumEndpoint {
     link: Link,
     stats: EndpointStats,
-    /// Frames delivered to this endpoint but not yet consumed by its
-    /// protocol state machine (each tagged with the sender).
-    rx_queue: VecDeque<(NodeAddr, Vec<u8>)>,
 }
 
 /// Derives an endpoint's loss-process seed from the medium seed and its
@@ -148,9 +145,10 @@ pub struct SharedMedium {
     gateway: NodeAddr,
     base: LinkConfig,
     endpoints: BTreeMap<NodeAddr, MediumEndpoint>,
-    /// Frames parked for the gateway, one bounded queue per sending peer
-    /// (so a flooding sensor sheds its own frames, never a neighbour's).
-    gateway_rx: BTreeMap<NodeAddr, VecDeque<Vec<u8>>>,
+    /// Frames parked for the gateway with their wire sizes, one bounded
+    /// queue per sending peer (so a flooding sensor sheds its own frames,
+    /// never a neighbour's).
+    gateway_rx: BTreeMap<NodeAddr, VecDeque<(Vec<u8>, usize)>>,
     /// Frames across all of `gateway_rx`, so asking for the gateway's
     /// backlog never walks every peer's queue.
     gateway_rx_frames: usize,
@@ -217,11 +215,6 @@ impl SharedMedium {
         self.gateway
     }
 
-    /// The base link configuration endpoints are attached with.
-    pub fn base_config(&self) -> &LinkConfig {
-        &self.base
-    }
-
     /// Attaches an endpoint with the base configuration and its own derived
     /// loss-process seed.
     ///
@@ -267,7 +260,6 @@ impl SharedMedium {
             MediumEndpoint {
                 link,
                 stats: EndpointStats::default(),
-                rx_queue: VecDeque::new(),
             },
         );
         Ok(())
@@ -341,18 +333,12 @@ impl SharedMedium {
         self.total_airtime
     }
 
-    /// Caps every per-peer RX queue at `capacity` frames (existing excess
-    /// frames are shed and counted). A capacity of zero refuses all queued
-    /// delivery.
+    /// Caps each of the gateway's per-peer RX queues at `capacity` frames
+    /// (existing excess frames are shed and counted). A capacity of zero
+    /// refuses all queued delivery.
     pub fn set_rx_queue_capacity(&mut self, capacity: usize) {
         self.rx_queue_capacity = capacity;
         let mut shed = 0u64;
-        for endpoint in self.endpoints.values_mut() {
-            while endpoint.rx_queue.len() > capacity {
-                endpoint.rx_queue.pop_back();
-                shed += 1;
-            }
-        }
         for queue in self.gateway_rx.values_mut() {
             while queue.len() > capacity {
                 queue.pop_back();
@@ -371,80 +357,50 @@ impl SharedMedium {
         self.rx_queue_capacity
     }
 
-    /// Frames shed because a receiver's per-peer RX queue was full.
+    /// Frames shed because one of the gateway's per-peer RX queues was
+    /// full.
     pub fn frames_dropped_queue_full(&self) -> u64 {
         self.frames_dropped_queue_full
     }
 
-    /// Parks a delivered frame in `to`'s RX queue (tagged with the sender)
-    /// until the receiver's state machine drains it. Returns `true` when
-    /// the frame was queued and `false` when the bounded queue was full and
-    /// the frame was shed (counted under `net.frames_dropped_queue_full`).
-    ///
-    /// Frames for the gateway are queued per sending peer, so one flooding
-    /// sensor only ever sheds its own frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MediumError::UnknownEndpoint`] when `to` is neither the
-    /// gateway nor an attached endpoint.
-    pub fn enqueue_rx(
-        &mut self,
-        from: NodeAddr,
-        to: NodeAddr,
-        frame: Vec<u8>,
-    ) -> Result<bool, MediumError> {
-        let depth = if to == self.gateway {
-            self.gateway_rx.get(&from).map(VecDeque::len).unwrap_or(0)
-        } else {
-            self.endpoints
-                .get(&to)
-                .ok_or(MediumError::UnknownEndpoint(to))?
-                .rx_queue
-                .len()
-        };
-        if depth >= self.rx_queue_capacity {
+    /// Parks a frame from `from` that took `wire_bytes` on the air in the
+    /// gateway's RX queue for that peer until the gateway's state machine
+    /// drains it. Returns `true` when the frame was queued and `false` when
+    /// the bounded queue was full and the frame was shed (counted under
+    /// `net.frames_dropped_queue_full`). One flooding sensor only ever
+    /// sheds its own frames.
+    pub fn enqueue_rx(&mut self, from: NodeAddr, frame: Vec<u8>, wire_bytes: usize) -> bool {
+        let queue = self.gateway_rx.entry(from).or_default();
+        if queue.len() >= self.rx_queue_capacity {
             self.frames_dropped_queue_full += 1;
             self.tracer.count("net.frames_dropped_queue_full", 1);
-            return Ok(false);
+            return false;
         }
-        if to == self.gateway {
-            self.gateway_rx.entry(from).or_default().push_back(frame);
-            self.gateway_rx_frames += 1;
-        } else if let Some(endpoint) = self.endpoints.get_mut(&to) {
-            endpoint.rx_queue.push_back((from, frame));
-        }
-        Ok(true)
+        queue.push_back((frame, wire_bytes));
+        self.gateway_rx_frames += 1;
+        true
     }
 
-    /// Pops the next parked frame for `to`, with its sender. Gateway frames
-    /// drain per-peer queues in sender-address order (deterministic);
-    /// endpoint frames drain in arrival order.
-    pub fn dequeue_rx(&mut self, to: NodeAddr) -> Option<(NodeAddr, Vec<u8>)> {
-        if to == self.gateway {
-            if self.gateway_rx_frames == 0 {
-                return None;
-            }
-            for (from, queue) in self.gateway_rx.iter_mut() {
-                if let Some(frame) = queue.pop_front() {
-                    self.gateway_rx_frames -= 1;
-                    return Some((*from, frame));
-                }
-            }
+    /// Pops the next frame parked for the gateway, with its sender and its
+    /// wire size. Per-peer queues drain in sender-address order
+    /// (deterministic).
+    pub fn dequeue_rx(&mut self) -> Option<(NodeAddr, Vec<u8>, usize)> {
+        if self.gateway_rx_frames == 0 {
             return None;
         }
-        self.endpoints.get_mut(&to)?.rx_queue.pop_front()
+        for (from, queue) in self.gateway_rx.iter_mut() {
+            if let Some((frame, wire_bytes)) = queue.pop_front() {
+                self.gateway_rx_frames -= 1;
+                return Some((*from, frame, wire_bytes));
+            }
+        }
+        None
     }
 
-    /// Frames currently parked for `to` (all sending peers combined).
-    pub fn rx_queue_depth(&self, to: NodeAddr) -> usize {
-        if to == self.gateway {
-            return self.gateway_rx_frames;
-        }
-        self.endpoints
-            .get(&to)
-            .map(|endpoint| endpoint.rx_queue.len())
-            .unwrap_or(0)
+    /// Frames currently parked for the gateway (all sending peers
+    /// combined).
+    pub fn rx_queue_depth(&self) -> usize {
+        self.gateway_rx_frames
     }
 
     /// Sends a message from an attached endpoint up to the gateway,
@@ -703,45 +659,29 @@ mod tests {
     fn rx_queues_are_bounded_per_peer_and_count_drops() {
         let (mut medium, addrs) = medium_with(2);
         medium.set_rx_queue_capacity(2);
-        let gateway = medium.gateway();
         // A flooding sensor fills only its own gateway-side queue.
-        assert!(medium.enqueue_rx(addrs[0], gateway, vec![1]).unwrap());
-        assert!(medium.enqueue_rx(addrs[0], gateway, vec![2]).unwrap());
-        assert!(!medium.enqueue_rx(addrs[0], gateway, vec![3]).unwrap());
+        assert!(medium.enqueue_rx(addrs[0], vec![1], 11));
+        assert!(medium.enqueue_rx(addrs[0], vec![2], 12));
+        assert!(!medium.enqueue_rx(addrs[0], vec![3], 13));
         assert_eq!(medium.frames_dropped_queue_full(), 1);
         // The neighbour's per-peer queue is untouched by the flood.
-        assert!(medium.enqueue_rx(addrs[1], gateway, vec![9]).unwrap());
-        assert_eq!(medium.rx_queue_depth(gateway), 3);
-        // Gateway drains per-peer queues in sender-address order.
-        assert_eq!(medium.dequeue_rx(gateway), Some((addrs[0], vec![1])));
-        assert_eq!(medium.dequeue_rx(gateway), Some((addrs[0], vec![2])));
-        assert_eq!(medium.dequeue_rx(gateway), Some((addrs[1], vec![9])));
-        assert_eq!(medium.dequeue_rx(gateway), None);
-        assert_eq!(medium.rx_queue_depth(gateway), 0);
-        // Downlink queues are bounded the same way.
-        assert!(medium.enqueue_rx(gateway, addrs[0], vec![4]).unwrap());
-        assert!(medium.enqueue_rx(gateway, addrs[0], vec![5]).unwrap());
-        assert!(!medium.enqueue_rx(gateway, addrs[0], vec![6]).unwrap());
+        assert!(medium.enqueue_rx(addrs[1], vec![9], 19));
+        assert_eq!(medium.rx_queue_depth(), 3);
+        // Gateway drains per-peer queues in sender-address order, each
+        // frame with its wire size.
+        assert_eq!(medium.dequeue_rx(), Some((addrs[0], vec![1], 11)));
+        assert_eq!(medium.dequeue_rx(), Some((addrs[0], vec![2], 12)));
+        assert_eq!(medium.dequeue_rx(), Some((addrs[1], vec![9], 19)));
+        assert_eq!(medium.dequeue_rx(), None);
+        assert_eq!(medium.rx_queue_depth(), 0);
+        // Tightening the cap sheds parked excess frames, counts them and
+        // shrinks the gateway's backlog.
+        assert!(medium.enqueue_rx(addrs[1], vec![8], 18));
+        assert_eq!(medium.rx_queue_depth(), 1);
+        medium.set_rx_queue_capacity(0);
+        assert_eq!(medium.rx_queue_depth(), 0);
+        assert_eq!(medium.dequeue_rx(), None);
         assert_eq!(medium.frames_dropped_queue_full(), 2);
-        assert_eq!(medium.rx_queue_depth(addrs[0]), 2);
-        assert_eq!(medium.dequeue_rx(addrs[0]), Some((gateway, vec![4])));
-        // Tightening the cap sheds parked excess frames and counts them.
-        medium.set_rx_queue_capacity(0);
-        assert_eq!(medium.rx_queue_depth(addrs[0]), 0);
-        assert_eq!(medium.frames_dropped_queue_full(), 3);
-        // Shedding a parked gateway frame shrinks the gateway's backlog too.
-        medium.set_rx_queue_capacity(1);
-        assert!(medium.enqueue_rx(addrs[1], gateway, vec![8]).unwrap());
-        assert_eq!(medium.rx_queue_depth(gateway), 1);
-        medium.set_rx_queue_capacity(0);
-        assert_eq!(medium.rx_queue_depth(gateway), 0);
-        assert_eq!(medium.dequeue_rx(gateway), None);
-        assert_eq!(medium.frames_dropped_queue_full(), 4);
-        // Unknown receivers are a typed error, not silence.
-        assert!(matches!(
-            medium.enqueue_rx(addrs[0], NodeAddr::new(0x99), vec![7]),
-            Err(MediumError::UnknownEndpoint(_))
-        ));
     }
 
     #[test]

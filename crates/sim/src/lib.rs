@@ -5,11 +5,11 @@
 //! experiments: a virtual-clock event scheduler ([`EventQueue`], events
 //! keyed `(time_ns, seq)` for stable replay) driving N sensor endpoints
 //! against one gateway over a contending radio medium
-//! ([`tinyevm_net::ContendingMedium`] — slotted ALOHA or CSMA/CA with
-//! capture). Frames from many sensors are in flight at once, the
-//! gateway's per-peer RX queues are bounded (overflow counted), retry
-//! backoff runs on virtual-clock deadlines, and the loop jumps over
-//! contention slots in which nothing can happen.
+//! ([`tinyevm_net::ContendingMedium`] — CSMA/CA with capture). Frames
+//! from many sensors are in flight at once, the gateway's per-peer RX
+//! queues are bounded (overflow counted), retry backoff runs on
+//! virtual-clock deadlines, and the loop jumps over contention slots in
+//! which nothing can happen.
 //!
 //! The invariant the whole design serves: **same seed ⇒ byte-identical
 //! event order, statistics and settlements, at any `jobs` value**.

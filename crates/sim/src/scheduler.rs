@@ -31,8 +31,8 @@
 //!   which runs to completion through the same [`pump_contention_free`]
 //!   code path as the two-party `ProtocolDriver`. The fleet goldens of the
 //!   driver-equivalence tests pin this schedule.
-//! * [`AccessScheme::SlottedAloha`] / [`AccessScheme::CsmaCa`] — the
-//!   event-driven interleaved schedule described above.
+//! * [`AccessScheme::CsmaCa`] — the event-driven interleaved schedule
+//!   described above.
 //!
 //! Per-event bookkeeping never scans the whole fleet: bit sets track who
 //! is active, who holds a frame and whose state changed since the last
@@ -47,7 +47,6 @@
 //! downlink slots (as a TSCH schedule would provision), so acknowledgement
 //! traffic cannot be starved by a large uplink backlog.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::time::Duration;
 
@@ -58,8 +57,8 @@ use tinyevm_channel::gateway::{
 };
 use tinyevm_channel::session::{read_session, write_session};
 use tinyevm_channel::{
-    pump_contention_free, ChannelEndpoint, ChannelError, ChannelRegistration, Effect,
-    EndpointError, Envelope, PaymentError, PaymentReceipt, ProtocolError, RetryPolicy,
+    pump_contention_free, ChannelEndpoint, ChannelRegistration, Effect, EndpointError, Envelope,
+    PaymentReceipt, ProtocolError, RetryPolicy, IDLE_GAP,
 };
 use tinyevm_device::SimTime;
 use tinyevm_net::{
@@ -94,7 +93,7 @@ pub struct FleetConfig {
     /// Worker threads for the sharded intent phases. Never changes the
     /// simulation's outcome — only host wall-clock.
     pub jobs: usize,
-    /// Bound on each per-peer RX queue at the gateway and the sensors.
+    /// Bound on each per-peer RX queue at the gateway (at least 1).
     pub rx_queue_capacity: usize,
     /// Retransmission policy installed on every endpoint. `None` keeps
     /// the endpoint default for single-slot schedules (the policy the
@@ -129,14 +128,6 @@ impl FleetConfig {
             max_attempts: 64,
             base_backoff: Duration::from_millis(100),
             max_backoff: Duration::from_millis(cap_ms),
-        }
-    }
-
-    /// A slotted-ALOHA fleet.
-    pub fn aloha(sensors: usize, tx_probability: f64, seed: u64) -> Self {
-        FleetConfig {
-            contention: ContentionConfig::aloha(tx_probability, seed),
-            ..FleetConfig::csma(sensors, seed)
         }
     }
 
@@ -217,7 +208,6 @@ pub struct FleetScheduler {
     gateway: ChannelEndpoint,
     sensors: Vec<ChannelEndpoint>,
     medium: ContendingMedium,
-    idle_gap: Duration,
     clock: SimTime,
     queue: crate::event::EventQueue<Delivery>,
     /// The next contention-slot boundary and the queue sequence number at
@@ -239,27 +229,12 @@ pub struct FleetScheduler {
     inflight: Vec<u32>,
     /// Per sensor: wire bytes moved since its current round began.
     round_bytes: Vec<usize>,
-    /// Wire sizes of frames parked in the gateway's per-peer RX queues
-    /// (mirrors the medium queues so RX energy is charged per frame).
-    queued_wire_sizes: BTreeMap<NodeAddr, VecDeque<usize>>,
     health: Vec<(SensorHealth, u32)>,
     rounds: Vec<GatewayRoundReport>,
     aborted_rounds: u64,
     uplink_conveys: u64,
     opened: bool,
     tracer: TraceHandle,
-}
-
-/// True for the wire-level failures the shared pump drops silently.
-fn droppable(error: &EndpointError) -> bool {
-    matches!(
-        error,
-        EndpointError::Wire(_)
-            | EndpointError::Channel(ChannelError::Payment(PaymentError::StaleSequence { .. }))
-            | EndpointError::BadSignature
-            | EndpointError::UnexpectedMessage { .. }
-            | EndpointError::OutOfOrder(_)
-    )
 }
 
 impl FleetScheduler {
@@ -272,12 +247,17 @@ impl FleetScheduler {
     /// # Panics
     ///
     /// Panics when `sensors` is 0 or exceeds the 16-bit address space,
+    /// when `rx_queue_capacity` is 0 (the gateway would shed every frame),
     /// or when the link configuration is invalid.
     pub fn new(config: FleetConfig) -> Self {
         assert!(config.sensors >= 1, "a gateway needs at least one sensor");
         assert!(
             config.sensors < usize::from(u16::MAX),
             "sensor addresses exceed the 16-bit address space"
+        );
+        assert!(
+            config.rx_queue_capacity >= 1,
+            "a gateway RX queue must hold at least one frame"
         );
         let gateway_addr = if config.sensors < usize::from(GATEWAY_ADDR.value()) {
             GATEWAY_ADDR
@@ -329,7 +309,6 @@ impl FleetScheduler {
             gateway,
             sensors,
             medium,
-            idle_gap: Duration::from_millis(120),
             clock: SimTime::ZERO,
             queue: crate::event::EventQueue::new(),
             next_slot: None,
@@ -340,7 +319,6 @@ impl FleetScheduler {
             pending_tx: (0..count).map(|_| None).collect(),
             inflight: vec![0; count],
             round_bytes: vec![0; count],
-            queued_wire_sizes: BTreeMap::new(),
             health: vec![(SensorHealth::Healthy, 0); count],
             rounds: Vec::new(),
             aborted_rounds: 0,
@@ -992,8 +970,7 @@ impl FleetScheduler {
             // A frame parked at the gateway may need no reply (a channel
             // open or close request): its sender is already quiescent, but
             // the gateway must still handle it before the phase ends.
-            if self.active.is_empty() && self.medium.inner().rx_queue_depth(self.gateway_addr) == 0
-            {
+            if self.active.is_empty() && self.medium.inner().rx_queue_depth() == 0 {
                 break;
             }
             let armed = self.next_slot.unwrap_or((
@@ -1043,7 +1020,7 @@ impl FleetScheduler {
             // so one falling on its very instant comes second.
             room = room.min(boundaries_before(start, delivery.0, length).max(1));
         }
-        if self.medium.inner().rx_queue_depth(self.gateway_addr) > 0 {
+        if self.medium.inner().rx_queue_depth() > 0 {
             let busy_until = self.gateway.device().sim_now();
             room = room.min(boundaries_before(start, busy_until, length));
         }
@@ -1209,12 +1186,7 @@ impl FleetScheduler {
             }
             // Park the frame in the gateway's bounded per-peer RX queue;
             // a full queue sheds it (counted).
-            if self.medium.inner_mut().enqueue_rx(from, to, bytes)? {
-                self.queued_wire_sizes
-                    .entry(from)
-                    .or_default()
-                    .push_back(wire_bytes);
-            }
+            self.medium.inner_mut().enqueue_rx(from, bytes, wire_bytes);
             self.drain_gateway()
         } else {
             let Some(index) = self.index_of(to) else {
@@ -1231,14 +1203,9 @@ impl FleetScheduler {
     /// queued (real queueing delay) until a later event.
     fn drain_gateway(&mut self) -> Result<(), ProtocolError> {
         while self.gateway.device().sim_now() <= self.clock {
-            let Some((src, frame)) = self.medium.inner_mut().dequeue_rx(self.gateway_addr) else {
+            let Some((src, frame, wire_bytes)) = self.medium.inner_mut().dequeue_rx() else {
                 break;
             };
-            let wire_bytes = self
-                .queued_wire_sizes
-                .get_mut(&src)
-                .and_then(VecDeque::pop_front)
-                .unwrap_or(frame.len());
             // The gateway idled from its last work to this frame's arrival.
             let now = self.gateway.device().sim_now();
             if now < self.clock {
@@ -1258,7 +1225,7 @@ impl FleetScheduler {
                         }
                     }
                 }
-                Err(error) if droppable(&error) => continue,
+                Err(error) if error.is_droppable() => continue,
                 Err(error) => {
                     let error = ProtocolError::from(error);
                     match classify(&error) {
@@ -1315,32 +1282,21 @@ impl FleetScheduler {
         Ok(())
     }
 
+    /// Hands a downlink frame to its sensor, which wakes for its own
+    /// downlink slot and handles the frame at once.
     fn deliver_to_sensor(
         &mut self,
         index: usize,
         from: NodeAddr,
-        bytes: &[u8],
+        frame: &[u8],
         wire_bytes: usize,
     ) -> Result<(), ProtocolError> {
-        let sensor_addr = self.sensors[index].addr();
-        // Ride the bounded per-peer queue for drop accounting even though
-        // the sensor wakes for its own downlink slot immediately.
-        if !self
-            .medium
-            .inner_mut()
-            .enqueue_rx(from, sensor_addr, bytes.to_vec())?
-        {
-            return Ok(());
-        }
-        let Some((src, frame)) = self.medium.inner_mut().dequeue_rx(sensor_addr) else {
-            return Ok(());
-        };
         let now = self.sensors[index].device().sim_now();
         if now < self.clock {
             self.sensors[index].wait(self.clock - now);
         }
         self.sensors[index].account_received(wire_bytes);
-        match self.sensors[index].handle_wire(src, &frame) {
+        match self.sensors[index].handle_wire(from, frame) {
             Ok(effects) => {
                 for effect in effects {
                     if let Effect::PaymentCompleted { receipt, .. } = &effect {
@@ -1348,7 +1304,7 @@ impl FleetScheduler {
                     }
                 }
             }
-            Err(error) if droppable(&error) => {}
+            Err(error) if error.is_droppable() => {}
             Err(error) => {
                 let error = ProtocolError::from(error);
                 match classify(&error) {
@@ -1384,13 +1340,13 @@ impl FleetScheduler {
         );
     }
 
-    /// Inserts the configured idle gap on every device (LPM2) after the
+    /// Inserts the protocol's idle gap on every device (LPM2) after the
     /// open phase.
     fn pause_all(&mut self) {
         for sensor in &mut self.sensors {
-            sensor.wait(self.idle_gap);
+            sensor.wait(IDLE_GAP);
         }
-        self.gateway.wait(self.idle_gap);
+        self.gateway.wait(IDLE_GAP);
     }
 
     fn sensor_addr(&self, index: usize) -> Result<NodeAddr, ProtocolError> {

@@ -11,9 +11,9 @@
 //!   collision-wasted airtime, to the nanosecond.
 //! * **Backoff deadlines** — a partition window spanning exactly the
 //!   backoff cap reconverges, and the waits show up on the virtual clock.
-//! * **Golden schedules** — digests of contended CSMA, lossy CSMA, slotted
-//!   ALOHA, slot-aligned and single-sensor sessions pin the schedules
-//!   themselves, not just their agreement with each other.
+//! * **Golden schedules** — digests of contended CSMA, lossy CSMA,
+//!   slot-aligned and single-sensor sessions pin the schedules themselves,
+//!   not just their agreement with each other.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -348,7 +348,7 @@ fn a_frame_parked_at_a_busy_gateway_is_handled_before_the_phase_ends() {
     let report = fleet.settle_all().expect("fleet settles");
     assert_eq!(report.settlements.len(), sensors);
     assert_eq!(report.total_to_gateway, Wei::from(AMOUNT * sensors as u64));
-    assert_eq!(fleet.medium().inner().rx_queue_depth(GATEWAY_ADDR), 0);
+    assert_eq!(fleet.medium().inner().rx_queue_depth(), 0);
 }
 
 #[test]
@@ -379,33 +379,6 @@ fn one_sensor_contention_free_fleet_moves_protocol_driver_money() {
         report.settlements[0].1.to_receiver
     );
     assert_eq!(report.total_to_gateway, Wei::from(AMOUNT * payments as u64));
-}
-
-#[test]
-fn csma_fleet_settles_every_sensor_under_contention() {
-    let sensors = 16;
-    let rounds = 2;
-    let mut config = FleetConfig::csma(sensors, 0xC0FFEE);
-    config.deposit = Wei::from(DEPOSIT);
-    let mut fleet = run_fleet(config, rounds);
-
-    assert_eq!(
-        fleet.rounds().len(),
-        sensors * rounds,
-        "every sensor completes every round"
-    );
-    assert_eq!(fleet.aborted_rounds(), 0);
-    assert!(
-        fleet.medium().collision_events() > 0,
-        "16 sensors starting at once must collide at least once"
-    );
-
-    let report = fleet.settle_all().expect("fleet settles");
-    assert_eq!(report.settlements.len(), sensors);
-    assert_eq!(
-        report.total_to_gateway,
-        Wei::from(AMOUNT * (sensors * rounds) as u64)
-    );
 }
 
 #[test]
@@ -513,10 +486,26 @@ fn golden_digest(fleet: &FleetScheduler, settlement: &GatewaySettlementReport) -
 
 #[test]
 fn golden_csma_fleet_schedule() {
-    let mut config = FleetConfig::csma(16, 0xC0FFEE);
+    let (sensors, rounds) = (16, 2);
+    let mut config = FleetConfig::csma(sensors, 0xC0FFEE);
     config.deposit = Wei::from(DEPOSIT);
-    let mut fleet = run_fleet(config, 2);
+    let mut fleet = run_fleet(config, rounds);
+    assert_eq!(
+        fleet.rounds().len(),
+        sensors * rounds,
+        "every sensor completes every round"
+    );
+    assert_eq!(fleet.aborted_rounds(), 0);
+    assert!(
+        fleet.medium().collision_events() > 0,
+        "16 sensors starting at once must collide at least once"
+    );
     let settlement = fleet.settle_all().expect("fleet settles");
+    assert_eq!(settlement.settlements.len(), sensors);
+    assert_eq!(
+        settlement.total_to_gateway,
+        Wei::from(AMOUNT * (sensors * rounds) as u64)
+    );
     assert_eq!(golden_digest(&fleet, &settlement), 0x4905_ba20_12f9_d67f);
 }
 
@@ -543,16 +532,6 @@ fn golden_lossy_csma_fleet_schedule() {
     );
     let settlement = fleet.settle_all().expect("fleet settles");
     assert_eq!(golden_digest(&fleet, &settlement), 0xa7f4_49fa_5866_6a43);
-}
-
-#[test]
-fn golden_slotted_aloha_fleet_schedule() {
-    let mut config = FleetConfig::aloha(12, 0.2, 0xA10A);
-    config.deposit = Wei::from(DEPOSIT);
-    let mut fleet = run_fleet(config, 2);
-    assert!(fleet.medium().collision_events() > 0, "ALOHA must collide");
-    let settlement = fleet.settle_all().expect("fleet settles");
-    assert_eq!(golden_digest(&fleet, &settlement), 0x1bc3_45da_2c82_1aff);
 }
 
 /// A link whose every uplink frame takes exactly one contention slot: each

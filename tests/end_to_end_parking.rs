@@ -115,16 +115,12 @@ fn sessions_over_a_lossy_link_still_complete() {
 
 #[test]
 fn parking_scenario_helper_matches_manual_driving() {
-    let summary = ParkingScenario {
-        deposit: Wei::from_eth_milli(40),
-        price_per_interval: Wei::from_eth_milli(10),
-        intervals: 3,
-        ..ParkingScenario::default()
-    }
-    .run()
-    .unwrap();
-    assert_eq!(summary.total_paid, Wei::from_eth_milli(30));
-    assert_eq!(summary.refunded, Wei::from_eth_milli(10));
-    assert_eq!(summary.rounds.len(), 3);
-    assert!(summary.crypto_energy_share() > 0.3);
+    let mut driver = ProtocolDriver::smart_parking(Wei::from_eth_milli(40));
+    let rounds = driver.run_session(3, Wei::from_eth_milli(10)).unwrap();
+    let crypto_share = driver.sender_energy().share_of(PowerState::CryptoEngine);
+    let settlement = driver.close_and_settle().unwrap();
+    assert_eq!(settlement.settlement.to_receiver, Wei::from_eth_milli(30));
+    assert_eq!(settlement.settlement.to_sender, Wei::from_eth_milli(10));
+    assert_eq!(rounds.len(), 3);
+    assert!(crypto_share > 0.3);
 }

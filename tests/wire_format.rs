@@ -305,24 +305,17 @@ fn parking_scenario_runs_over_the_wire_with_persistence() {
 
 #[test]
 fn parking_scenario_survives_a_lossy_link() {
-    let scenario = ParkingScenario {
-        intervals: 3,
-        link: LinkConfig::default().with_loss(0.3, 1234),
-        ..ParkingScenario::default()
+    let session = |link: LinkConfig| {
+        let mut driver = ProtocolDriver::smart_parking_with_link(link, Wei::from_eth_milli(100));
+        let rounds = driver.run_session(3, Wei::from_eth_milli(5)).unwrap();
+        let settlement = driver.close_and_settle().unwrap();
+        assert_eq!(rounds.len(), 3);
+        assert_eq!(settlement.settlement.to_receiver, Wei::from_eth_milli(15));
+        rounds.iter().map(|r| r.bytes_exchanged).sum::<usize>()
     };
-    let summary = scenario.run().unwrap();
-    assert_eq!(summary.rounds.len(), 3);
-    assert_eq!(summary.total_paid, Wei::from_eth_milli(15));
     // The loss process retransmitted at least one frame somewhere.
-    let bytes: usize = summary.rounds.iter().map(|r| r.bytes_exchanged).sum();
-    let lossless = ParkingScenario {
-        intervals: 3,
-        ..ParkingScenario::default()
-    }
-    .run()
-    .unwrap();
-    let lossless_bytes: usize = lossless.rounds.iter().map(|r| r.bytes_exchanged).sum();
-    assert!(bytes > lossless_bytes);
+    let lossy_bytes = session(LinkConfig::default().with_loss(0.3, 1234));
+    assert!(lossy_bytes > session(LinkConfig::default()));
 }
 
 #[test]
