@@ -382,6 +382,33 @@ fn one_sensor_contention_free_fleet_moves_protocol_driver_money() {
 }
 
 #[test]
+fn csma_fleet_settles_every_sensor_under_contention() {
+    let sensors = 16;
+    let rounds = 2;
+    let mut config = FleetConfig::csma(sensors, 0xC0FFEE);
+    config.deposit = Wei::from(DEPOSIT);
+    let mut fleet = run_fleet(config, rounds);
+
+    assert_eq!(
+        fleet.rounds().len(),
+        sensors * rounds,
+        "every sensor completes every round"
+    );
+    assert_eq!(fleet.aborted_rounds(), 0);
+    assert!(
+        fleet.medium().collision_events() > 0,
+        "16 sensors starting at once must collide at least once"
+    );
+
+    let report = fleet.settle_all().expect("fleet settles");
+    assert_eq!(report.settlements.len(), sensors);
+    assert_eq!(
+        report.total_to_gateway,
+        Wei::from(AMOUNT * (sensors * rounds) as u64)
+    );
+}
+
+#[test]
 fn medium_airtime_is_conserved_under_contention() {
     let mut config = FleetConfig::csma(8, 7);
     config.deposit = Wei::from(DEPOSIT);
@@ -486,26 +513,10 @@ fn golden_digest(fleet: &FleetScheduler, settlement: &GatewaySettlementReport) -
 
 #[test]
 fn golden_csma_fleet_schedule() {
-    let (sensors, rounds) = (16, 2);
-    let mut config = FleetConfig::csma(sensors, 0xC0FFEE);
+    let mut config = FleetConfig::csma(16, 0xC0FFEE);
     config.deposit = Wei::from(DEPOSIT);
-    let mut fleet = run_fleet(config, rounds);
-    assert_eq!(
-        fleet.rounds().len(),
-        sensors * rounds,
-        "every sensor completes every round"
-    );
-    assert_eq!(fleet.aborted_rounds(), 0);
-    assert!(
-        fleet.medium().collision_events() > 0,
-        "16 sensors starting at once must collide at least once"
-    );
+    let mut fleet = run_fleet(config, 2);
     let settlement = fleet.settle_all().expect("fleet settles");
-    assert_eq!(settlement.settlements.len(), sensors);
-    assert_eq!(
-        settlement.total_to_gateway,
-        Wei::from(AMOUNT * (sensors * rounds) as u64)
-    );
     assert_eq!(golden_digest(&fleet, &settlement), 0x4905_ba20_12f9_d67f);
 }
 
