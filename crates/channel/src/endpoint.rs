@@ -1924,7 +1924,13 @@ mod tests {
     fn activities_since(endpoint: &ChannelEndpoint, from: usize) -> Vec<(&str, u128, u128)> {
         endpoint.device().activities()[from..]
             .iter()
-            .map(|a| (a.label.as_str(), a.start.as_nanos(), a.duration.as_nanos()))
+            .map(|a| {
+                (
+                    a.label.as_str(),
+                    a.start().as_nanos(),
+                    a.duration().as_nanos(),
+                )
+            })
             .collect()
     }
 

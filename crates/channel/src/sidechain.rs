@@ -13,10 +13,15 @@ use tinyevm_wire::SideChainEntryRecord;
 
 /// One entry of the log: a committed off-chain state linked to its
 /// predecessor.
+///
+/// An entry holds 112 bytes and owns no heap memory. Its position in
+/// [`SideChainLog::entries`] is its index, and the previous entry's
+/// [`entry_hash`](SideChainEntry::entry_hash) (the log's anchor for the
+/// first entry) is the hash it links to. Both are hashed into
+/// `entry_hash` and written out by [`SideChainLog::export_entries`], but
+/// not stored twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SideChainEntry {
-    /// Position in the log (0-based).
-    pub index: u64,
     /// Channel the state belongs to.
     pub channel_id: u64,
     /// Sequence number of the state.
@@ -25,9 +30,8 @@ pub struct SideChainEntry {
     pub cumulative: Wei,
     /// Digest of the state (payment digest or closing-state digest).
     pub state_digest: H256,
-    /// Hash of the previous entry (anchor for the first entry).
-    pub previous_hash: H256,
-    /// This entry's hash.
+    /// This entry's hash, over its index, its fields and the hash of the
+    /// previous entry.
     pub entry_hash: H256,
 }
 
@@ -40,13 +44,13 @@ impl SideChainEntry {
         state_digest: &H256,
         previous_hash: &H256,
     ) -> H256 {
-        let mut data = Vec::with_capacity(8 * 3 + 32 * 3);
-        data.extend_from_slice(&index.to_be_bytes());
-        data.extend_from_slice(&channel_id.to_be_bytes());
-        data.extend_from_slice(&sequence.to_be_bytes());
-        data.extend_from_slice(&cumulative.amount().to_be_bytes());
-        data.extend_from_slice(state_digest.as_bytes());
-        data.extend_from_slice(previous_hash.as_bytes());
+        let mut data = [0u8; 8 * 3 + 32 * 3];
+        data[..8].copy_from_slice(&index.to_be_bytes());
+        data[8..16].copy_from_slice(&channel_id.to_be_bytes());
+        data[16..24].copy_from_slice(&sequence.to_be_bytes());
+        data[24..56].copy_from_slice(&cumulative.amount().to_be_bytes());
+        data[56..88].copy_from_slice(state_digest.as_bytes());
+        data[88..].copy_from_slice(previous_hash.as_bytes());
         keccak256_h256(&data)
     }
 }
@@ -85,41 +89,50 @@ impl SideChainLog {
     }
 
     /// Exports the entries as wire-format records (for a
-    /// `tinyevm_wire::ChannelSnapshot`).
+    /// `tinyevm_wire::ChannelSnapshot`), each with its index and the hash
+    /// it links to.
     pub fn export_entries(&self) -> Vec<SideChainEntryRecord> {
-        self.entries
-            .iter()
-            .map(|entry| SideChainEntryRecord {
-                index: entry.index,
-                channel_id: entry.channel_id,
-                sequence: entry.sequence,
-                cumulative: entry.cumulative,
-                state_digest: entry.state_digest,
-                previous_hash: entry.previous_hash,
-                entry_hash: entry.entry_hash,
+        let mut previous_hash = self.anchor;
+        (0u64..)
+            .zip(&self.entries)
+            .map(|(index, entry)| {
+                let record = SideChainEntryRecord {
+                    index,
+                    channel_id: entry.channel_id,
+                    sequence: entry.sequence,
+                    cumulative: entry.cumulative,
+                    state_digest: entry.state_digest,
+                    previous_hash,
+                    entry_hash: entry.entry_hash,
+                };
+                previous_hash = entry.entry_hash;
+                record
             })
             .collect()
     }
 
-    /// Rebuilds a log from persisted records, returning `None` unless the
-    /// restored chain verifies end to end (hash links, recomputed entry
-    /// hashes, strictly increasing per-channel sequences).
+    /// Rebuilds a log from persisted records, returning `None` unless
+    /// every record sits at its own index and links to its predecessor's
+    /// hash (the anchor for the first), and the restored chain verifies
+    /// end to end (recomputed entry hashes, strictly increasing
+    /// per-channel sequences).
     pub fn from_parts(anchor: H256, records: &[SideChainEntryRecord]) -> Option<Self> {
-        let log = SideChainLog {
-            anchor,
-            entries: records
-                .iter()
-                .map(|record| SideChainEntry {
-                    index: record.index,
-                    channel_id: record.channel_id,
-                    sequence: record.sequence,
-                    cumulative: record.cumulative,
-                    state_digest: record.state_digest,
-                    previous_hash: record.previous_hash,
-                    entry_hash: record.entry_hash,
-                })
-                .collect(),
-        };
+        let mut previous_hash = anchor;
+        let mut entries = Vec::with_capacity(records.len());
+        for (index, record) in (0u64..).zip(records) {
+            if record.index != index || record.previous_hash != previous_hash {
+                return None;
+            }
+            previous_hash = record.entry_hash;
+            entries.push(SideChainEntry {
+                channel_id: record.channel_id,
+                sequence: record.sequence,
+                cumulative: record.cumulative,
+                state_digest: record.state_digest,
+                entry_hash: record.entry_hash,
+            });
+        }
+        let log = SideChainLog { anchor, entries };
         log.verify().then_some(log)
     }
 
@@ -155,45 +168,39 @@ impl SideChainLog {
         cumulative: Wei,
         state_digest: H256,
     ) -> &SideChainEntry {
-        let index = self.entries.len() as u64;
-        let previous_hash = self.head();
         let entry_hash = SideChainEntry::compute_hash(
-            index,
+            self.entries.len() as u64,
             channel_id,
             sequence,
             &cumulative,
             &state_digest,
-            &previous_hash,
+            &self.head(),
         );
         self.entries.push(SideChainEntry {
-            index,
             channel_id,
             sequence,
             cumulative,
             state_digest,
-            previous_hash,
             entry_hash,
         });
         self.entries.last().expect("just pushed")
     }
 
-    /// Verifies the whole chain: hashes link correctly and per-channel
-    /// sequence numbers are strictly increasing (no omitted or reordered
-    /// transitions).
+    /// Verifies the whole chain from the anchor: every entry's hash is
+    /// recomputed over its position and its predecessor's hash, and
+    /// per-channel sequence numbers are strictly increasing (no omitted or
+    /// reordered transitions).
     pub fn verify(&self) -> bool {
         let mut previous = self.anchor;
         let mut last_sequence_per_channel = std::collections::BTreeMap::new();
-        for (i, entry) in self.entries.iter().enumerate() {
-            if entry.index != i as u64 || entry.previous_hash != previous {
-                return false;
-            }
+        for (index, entry) in (0u64..).zip(&self.entries) {
             let recomputed = SideChainEntry::compute_hash(
-                entry.index,
+                index,
                 entry.channel_id,
                 entry.sequence,
                 &entry.cumulative,
                 &entry.state_digest,
-                &entry.previous_hash,
+                &previous,
             );
             if recomputed != entry.entry_hash {
                 return false;
@@ -208,26 +215,6 @@ impl SideChainLog {
             previous = entry.entry_hash;
         }
         true
-    }
-
-    /// Highest sequence recorded for a channel.
-    pub fn latest_sequence(&self, channel_id: u64) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.channel_id == channel_id)
-            .map(|e| e.sequence)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Latest cumulative amount recorded for a channel.
-    pub fn latest_cumulative(&self, channel_id: u64) -> Wei {
-        self.entries
-            .iter()
-            .filter(|e| e.channel_id == channel_id)
-            .max_by_key(|e| e.sequence)
-            .map(|e| e.cumulative)
-            .unwrap_or(Wei::ZERO)
     }
 }
 
@@ -248,6 +235,11 @@ mod tests {
     }
 
     #[test]
+    fn entries_are_112_bytes() {
+        assert_eq!(std::mem::size_of::<SideChainEntry>(), 112);
+    }
+
+    #[test]
     fn empty_log_head_is_the_anchor() {
         let log = SideChainLog::new(H256::from_low_u64(7));
         assert!(log.is_empty());
@@ -255,8 +247,7 @@ mod tests {
         assert_eq!(log.head(), H256::from_low_u64(7));
         assert_eq!(log.anchor(), H256::from_low_u64(7));
         assert!(log.verify());
-        assert_eq!(log.latest_sequence(1), 0);
-        assert_eq!(log.latest_cumulative(1), Wei::ZERO);
+        assert!(log.export_entries().is_empty());
     }
 
     #[test]
@@ -264,13 +255,22 @@ mod tests {
         let log = log_with(5);
         assert_eq!(log.len(), 5);
         assert!(log.verify());
-        let entries = log.entries();
-        for pair in entries.windows(2) {
+        let records = log.export_entries();
+        assert_eq!(records[0].previous_hash, log.anchor());
+        for (index, record) in records.iter().enumerate() {
+            assert_eq!(record.index, index as u64);
+            assert_eq!(record.entry_hash, log.entries()[index].entry_hash);
+        }
+        for pair in records.windows(2) {
             assert_eq!(pair[1].previous_hash, pair[0].entry_hash);
         }
-        assert_eq!(log.head(), entries[4].entry_hash);
-        assert_eq!(log.latest_sequence(1), 5);
-        assert_eq!(log.latest_cumulative(1), Wei::from(50u64));
+        let last = &log.entries()[4];
+        assert_eq!(log.head(), last.entry_hash);
+        assert_eq!((last.sequence, last.cumulative), (5, Wei::from(50u64)));
+        assert_eq!(
+            SideChainLog::from_parts(log.anchor(), &records),
+            Some(log.clone())
+        );
     }
 
     #[test]
@@ -286,10 +286,6 @@ mod tests {
         tampered.entries[1].sequence = 99;
         assert!(!tampered.verify());
 
-        let mut tampered = base.clone();
-        tampered.entries[0].previous_hash = H256::from_low_u64(0xbad);
-        assert!(!tampered.verify());
-
         let mut reordered = base.clone();
         reordered.entries.swap(1, 2);
         assert!(!reordered.verify());
@@ -297,6 +293,31 @@ mod tests {
         let mut truncated_middle = base.clone();
         truncated_middle.entries.remove(1);
         assert!(!truncated_middle.verify());
+    }
+
+    #[test]
+    fn restoring_rejects_a_wrong_index_a_broken_link_or_a_wrong_hash() {
+        let base = log_with(4);
+        let records = base.export_entries();
+        assert!(SideChainLog::from_parts(base.anchor(), &records).is_some());
+
+        let mut wrong_index = records.clone();
+        wrong_index[2].index = 3;
+        assert!(SideChainLog::from_parts(base.anchor(), &wrong_index).is_none());
+
+        let mut broken_link = records.clone();
+        broken_link[0].previous_hash = H256::from_low_u64(0xbad);
+        assert!(SideChainLog::from_parts(base.anchor(), &broken_link).is_none());
+        let mut broken_link = records.clone();
+        broken_link[3].previous_hash = records[1].entry_hash;
+        assert!(SideChainLog::from_parts(base.anchor(), &broken_link).is_none());
+
+        let mut wrong_hash = records.clone();
+        wrong_hash[3].entry_hash = H256::from_low_u64(0xbad);
+        assert!(SideChainLog::from_parts(base.anchor(), &wrong_hash).is_none());
+
+        // The same records hang off one anchor only.
+        assert!(SideChainLog::from_parts(H256::from_low_u64(0xbad), &records).is_none());
     }
 
     #[test]
@@ -310,18 +331,5 @@ mod tests {
         let digest = H256::from_low_u64(4);
         log.append(1, 2, Wei::from(30u64), digest);
         assert!(!log.verify());
-    }
-
-    #[test]
-    fn per_channel_queries() {
-        let mut log = SideChainLog::new(H256::ZERO);
-        log.append(1, 1, Wei::from(10u64), H256::from_low_u64(1));
-        log.append(2, 1, Wei::from(99u64), H256::from_low_u64(2));
-        log.append(1, 3, Wei::from(40u64), H256::from_low_u64(3));
-        assert_eq!(log.latest_sequence(1), 3);
-        assert_eq!(log.latest_cumulative(1), Wei::from(40u64));
-        assert_eq!(log.latest_sequence(2), 1);
-        assert_eq!(log.latest_cumulative(2), Wei::from(99u64));
-        assert_eq!(log.latest_sequence(3), 0);
     }
 }

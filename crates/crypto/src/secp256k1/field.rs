@@ -194,25 +194,37 @@ impl FieldElement {
     ///
     /// Panics if any element is zero.
     pub fn batch_invert(elements: &mut [FieldElement]) {
+        let values = elements.to_vec();
+        Self::batch_invert_into(&values, elements);
+    }
+
+    /// [`FieldElement::batch_invert`] into a separate slice:
+    /// `inverses[i] = elements[i]⁻¹`. `inverses` also holds the prefix
+    /// products on the way, so the call allocates nothing, and a
+    /// fixed-size table normalizes on the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element is zero or the slices differ in length.
+    pub(crate) fn batch_invert_into(elements: &[FieldElement], inverses: &mut [FieldElement]) {
+        assert_eq!(elements.len(), inverses.len(), "one inverse per element");
         if elements.is_empty() {
             return;
         }
-        // prefix[i] = elements[0] * ... * elements[i]
-        let mut prefix = Vec::with_capacity(elements.len());
+        // inverses[i] = elements[0] * ... * elements[i]
         let mut acc = FieldElement::ONE;
-        for element in elements.iter() {
+        for (element, prefix) in elements.iter().zip(inverses.iter_mut()) {
             assert!(!element.is_zero(), "attempted to invert zero field element");
             acc = acc.mul(*element);
-            prefix.push(acc);
+            *prefix = acc;
         }
         // Invert the grand product once, then peel one element per step.
         let mut inv = acc.invert();
         for i in (1..elements.len()).rev() {
-            let this_inv = inv.mul(prefix[i - 1]);
+            inverses[i] = inv.mul(inverses[i - 1]);
             inv = inv.mul(elements[i]);
-            elements[i] = this_inv;
         }
-        elements[0] = inv;
+        inverses[0] = inv;
     }
 }
 

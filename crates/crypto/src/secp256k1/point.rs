@@ -306,7 +306,11 @@ impl JacobianPoint {
         if self.is_infinity() {
             return Point::INFINITY;
         }
-        let z_inv = self.z.invert();
+        self.to_affine_with(self.z.invert())
+    }
+
+    /// Normalizes a finite point whose `Z⁻¹` is already known.
+    fn to_affine_with(self, z_inv: FieldElement) -> Point {
         let z_inv2 = z_inv.square();
         Point {
             x: self.x.mul(z_inv2),
@@ -516,10 +520,9 @@ impl WnafTable {
         for index in 1..WNAF_TABLE {
             jacobians[index] = jacobians[index - 1].add(&step);
         }
-        let normalized = batch_to_affine(&jacobians);
-        let mut odd = [Point::INFINITY; WNAF_TABLE];
-        odd.copy_from_slice(&normalized);
-        WnafTable { odd }
+        WnafTable {
+            odd: batch_to_affine(&jacobians),
+        }
     }
 
     /// Adds `digit · P` to the accumulator (no-op for the zero digit).
@@ -534,23 +537,13 @@ impl WnafTable {
     }
 }
 
-/// Normalizes a slice of finite Jacobian points to affine with one shared
-/// field inversion (Montgomery's trick).
-fn batch_to_affine(points: &[JacobianPoint]) -> Vec<Point> {
-    let mut z_values: Vec<FieldElement> = points.iter().map(|p| p.z).collect();
-    FieldElement::batch_invert(&mut z_values);
-    points
-        .iter()
-        .zip(&z_values)
-        .map(|(point, z_inv)| {
-            let z_inv2 = z_inv.square();
-            Point {
-                x: point.x.mul(z_inv2),
-                y: point.y.mul(z_inv2).mul(*z_inv),
-                infinity: false,
-            }
-        })
-        .collect()
+/// Normalizes a fixed-size table of finite Jacobian points to affine with
+/// one shared field inversion (Montgomery's trick), entirely on the stack.
+fn batch_to_affine<const N: usize>(points: &[JacobianPoint; N]) -> [Point; N] {
+    let z = points.map(|point| point.z);
+    let mut z_inv = [FieldElement::ZERO; N];
+    FieldElement::batch_invert_into(&z, &mut z_inv);
+    std::array::from_fn(|index| points[index].to_affine_with(z_inv[index]))
 }
 
 /// The generator's precomputed tables, built once per process.
@@ -593,15 +586,22 @@ pub fn generator_mul(scalar: Scalar) -> JacobianPoint {
 /// verification calls this with one pair, recovery with one pair, batch
 /// verification with `2k` pairs.
 pub fn multi_scalar_mul(gen_scalar: Scalar, pairs: &[(Scalar, Point)]) -> JacobianPoint {
+    let track = |(scalar, point): &(Scalar, Point)| {
+        (!scalar.is_zero() && !point.infinity).then(|| (Wnaf::new(*scalar), WnafTable::new(point)))
+    };
+    // One pair — a verification or a recovery — keeps its track inline.
+    if let [pair] = pairs {
+        return straus(gen_scalar, track(pair).as_slice());
+    }
+    let mut tracks = Vec::with_capacity(pairs.len());
+    tracks.extend(pairs.iter().filter_map(track));
+    straus(gen_scalar, &tracks)
+}
+
+/// The interleaved-wNAF pass of [`multi_scalar_mul`] over prepared tracks.
+fn straus(gen_scalar: Scalar, tracks: &[(Wnaf, WnafTable)]) -> JacobianPoint {
     let gen_wnaf = Wnaf::new(gen_scalar);
     let gen_digits = gen_wnaf.digits();
-    let mut tracks: Vec<(Wnaf, WnafTable)> = Vec::with_capacity(pairs.len());
-    for (scalar, point) in pairs {
-        if scalar.is_zero() || point.infinity {
-            continue;
-        }
-        tracks.push((Wnaf::new(*scalar), WnafTable::new(point)));
-    }
     let length = tracks
         .iter()
         .map(|(wnaf, _)| wnaf.len)
@@ -619,7 +619,7 @@ pub fn multi_scalar_mul(gen_scalar: Scalar, pairs: &[(Scalar, Point)]) -> Jacobi
         if let (Some(odd), Some(&digit)) = (gen_odd, gen_digits.get(index)) {
             acc = select_from(odd, acc, digit);
         }
-        for (wnaf, table) in &tracks {
+        for (wnaf, table) in tracks {
             if let Some(&digit) = wnaf.digits().get(index) {
                 acc = table.select_into(acc, digit);
             }
@@ -682,8 +682,14 @@ impl<const TEETH: usize> CombTable<TEETH> {
                 sums[bit + lower - 1] = sums[lower - 1].add(&base);
             }
         }
+        let mut z_inv: Vec<FieldElement> = sums.iter().map(|sum| sum.z).collect();
+        FieldElement::batch_invert(&mut z_inv);
         CombTable {
-            entries: batch_to_affine(&sums).into_boxed_slice(),
+            entries: sums
+                .iter()
+                .zip(z_inv)
+                .map(|(sum, z_inv)| sum.to_affine_with(z_inv))
+                .collect(),
         }
     }
 

@@ -26,17 +26,83 @@ pub enum RadioDirection {
     Receive,
 }
 
+/// What a [`DeviceActivity`] was: one variant per operation [`Device`]
+/// logs, stored in one byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ActivityKind {
+    /// [`Device::deploy_contract`].
+    DeployContract,
+    /// [`Device::execute_code`].
+    ExecuteBytecode,
+    /// [`Device::create_local_contract`].
+    CreateLocalContract,
+    /// [`Device::call_local_contract`].
+    CallLocalContract,
+    /// [`Device::sign_payload`].
+    SignPayload,
+    /// [`Device::verify_payload_with`].
+    VerifyPayload,
+    /// [`Device::verify_payload_batch`].
+    BatchVerifyPayloads,
+    /// [`Device::account_radio`] with [`RadioDirection::Transmit`].
+    RadioTransmit,
+    /// [`Device::account_radio`] with [`RadioDirection::Receive`].
+    RadioReceive,
+    /// [`Device::account_codec`].
+    WireCodec,
+    /// [`Device::sleep`].
+    Sleep,
+    /// [`Device::read_sensor`].
+    ReadSensor,
+}
+
+impl ActivityKind {
+    /// The human-readable label ("sign payload", "radio transmit", ...).
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            ActivityKind::DeployContract => "deploy contract",
+            ActivityKind::ExecuteBytecode => "execute bytecode",
+            ActivityKind::CreateLocalContract => "create local contract",
+            ActivityKind::CallLocalContract => "call local contract",
+            ActivityKind::SignPayload => "sign payload",
+            ActivityKind::VerifyPayload => "verify payload",
+            ActivityKind::BatchVerifyPayloads => "batch verify payloads",
+            ActivityKind::RadioTransmit => "radio transmit",
+            ActivityKind::RadioReceive => "radio receive",
+            ActivityKind::WireCodec => "wire codec",
+            ActivityKind::Sleep => "sleep (LPM2)",
+            ActivityKind::ReadSensor => "read sensor",
+        }
+    }
+}
+
 /// A log entry describing one activity the device performed, with its
 /// simulated start time and duration — the narrative behind the Figure 5
 /// timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A 24-byte `Copy` value that owns no heap memory: the kind is one byte
+/// and both times are whole nanoseconds of the device clock (a `u64`
+/// covers 584 years). A two-party payment appends 27 of these (14 on the
+/// sender, 13 on the receiver), so the record's size is most of what a
+/// long-lived channel retains per payment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceActivity {
-    /// Human-readable description ("deploy contract", "sign payment", ...).
-    pub label: String,
+    /// What the device did.
+    pub label: ActivityKind,
+    start_ns: u64,
+    duration_ns: u64,
+}
+
+impl DeviceActivity {
     /// Start offset on the device clock.
-    pub start: Duration,
+    pub fn start(&self) -> Duration {
+        Duration::from_nanos(self.start_ns)
+    }
+
     /// How long it took.
-    pub duration: Duration,
+    pub fn duration(&self) -> Duration {
+        Duration::from_nanos(self.duration_ns)
+    }
 }
 
 /// Static configuration of a simulated device.
@@ -223,12 +289,13 @@ impl Device {
         self.activities.clear();
     }
 
-    fn log_activity(&mut self, label: &str, start: Duration) {
+    fn log_activity(&mut self, label: ActivityKind, start: Duration) {
+        let nanos = |time: Duration| u64::try_from(time.as_nanos()).unwrap_or(u64::MAX);
         let duration = self.meter.now().saturating_sub(start);
         self.activities.push(DeviceActivity {
-            label: label.to_string(),
-            start,
-            duration,
+            label,
+            start_ns: nanos(start),
+            duration_ns: nanos(duration),
         });
     }
 
@@ -261,7 +328,7 @@ impl Device {
         // the Table V latency rather than the generic opcode cycle cost.
         time += self.config.crypto.latencies().keccak256 * result.metrics.keccak_invocations as u32;
         self.meter.record(PowerState::CpuActive, time);
-        self.log_activity("deploy contract", start);
+        self.log_activity(ActivityKind::DeployContract, start);
         Ok((result, time))
     }
 
@@ -297,7 +364,7 @@ impl Device {
             depth,
         )?;
         let time = self.charge_execution(&result.metrics);
-        self.log_activity("execute bytecode", start);
+        self.log_activity(ActivityKind::ExecuteBytecode, start);
         Ok((result, time))
     }
 
@@ -339,7 +406,7 @@ impl Device {
         time +=
             self.config.crypto.latencies().keccak256 * outcome.metrics.keccak_invocations as u32;
         self.meter.record(PowerState::CpuActive, time);
-        self.log_activity("create local contract", start);
+        self.log_activity(ActivityKind::CreateLocalContract, start);
         Ok((address, time))
     }
 
@@ -358,7 +425,7 @@ impl Device {
             .world
             .execute_contract(caller, target, value, input, &mut self.sensors);
         let time = self.charge_execution(&outcome.metrics);
-        self.log_activity("call local contract", start);
+        self.log_activity(ActivityKind::CallLocalContract, start);
         (outcome.output, outcome.success, time)
     }
 
@@ -379,7 +446,7 @@ impl Device {
         let digest = self.config.crypto.keccak256(&mut self.meter, payload);
         let signature = self.config.crypto.sign(&mut self.meter, &self.key, &digest);
         let elapsed = self.meter.now() - start;
-        self.log_activity("sign payload", start);
+        self.log_activity(ActivityKind::SignPayload, start);
         (signature, elapsed)
     }
 
@@ -400,7 +467,7 @@ impl Device {
             self.config.crypto.latencies().ecdsa_verify,
         );
         let outcome = verify(&digest);
-        self.log_activity("verify payload", start);
+        self.log_activity(ActivityKind::VerifyPayload, start);
         outcome
     }
 
@@ -432,7 +499,7 @@ impl Device {
             })
             .collect();
         let valid = tinyevm_crypto::secp256k1::verify_batch(&batch);
-        self.log_activity("batch verify payloads", start);
+        self.log_activity(ActivityKind::BatchVerifyPayloads, start);
         valid
     }
 
@@ -458,8 +525,8 @@ impl Device {
         };
         self.meter.record(state, time);
         let label = match direction {
-            RadioDirection::Transmit => "radio transmit",
-            RadioDirection::Receive => "radio receive",
+            RadioDirection::Transmit => ActivityKind::RadioTransmit,
+            RadioDirection::Receive => ActivityKind::RadioReceive,
         };
         self.log_activity(label, start);
         time
@@ -473,7 +540,7 @@ impl Device {
         let start = self.meter.now();
         let time = Duration::from_micros(2).saturating_mul(bytes as u32);
         self.meter.record(PowerState::CpuActive, time);
-        self.log_activity("wire codec", start);
+        self.log_activity(ActivityKind::WireCodec, start);
         time
     }
 
@@ -482,7 +549,7 @@ impl Device {
     pub fn sleep(&mut self, duration: Duration) {
         let start = self.meter.now();
         self.meter.record(PowerState::Lpm2, duration);
-        self.log_activity("sleep (LPM2)", start);
+        self.log_activity(ActivityKind::Sleep, start);
     }
 
     /// Reads a sensor directly (host code path, not through the EVM),
@@ -492,7 +559,7 @@ impl Device {
         let reading = self.sensors.read_direct(id, parameter)?;
         self.meter
             .record(PowerState::CpuActive, Duration::from_micros(500));
-        self.log_activity("read sensor", start);
+        self.log_activity(ActivityKind::ReadSensor, start);
         Some(reading.value)
     }
 }
@@ -530,7 +597,60 @@ mod tests {
         assert!(time < Duration::from_secs(1));
         assert_eq!(device.energy_report().time_of(PowerState::CpuActive), time);
         assert_eq!(device.activities().len(), 1);
-        assert_eq!(device.activities()[0].label, "deploy contract");
+        assert_eq!(device.activities()[0].label, ActivityKind::DeployContract);
+        assert_eq!(device.activities()[0].start(), Duration::ZERO);
+        assert_eq!(device.activities()[0].duration(), time);
+    }
+
+    #[test]
+    fn activity_records_are_24_bytes_and_own_no_heap() {
+        assert_eq!(std::mem::size_of::<DeviceActivity>(), 24);
+        assert_eq!(std::mem::size_of::<ActivityKind>(), 1);
+    }
+
+    #[test]
+    fn activity_labels_keep_their_strings() {
+        let labels = [
+            (ActivityKind::DeployContract, "deploy contract"),
+            (ActivityKind::ExecuteBytecode, "execute bytecode"),
+            (ActivityKind::CreateLocalContract, "create local contract"),
+            (ActivityKind::CallLocalContract, "call local contract"),
+            (ActivityKind::SignPayload, "sign payload"),
+            (ActivityKind::VerifyPayload, "verify payload"),
+            (ActivityKind::BatchVerifyPayloads, "batch verify payloads"),
+            (ActivityKind::RadioTransmit, "radio transmit"),
+            (ActivityKind::RadioReceive, "radio receive"),
+            (ActivityKind::WireCodec, "wire codec"),
+            (ActivityKind::Sleep, "sleep (LPM2)"),
+            (ActivityKind::ReadSensor, "read sensor"),
+        ];
+        for (kind, label) in labels {
+            assert_eq!(kind.as_str(), label);
+        }
+    }
+
+    #[test]
+    fn activities_record_kind_start_and_duration() {
+        let mut device = Device::openmote_b("logger");
+        device.sleep(Duration::from_millis(10));
+        device.account_radio(RadioDirection::Transmit, 125);
+        device.account_radio(RadioDirection::Receive, 125);
+        device.sign_payload(b"payload");
+        let log: Vec<_> = device
+            .activities()
+            .iter()
+            .map(|a| (a.label.as_str(), a.start(), a.duration()))
+            .collect();
+        let ms = Duration::from_millis;
+        assert_eq!(
+            log,
+            [
+                ("sleep (LPM2)", ms(0), ms(10)),
+                ("radio transmit", ms(10), ms(6)),
+                ("radio receive", ms(16), ms(6)),
+                ("sign payload", ms(22), ms(355)),
+            ]
+        );
     }
 
     #[test]

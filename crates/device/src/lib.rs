@@ -35,7 +35,7 @@ pub mod sensors;
 pub mod simtime;
 
 pub use crypto_engine::CryptoEngine;
-pub use device::{Device, DeviceActivity, DeviceConfig, RadioDirection};
+pub use device::{ActivityKind, Device, DeviceActivity, DeviceConfig, RadioDirection};
 pub use energy::{EnergyMeter, EnergyReport, PowerState, TimelineEntry};
 pub use footprint::{Footprint, FootprintComponent};
 pub use mcu::Mcu;

@@ -645,14 +645,16 @@ impl FleetScheduler {
     }
 
     fn pay_contended_one(&mut self, index: usize, amount: Wei) -> Result<(), ProtocolError> {
-        let before = self.completed_per_sensor();
+        let mark = self.rounds.len();
         self.sensors[index].pay(self.gateway_addr, amount)?;
         self.round_bytes[index] = 0;
         let mut active = IndexSet::new(self.sensors.len());
         active.insert(index);
         self.drive(active)?;
-        let after = self.completed_per_sensor();
-        if after[index] > before[index] {
+        if self.rounds[mark..]
+            .iter()
+            .any(|round| self.index_of(round.sensor) == Some(index))
+        {
             Ok(())
         } else {
             Err(ProtocolError::OutOfOrder("payment round did not complete"))
@@ -887,7 +889,7 @@ impl FleetScheduler {
             }
         });
         let mut active = IndexSet::new(self.sensors.len());
-        let before = self.completed_per_sensor();
+        let mark = self.rounds.len();
         for (index, result) in results.into_iter().enumerate() {
             match result {
                 None => {}
@@ -907,34 +909,34 @@ impl FleetScheduler {
         self.drive(active)?;
         // A sensor that completed its round cleanly recovers from a
         // transport-degraded state, exactly as `pay` books it.
-        let after = self.completed_per_sensor();
-        for index in 0..self.sensors.len() {
-            if after[index] > before[index] && self.health[index].0 == SensorHealth::Degraded {
+        for round in mark..self.rounds.len() {
+            let Some(index) = self.index_of(self.rounds[round].sensor) else {
+                continue;
+            };
+            if self.health[index].0 == SensorHealth::Degraded {
                 self.health[index].0 = SensorHealth::Healthy;
             }
         }
         Ok(())
     }
 
-    fn completed_per_sensor(&self) -> Vec<u64> {
-        let mut completed = vec![0u64; self.sensors.len()];
-        for round in &self.rounds {
-            if let Some(index) = self.index_of(round.sensor) {
-                completed[index] += 1;
-            }
-        }
-        completed
-    }
-
     /// Applies one per-sensor intent across the fleet, sharded over
-    /// `jobs` scoped threads. Shards are contiguous address ranges and
-    /// results merge back in address order, so the thread count never
-    /// affects the outcome.
+    /// `jobs` scoped threads (inline, with no thread, at one job). Shards
+    /// are contiguous address ranges and results merge back in address
+    /// order, so the thread count never affects the outcome.
     fn shard_intents<F>(&mut self, intent: F) -> Vec<Option<Result<Vec<Effect>, EndpointError>>>
     where
         F: Fn(&mut ChannelEndpoint, usize) -> Option<Result<Vec<Effect>, EndpointError>> + Sync,
     {
         let jobs = self.config.jobs.max(1).min(self.sensors.len());
+        if jobs <= 1 {
+            return self
+                .sensors
+                .iter_mut()
+                .enumerate()
+                .map(|(index, sensor)| intent(sensor, index))
+                .collect();
+        }
         let shard_len = self.sensors.len().div_ceil(jobs);
         let intent = &intent;
         let mut results = Vec::with_capacity(self.sensors.len());

@@ -229,7 +229,7 @@ fn settlement_batch_verifies_every_close_signature_in_one_pass() {
         let activities = fleet.gateway().device().activities();
         let batches = activities
             .iter()
-            .filter(|a| a.label == "batch verify payloads");
+            .filter(|a| a.label.as_str() == "batch verify payloads");
         assert_eq!(batches.count(), 1, "one Straus pass for the whole fleet");
     }
 }

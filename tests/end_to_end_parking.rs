@@ -37,9 +37,14 @@ fn full_three_phase_flow_settles_the_exact_amount() {
     assert_eq!(driver.receiver().side_chain().len(), 6);
     assert!(driver.sender().side_chain().verify());
     assert!(driver.receiver().side_chain().verify());
+    let head = |log: &tinyevm::channel::SideChainLog| {
+        let last = log.entries().last().expect("six entries");
+        (last.channel_id, last.sequence, last.cumulative)
+    };
+    assert_eq!(head(driver.sender().side_chain()), (1, 6, last_cumulative));
     assert_eq!(
-        driver.sender().side_chain().latest_cumulative(1),
-        driver.receiver().side_chain().latest_cumulative(1)
+        head(driver.receiver().side_chain()),
+        (1, 6, last_cumulative)
     );
 
     // Phase 3: settlement pays the receiver exactly the cumulative amount.
@@ -123,4 +128,60 @@ fn parking_scenario_helper_matches_manual_driving() {
     assert_eq!(settlement.settlement.to_sender, Wei::from_eth_milli(10));
     assert_eq!(rounds.len(), 3);
     assert!(crypto_share > 0.3);
+}
+
+/// Bytes of the records both nodes of a channel keep for its history:
+/// device activities, side-chain entries, peer acknowledgements and round
+/// latencies, each counted as entries × the record's size.
+fn retained_record_bytes(driver: &ProtocolDriver) -> usize {
+    use std::mem::size_of_val;
+    use tinyevm::channel::OffChainNode;
+
+    let node_bytes = |node: &OffChainNode, peer: &OffChainNode| {
+        let latencies = node.endpoint().latencies(peer.node_addr()).unwrap_or(&[]);
+        size_of_val(node.device().activities())
+            + size_of_val(node.side_chain().entries())
+            + size_of_val(node.peer_signatures())
+            + size_of_val(latencies)
+    };
+    node_bytes(driver.sender(), driver.receiver()) + node_bytes(driver.receiver(), driver.sender())
+}
+
+/// A long-lived channel: 100,000 payments, then close and settle. The
+/// settlement pays exactly what was paid, both side-chain logs still
+/// verify from their anchor, and the records the two nodes keep stay
+/// under 1,000 bytes per payment.
+///
+/// About 20 s in release:
+/// `cargo test --release --test end_to_end_parking -- --ignored`.
+#[test]
+#[ignore = "soak: 100,000 payments, run in release"]
+fn a_hundred_thousand_payments_settle_and_retain_under_1000_bytes_each() {
+    const PAYMENTS: u64 = 100_000;
+    let mut driver = ProtocolDriver::smart_parking(Wei::from_eth(1));
+    driver.publish_template().unwrap();
+    driver.open_channel().unwrap();
+    let mut paid = Wei::ZERO;
+    for index in 0..PAYMENTS {
+        let amount = Wei::from(1_000_000 + index % 1_000);
+        let round = driver.pay(amount).unwrap();
+        paid = paid.saturating_add(amount);
+        assert_eq!((round.sequence, round.cumulative), (index + 1, paid));
+    }
+
+    let settlement = driver.close_and_settle().unwrap();
+    assert_eq!(settlement.settlement.to_receiver, paid);
+    assert_eq!(settlement.payments_exchanged, PAYMENTS);
+    for node in [driver.sender(), driver.receiver()] {
+        let log = node.side_chain();
+        assert!(log.len() as u64 >= PAYMENTS);
+        assert!(log.verify());
+        let records = log.export_entries();
+        assert_eq!(records[0].previous_hash, log.anchor());
+        assert!(tinyevm::channel::SideChainLog::from_parts(log.anchor(), &records).is_some());
+    }
+
+    let per_payment = retained_record_bytes(&driver) as f64 / PAYMENTS as f64;
+    println!("retained record bytes per payment: {per_payment:.1}");
+    assert!(per_payment <= 1_000.0, "{per_payment:.1} B per payment");
 }
