@@ -15,10 +15,17 @@
 //! contracts therefore holds at most `capacity` artifacts, and the
 //! [`AnalysisCache::evictions`] counter surfaces the churn to the metrics
 //! registry.
+//!
+//! Caches on one thread also **share** their artifacts: on a miss, a cache
+//! first looks for a live analysis of the same code held by any other
+//! cache on the thread (a simulated fleet's devices all run the same
+//! channel contract) and analyzes only when there is none. Sharing changes
+//! what is held, never what a cache counts: a cache's first sight of a
+//! code is still its miss.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Weak};
 
 use tinyevm_crypto::keccak256;
 
@@ -27,6 +34,43 @@ use crate::analyzer::{analyze, CodeAnalysis};
 /// Default capacity: far above any fleet's live contract count, small
 /// enough that a node churning through a whole corpus stays bounded.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+
+thread_local! {
+    /// The analyses this thread's caches hold, by code hash.
+    static LIVE_ANALYSES: RefCell<LiveAnalyses> = const {
+        RefCell::new(LiveAnalyses {
+            analyses: BTreeMap::new(),
+            sweep_at: 0,
+        })
+    };
+}
+
+/// Weak handles to analyses by code hash, so an analysis lives exactly as
+/// long as some cache (or caller) holds it.
+struct LiveAnalyses {
+    analyses: BTreeMap<[u8; 32], Weak<CodeAnalysis>>,
+    /// Size at which handles to dropped analyses are next swept out: twice
+    /// what the last sweep left, so sweeping costs O(1) per insert on
+    /// average.
+    sweep_at: usize,
+}
+
+impl LiveAnalyses {
+    /// A live analysis of the code hashing to `hash`, or a new one.
+    fn analysis(&mut self, hash: [u8; 32], code: &[u8]) -> Arc<CodeAnalysis> {
+        if let Some(shared) = self.analyses.get(&hash).and_then(Weak::upgrade) {
+            return shared;
+        }
+        if self.analyses.len() >= self.sweep_at {
+            self.analyses
+                .retain(|_, analysis| analysis.strong_count() > 0);
+            self.sweep_at = 2 * self.analyses.len().max(16);
+        }
+        let analysis = Arc::new(analyze(code));
+        self.analyses.insert(hash, Arc::downgrade(&analysis));
+        analysis
+    }
+}
 
 /// A bounded cache of analysis artifacts keyed by the Keccak-256 hash of
 /// the code, evicting its oldest entry at capacity.
@@ -66,8 +110,10 @@ impl AnalysisCache {
         }
     }
 
-    /// Returns the analysis for `code`, computing and memoizing it on first
-    /// sight of this code hash.
+    /// Returns the analysis for `code`, memoizing it on first sight of this
+    /// code hash. The first sight takes a live analysis of the same code
+    /// from another cache on this thread, or runs the analyzer when there
+    /// is none.
     pub fn analyze(&mut self, code: &[u8]) -> Arc<CodeAnalysis> {
         self.analyze_hashed(keccak256(code), code)
     }
@@ -86,7 +132,7 @@ impl AnalysisCache {
                 self.evictions += 1;
             }
         }
-        let analysis = Arc::new(analyze(code));
+        let analysis = LIVE_ANALYSES.with(|live| live.borrow_mut().analysis(hash, code));
         self.map.insert(hash, Arc::clone(&analysis));
         self.order.push_back(hash);
         analysis
@@ -97,7 +143,8 @@ impl AnalysisCache {
         self.hits
     }
 
-    /// Number of lookups that had to run the analyzer.
+    /// Number of lookups of a code hash this cache did not hold: each one
+    /// ran the analyzer or took another cache's live analysis.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -175,6 +222,31 @@ mod tests {
         // The newest pre-eviction entry is still warm.
         cache.analyze(&[0x60, 0x01, 0x00]);
         assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn caches_on_one_thread_share_live_analyses_and_keep_their_own_counts() {
+        let code = [0x60, 0x02, 0x60, 0x03, 0x01, 0x00];
+        let mut first = AnalysisCache::new();
+        let mut second = AnalysisCache::new();
+        let a = first.analyze(&code);
+        let b = second.analyze(&code);
+        assert!(Arc::ptr_eq(&a, &b), "one analysis for both caches");
+        second.analyze(&code);
+        assert_eq!((first.hits(), first.misses()), (0, 1));
+        assert_eq!((second.hits(), second.misses()), (1, 1));
+
+        // Once no cache holds it, the analysis is gone: a third cache
+        // analyzes afresh.
+        let dropped = Arc::downgrade(&a);
+        drop((a, b));
+        first.clear();
+        second.clear();
+        assert!(dropped.upgrade().is_none());
+        let mut third = AnalysisCache::new();
+        let fresh = third.analyze(&code);
+        assert!(!Weak::ptr_eq(&dropped, &Arc::downgrade(&fresh)));
+        assert_eq!((third.hits(), third.misses()), (0, 1));
     }
 
     #[test]

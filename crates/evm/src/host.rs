@@ -213,8 +213,9 @@ pub struct ContractStore {
     logs: Vec<LogEntry>,
     create_nonce: u64,
     /// Per-code-hash cache of static analyses: every contract in the world
-    /// is analyzed once, on its first execution, no matter how many frames
-    /// run it afterwards.
+    /// is looked up once, on its first execution, no matter how many frames
+    /// run it afterwards, and stores on one thread share one analysis of
+    /// the same code.
     analyses: AnalysisCache,
     tracer: TraceHandle,
 }
@@ -379,8 +380,9 @@ impl ContractStore {
         if self.tracer.enabled() {
             if self.analyses.misses() > misses_before {
                 self.tracer.count("evm.analysis_cache.misses", 1);
-                // A miss ran the full analyzer: surface what the symbolic
-                // pass concluded about this (previously unseen) code.
+                // A miss is this store's first sight of the code (its
+                // analysis may be another store's, shared on this thread):
+                // surface what the symbolic pass concluded about it.
                 self.tracer.count("analysis.verdicts", 1);
                 let resolved = analysis.resolved_jumps().len() as u64;
                 if resolved > 0 {

@@ -35,8 +35,13 @@
 //! ready sender would draw or transmit (every back-off counter still
 //! counting down) resolves in one step through
 //! [`ContendingMedium::skip_idle_slots`].
+//!
+//! Per-sender state lives in a table indexed by the sender's address, so
+//! resolving a slot visits each ready sender once, with one index each and
+//! no copy of the ready set: a set that arrives in strictly ascending
+//! address order, as the fleet scheduler hands it over, is walked in
+//! place, and any other set is sorted into a reused buffer first.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::addr::NodeAddr;
@@ -136,6 +141,20 @@ struct SenderState {
 }
 
 impl SenderState {
+    /// A sender's state before its first frame: its own draw stream and
+    /// the initial contention window.
+    fn fresh(config: &ContentionConfig, addr: NodeAddr) -> Self {
+        SenderState {
+            rng: endpoint_seed(config.seed, addr),
+            cw: match config.scheme {
+                AccessScheme::CsmaCa { cw_min, .. } => cw_min,
+                AccessScheme::SingleSlot => 1,
+            },
+            counter: None,
+            collisions: 0,
+        }
+    }
+
     fn next_u64(&mut self) -> u64 {
         // splitmix64 — one multiply-xorshift step per draw.
         self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -160,7 +179,14 @@ impl SenderState {
 pub struct ContendingMedium {
     inner: SharedMedium,
     config: ContentionConfig,
-    senders: BTreeMap<NodeAddr, SenderState>,
+    /// Per-sender state at index `addr.value()`; `None` for an address
+    /// that never attached or contended.
+    senders: Vec<Option<SenderState>>,
+    /// Reused per slot: the ready set sorted and deduplicated, when it did
+    /// not arrive strictly ascending.
+    sorted: Vec<NodeAddr>,
+    /// Reused per slot: the senders whose back-off expired, ascending.
+    transmitting: Vec<NodeAddr>,
     slots_elapsed: u64,
     collision_events: u64,
     frames_collided: u64,
@@ -183,7 +209,9 @@ impl ContendingMedium {
         Ok(ContendingMedium {
             inner: SharedMedium::try_new(gateway, base)?,
             config,
-            senders: BTreeMap::new(),
+            senders: Vec::new(),
+            sorted: Vec::new(),
+            transmitting: Vec::new(),
             slots_elapsed: 0,
             collision_events: 0,
             frames_collided: 0,
@@ -205,7 +233,7 @@ impl ContendingMedium {
     /// Same as [`SharedMedium::attach`].
     pub fn attach(&mut self, addr: NodeAddr) -> Result<(), MediumError> {
         self.inner.attach(addr)?;
-        self.register_sender(addr);
+        *table_entry(&mut self.senders, addr) = Some(SenderState::fresh(&self.config, addr));
         Ok(())
     }
 
@@ -262,26 +290,15 @@ impl ContendingMedium {
 
     /// Collisions a specific sender has suffered.
     pub fn sender_collisions(&self, addr: NodeAddr) -> u64 {
-        self.senders
-            .get(&addr)
-            .map(|state| state.collisions)
-            .unwrap_or(0)
+        self.state(addr).map_or(0, |state| state.collisions)
     }
 
-    fn register_sender(&mut self, addr: NodeAddr) {
-        let cw_min = match self.config.scheme {
-            AccessScheme::CsmaCa { cw_min, .. } => cw_min,
-            AccessScheme::SingleSlot => 1,
-        };
-        self.senders.insert(
-            addr,
-            SenderState {
-                rng: endpoint_seed(self.config.seed, addr),
-                cw: cw_min,
-                counter: None,
-                collisions: 0,
-            },
-        );
+    fn state(&self, addr: NodeAddr) -> Option<&SenderState> {
+        self.senders.get(usize::from(addr.value()))?.as_ref()
+    }
+
+    fn state_mut(&mut self, addr: NodeAddr) -> Option<&mut SenderState> {
+        self.senders.get_mut(usize::from(addr.value()))?.as_mut()
     }
 
     /// Resolves one contention slot among `ready` senders (those with a
@@ -291,10 +308,13 @@ impl ContendingMedium {
     /// own seeded stream, applies the capture model when frames overlap,
     /// grows losers' contention windows and accounts the wasted slot. The
     /// caller then conveys the winner's frame (if any) through the
-    /// [`Radio`] implementation.
+    /// [`Radio`] implementation. A sender never seen before is registered
+    /// on first sight.
     ///
-    /// `ready` may arrive in any order; arbitration is order-independent
-    /// because every sender draws only from its own stream.
+    /// `ready` may arrive in any order, with repeats; arbitration is
+    /// order-independent because every sender draws only from its own
+    /// stream. A strictly ascending set is resolved in place, anything else
+    /// is sorted and deduplicated into a reused buffer first.
     pub fn resolve_slot(&mut self, ready: &[NodeAddr]) -> SlotOutcome {
         self.slots_elapsed += 1;
         if ready.is_empty() {
@@ -304,17 +324,38 @@ impl ContendingMedium {
             let winner = ready.iter().copied().min().unwrap_or(ready[0]);
             return SlotOutcome::Won(winner);
         }
-        let mut transmitting: Vec<NodeAddr> = Vec::new();
-        let mut sorted: Vec<NodeAddr> = ready.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for addr in &sorted {
-            if !self.senders.contains_key(addr) {
-                self.register_sender(*addr);
+        let mut transmitting = std::mem::take(&mut self.transmitting);
+        transmitting.clear();
+        if ready.windows(2).all(|pair| pair[0] < pair[1]) {
+            self.count_down(ready, &mut transmitting);
+        } else {
+            let mut sorted = std::mem::take(&mut self.sorted);
+            sorted.clear();
+            sorted.extend_from_slice(ready);
+            sorted.sort_unstable();
+            sorted.dedup();
+            self.count_down(&sorted, &mut transmitting);
+            self.sorted = sorted;
+        }
+        let outcome = match transmitting[..] {
+            [] => SlotOutcome::Idle,
+            [winner] => {
+                self.note_success(winner);
+                SlotOutcome::Won(winner)
             }
-            let Some(state) = self.senders.get_mut(addr) else {
-                continue;
-            };
+            _ => self.resolve_collision(&transmitting),
+        };
+        self.transmitting = transmitting;
+        outcome
+    }
+
+    /// Counts each of the strictly ascending `ready` senders' back-off
+    /// down by one slot, drawing a counter for a sender without one, and
+    /// appends those whose counter has expired to `transmitting`.
+    fn count_down(&mut self, ready: &[NodeAddr], transmitting: &mut Vec<NodeAddr>) {
+        for &addr in ready {
+            let state = table_entry(&mut self.senders, addr)
+                .get_or_insert_with(|| SenderState::fresh(&self.config, addr));
             let counter = match state.counter {
                 Some(counter) => counter,
                 None => {
@@ -326,17 +367,8 @@ impl ContendingMedium {
             if counter > 0 {
                 state.counter = Some(counter - 1);
             } else {
-                transmitting.push(*addr);
+                transmitting.push(addr);
             }
-        }
-        match transmitting.len() {
-            0 => SlotOutcome::Idle,
-            1 => {
-                let winner = transmitting[0];
-                self.note_success(winner);
-                SlotOutcome::Won(winner)
-            }
-            _ => self.resolve_collision(transmitting),
         }
     }
 
@@ -353,22 +385,21 @@ impl ContendingMedium {
     /// in any order.
     pub fn skip_idle_slots(&mut self, ready: &[NodeAddr], max_slots: u64) -> u64 {
         let mut slots = max_slots;
-        for addr in ready {
+        for &addr in ready {
             let counter = match self.config.scheme {
                 // The lowest-addressed ready sender wins every slot.
                 AccessScheme::SingleSlot => None,
-                _ => self.senders.get(addr).and_then(|state| state.counter),
+                _ => self.state(addr).and_then(|state| state.counter),
             };
             slots = slots.min(counter.map_or(0, u64::from));
-        }
-        if slots == 0 {
-            return 0;
+            if slots == 0 {
+                return 0;
+            }
         }
         self.slots_elapsed += slots;
-        for addr in ready {
+        for &addr in ready {
             if let Some(counter) = self
-                .senders
-                .get_mut(addr)
+                .state_mut(addr)
                 .and_then(|state| state.counter.as_mut())
             {
                 // `slots` is at most this counter, so it fits.
@@ -379,58 +410,66 @@ impl ContendingMedium {
     }
 
     fn note_success(&mut self, winner: NodeAddr) {
-        if let Some(state) = self.senders.get_mut(&winner) {
-            if let AccessScheme::CsmaCa { cw_min, .. } = self.config.scheme {
+        let cw_min = match self.config.scheme {
+            AccessScheme::CsmaCa { cw_min, .. } => Some(cw_min),
+            AccessScheme::SingleSlot => None,
+        };
+        if let Some(state) = self.state_mut(winner) {
+            if let Some(cw_min) = cw_min {
                 state.cw = cw_min;
             }
             state.counter = None;
         }
     }
 
-    fn resolve_collision(&mut self, transmitting: Vec<NodeAddr>) -> SlotOutcome {
+    /// Resolves a slot in which the strictly ascending `transmitting`
+    /// senders (at least two) all transmitted.
+    fn resolve_collision(&mut self, transmitting: &[NodeAddr]) -> SlotOutcome {
         // Capture model: each overlapping frame draws a received power
         // from its sender's stream; the strongest survives if it beats
-        // the runner-up by the configured ratio.
-        let mut powers: Vec<(NodeAddr, f64)> = transmitting
-            .iter()
-            .map(|addr| {
-                let state = self.senders.get_mut(addr).expect("registered above");
-                (*addr, state.next_f64())
-            })
-            .collect();
-        powers.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let captured = match (powers.first(), powers.get(1)) {
-            (Some(&(strongest, p0)), Some(&(_, p1)))
-                if p1 > 0.0 && p0 / p1 >= self.config.capture_ratio =>
-            {
-                Some(strongest)
+        // the runner-up by the configured ratio. Of equally strong frames
+        // the lowest-addressed counts as the strongest.
+        let (mut strongest, mut best) = (transmitting[0], f64::NEG_INFINITY);
+        let mut runner_up = f64::NEG_INFINITY;
+        for &addr in transmitting {
+            // Every transmitting sender was registered by `count_down`.
+            let power = self.state_mut(addr).map_or(0.0, SenderState::next_f64);
+            if power > best {
+                runner_up = best;
+                (strongest, best) = (addr, power);
+            } else {
+                runner_up = runner_up.max(power);
             }
-            _ => None,
+        }
+        let captured =
+            (runner_up > 0.0 && best / runner_up >= self.config.capture_ratio).then_some(strongest);
+        let cw_max = match self.config.scheme {
+            AccessScheme::CsmaCa { cw_max, .. } => Some(cw_max),
+            AccessScheme::SingleSlot => None,
         };
         let mut lost: Vec<NodeAddr> = Vec::with_capacity(transmitting.len());
-        for addr in &transmitting {
-            if Some(*addr) == captured {
-                self.note_success(*addr);
+        for &addr in transmitting {
+            if Some(addr) == captured {
+                self.note_success(addr);
                 continue;
             }
-            let Some(state) = self.senders.get_mut(addr) else {
+            let Some(state) = self.state_mut(addr) else {
                 continue;
             };
             state.collisions += 1;
-            if let AccessScheme::CsmaCa { cw_max, .. } = self.config.scheme {
+            if let Some(cw_max) = cw_max {
                 state.cw = (state.cw.saturating_mul(2)).min(cw_max.max(1));
                 let drawn = state.draw_counter();
                 state.counter = Some(drawn);
-                let (node, cw, slots) = (addr.to_string(), state.cw, drawn);
+                let cw = state.cw;
                 self.tracer.event(|| TraceEvent::Backoff {
-                    node,
+                    node: addr.to_string(),
                     window_slots: cw,
-                    wait_slots: slots,
+                    wait_slots: drawn,
                 });
             }
-            lost.push(*addr);
+            lost.push(addr);
         }
-        lost.sort_unstable();
         self.collision_events += 1;
         self.frames_collided += lost.len() as u64;
         self.collision_airtime += self.config.slot;
@@ -448,6 +487,15 @@ impl ContendingMedium {
         });
         SlotOutcome::Collision { captured, lost }
     }
+}
+
+/// The table entry for `addr`, growing the table to reach it.
+fn table_entry(senders: &mut Vec<Option<SenderState>>, addr: NodeAddr) -> &mut Option<SenderState> {
+    let index = usize::from(addr.value());
+    if index >= senders.len() {
+        senders.resize_with(index + 1, || None);
+    }
+    &mut senders[index]
 }
 
 impl Radio for ContendingMedium {
@@ -656,6 +704,226 @@ mod tests {
             ContendingMedium::new(NodeAddr::new(0xFE), LinkConfig::default(), single).unwrap();
         medium.attach(addrs[0]).unwrap();
         assert_eq!(medium.skip_idle_slots(&addrs[..1], 100), 0);
+    }
+
+    /// The slot logic as a plain model: per-sender state in an ordered map,
+    /// each slot copying, sorting and deduplicating its ready set, and the
+    /// capture rule as a sort of the drawn powers. It shares only the
+    /// per-sender splitmix draws with the medium.
+    struct ReferenceMedium {
+        config: ContentionConfig,
+        senders: std::collections::BTreeMap<NodeAddr, SenderState>,
+        slots_elapsed: u64,
+        collision_events: u64,
+        frames_collided: u64,
+        collision_airtime: Duration,
+    }
+
+    impl ReferenceMedium {
+        fn new(config: ContentionConfig, attached: &[NodeAddr]) -> Self {
+            let mut reference = ReferenceMedium {
+                config,
+                senders: std::collections::BTreeMap::new(),
+                slots_elapsed: 0,
+                collision_events: 0,
+                frames_collided: 0,
+                collision_airtime: Duration::ZERO,
+            };
+            for addr in attached {
+                reference.register(*addr);
+            }
+            reference
+        }
+
+        fn cw_min(&self) -> u32 {
+            match self.config.scheme {
+                AccessScheme::CsmaCa { cw_min, .. } => cw_min,
+                AccessScheme::SingleSlot => 1,
+            }
+        }
+
+        fn register(&mut self, addr: NodeAddr) {
+            let state = SenderState {
+                rng: endpoint_seed(self.config.seed, addr),
+                cw: self.cw_min(),
+                counter: None,
+                collisions: 0,
+            };
+            self.senders.insert(addr, state);
+        }
+
+        fn resolve_slot(&mut self, ready: &[NodeAddr]) -> SlotOutcome {
+            self.slots_elapsed += 1;
+            let mut sorted = ready.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let mut transmitting = Vec::new();
+            for addr in sorted {
+                if !self.senders.contains_key(&addr) {
+                    self.register(addr);
+                }
+                let state = self.senders.get_mut(&addr).unwrap();
+                let counter = match state.counter {
+                    Some(counter) => counter,
+                    None => {
+                        let drawn = state.draw_counter();
+                        state.counter = Some(drawn);
+                        drawn
+                    }
+                };
+                if counter > 0 {
+                    state.counter = Some(counter - 1);
+                } else {
+                    transmitting.push(addr);
+                }
+            }
+            match transmitting[..] {
+                [] => SlotOutcome::Idle,
+                [winner] => {
+                    self.note_success(winner);
+                    SlotOutcome::Won(winner)
+                }
+                _ => self.resolve_collision(&transmitting),
+            }
+        }
+
+        fn skip_idle_slots(&mut self, ready: &[NodeAddr], max_slots: u64) -> u64 {
+            let mut slots = max_slots;
+            for addr in ready {
+                let counter = self.senders.get(addr).and_then(|state| state.counter);
+                slots = slots.min(counter.map_or(0, u64::from));
+            }
+            if slots == 0 {
+                return 0;
+            }
+            self.slots_elapsed += slots;
+            for addr in ready {
+                if let Some(state) = self.senders.get_mut(addr) {
+                    if let Some(counter) = state.counter.as_mut() {
+                        *counter -= slots as u32;
+                    }
+                }
+            }
+            slots
+        }
+
+        fn note_success(&mut self, winner: NodeAddr) {
+            let cw_min = self.cw_min();
+            let state = self.senders.get_mut(&winner).unwrap();
+            state.cw = cw_min;
+            state.counter = None;
+        }
+
+        fn resolve_collision(&mut self, transmitting: &[NodeAddr]) -> SlotOutcome {
+            let mut powers: Vec<(NodeAddr, f64)> = transmitting
+                .iter()
+                .map(|addr| (*addr, self.senders.get_mut(addr).unwrap().next_f64()))
+                .collect();
+            powers.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+            let (strongest, p0) = powers[0];
+            let p1 = powers[1].1;
+            let captured = (p1 > 0.0 && p0 / p1 >= self.config.capture_ratio).then_some(strongest);
+            let AccessScheme::CsmaCa { cw_max, .. } = self.config.scheme else {
+                unreachable!("the model contends only under CSMA/CA");
+            };
+            let mut lost = Vec::new();
+            for addr in transmitting {
+                if Some(*addr) == captured {
+                    self.note_success(*addr);
+                    continue;
+                }
+                let state = self.senders.get_mut(addr).unwrap();
+                state.collisions += 1;
+                state.cw = state.cw.saturating_mul(2).min(cw_max);
+                state.counter = Some(state.draw_counter());
+                lost.push(*addr);
+            }
+            lost.sort_unstable();
+            self.collision_events += 1;
+            self.frames_collided += lost.len() as u64;
+            self.collision_airtime += self.config.slot;
+            SlotOutcome::Collision { captured, lost }
+        }
+    }
+
+    fn next_pick(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The medium's dense table and in-place walk against the plain model,
+    /// over ready sets that change every slot: ascending subsets of the
+    /// attached senders and of addresses never attached, the same subsets
+    /// shuffled or repeated (for `resolve_slot` only, which takes any
+    /// order), and capped and uncapped idle-slot skips in between.
+    #[test]
+    fn arbitration_matches_a_plain_reference_model() {
+        let candidates: Vec<NodeAddr> = (1..=10u16)
+            .chain([23, 0xFE, 0x300, u16::MAX])
+            .map(NodeAddr::new)
+            .collect();
+        let mut skips = 0;
+        let mut collisions = 0;
+        let mut captures = 0;
+        for seed in 1..=12u64 {
+            let (mut medium, attached) = csma_medium(10, seed);
+            let mut config = ContentionConfig::csma(seed);
+            // Half the seeds capture every overlap, half at the default 4×.
+            if seed % 2 == 0 {
+                config.capture_ratio = 1.0;
+                medium.config.capture_ratio = 1.0;
+            }
+            let mut reference = ReferenceMedium::new(config, &attached);
+            let mut picks = seed;
+            for _ in 0..300 {
+                let mut ready: Vec<NodeAddr> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|_| next_pick(&mut picks) % 3 == 0)
+                    .collect();
+                match next_pick(&mut picks) % 5 {
+                    0 | 1 => {}
+                    2 => {
+                        let repeats = ready.clone();
+                        ready.extend(repeats.iter().step_by(2));
+                        for i in (1..ready.len()).rev() {
+                            ready.swap(i, next_pick(&mut picks) as usize % (i + 1));
+                        }
+                    }
+                    3 => ready.reverse(),
+                    _ => {
+                        // An empty set skips up to the cap: keep it finite.
+                        let uncapped = skips % 2 == 1 && !ready.is_empty();
+                        let cap = if uncapped { u64::MAX } else { 3 };
+                        let skipped = medium.skip_idle_slots(&ready, cap);
+                        assert_eq!(skipped, reference.skip_idle_slots(&ready, cap));
+                        skips += u64::from(skipped > 0);
+                    }
+                }
+                let outcome = medium.resolve_slot(&ready);
+                assert_eq!(outcome, reference.resolve_slot(&ready), "seed {seed}");
+                if let SlotOutcome::Collision { captured, .. } = outcome {
+                    collisions += 1;
+                    captures += u32::from(captured.is_some());
+                }
+                assert_eq!(medium.slots_elapsed(), reference.slots_elapsed);
+                assert_eq!(medium.collision_events(), reference.collision_events);
+                assert_eq!(medium.frames_collided(), reference.frames_collided);
+                assert_eq!(medium.collision_airtime(), reference.collision_airtime);
+            }
+            for addr in &candidates {
+                let expected = reference.senders.get(addr).map_or(0, |s| s.collisions);
+                assert_eq!(medium.sender_collisions(*addr), expected, "seed {seed}");
+            }
+        }
+        assert!(skips > 0, "back-off must leave idle runs to skip");
+        assert!(
+            collisions > captures && captures > 0,
+            "{captures} of {collisions}"
+        );
     }
 
     #[test]

@@ -147,7 +147,8 @@ pub struct SharedMedium {
     endpoints: BTreeMap<NodeAddr, MediumEndpoint>,
     /// Frames parked for the gateway with their wire sizes, one bounded
     /// queue per sending peer (so a flooding sensor sheds its own frames,
-    /// never a neighbour's).
+    /// never a neighbour's). Only peers with a frame parked have a queue,
+    /// so the lowest-addressed queue holds the next frame.
     gateway_rx: BTreeMap<NodeAddr, VecDeque<(Vec<u8>, usize)>>,
     /// Frames across all of `gateway_rx`, so asking for the gateway's
     /// backlog never walks every peer's queue.
@@ -339,13 +340,15 @@ impl SharedMedium {
     pub fn set_rx_queue_capacity(&mut self, capacity: usize) {
         self.rx_queue_capacity = capacity;
         let mut shed = 0u64;
-        for queue in self.gateway_rx.values_mut() {
-            while queue.len() > capacity {
-                queue.pop_back();
-                self.gateway_rx_frames -= 1;
-                shed += 1;
+        self.gateway_rx.retain(|_, queue| {
+            if queue.len() <= capacity {
+                return true;
             }
-        }
+            shed += (queue.len() - capacity) as u64;
+            queue.truncate(capacity);
+            capacity > 0
+        });
+        self.gateway_rx_frames -= shed as usize;
         if shed > 0 {
             self.frames_dropped_queue_full += shed;
             self.tracer.count("net.frames_dropped_queue_full", shed);
@@ -370,31 +373,34 @@ impl SharedMedium {
     /// `net.frames_dropped_queue_full`). One flooding sensor only ever
     /// sheds its own frames.
     pub fn enqueue_rx(&mut self, from: NodeAddr, frame: Vec<u8>, wire_bytes: usize) -> bool {
-        let queue = self.gateway_rx.entry(from).or_default();
-        if queue.len() >= self.rx_queue_capacity {
+        // A refused frame must not leave an empty queue behind.
+        let depth = self.gateway_rx.get(&from).map_or(0, VecDeque::len);
+        if depth >= self.rx_queue_capacity {
             self.frames_dropped_queue_full += 1;
             self.tracer.count("net.frames_dropped_queue_full", 1);
             return false;
         }
-        queue.push_back((frame, wire_bytes));
+        self.gateway_rx
+            .entry(from)
+            .or_default()
+            .push_back((frame, wire_bytes));
         self.gateway_rx_frames += 1;
         true
     }
 
     /// Pops the next frame parked for the gateway, with its sender and its
     /// wire size. Per-peer queues drain in sender-address order
-    /// (deterministic).
+    /// (deterministic); a queue that empties is removed.
     pub fn dequeue_rx(&mut self) -> Option<(NodeAddr, Vec<u8>, usize)> {
-        if self.gateway_rx_frames == 0 {
-            return None;
+        let mut queue = self.gateway_rx.first_entry()?;
+        let from = *queue.key();
+        let parked = queue.get_mut().pop_front();
+        if queue.get().is_empty() {
+            queue.remove();
         }
-        for (from, queue) in self.gateway_rx.iter_mut() {
-            if let Some((frame, wire_bytes)) = queue.pop_front() {
-                self.gateway_rx_frames -= 1;
-                return Some((*from, frame, wire_bytes));
-            }
-        }
-        None
+        let (frame, wire_bytes) = parked?;
+        self.gateway_rx_frames -= 1;
+        Some((from, frame, wire_bytes))
     }
 
     /// Frames currently parked for the gateway (all sending peers
@@ -680,6 +686,52 @@ mod tests {
         assert_eq!(medium.rx_queue_depth(), 1);
         medium.set_rx_queue_capacity(0);
         assert_eq!(medium.rx_queue_depth(), 0);
+        assert_eq!(medium.dequeue_rx(), None);
+        assert_eq!(medium.frames_dropped_queue_full(), 2);
+    }
+
+    /// Queues that empty and refill still drain in sender-address order,
+    /// with an exact backlog count at every step.
+    #[test]
+    fn refilled_rx_queues_drain_in_address_order() {
+        let (mut medium, addrs) = medium_with(4);
+        let mut parked = 0;
+        for round in 0..3u8 {
+            // Higher addresses park first; the lowest drains first anyway.
+            for addr in addrs.iter().rev().skip(usize::from(round)) {
+                assert!(medium.enqueue_rx(*addr, vec![round], 10));
+                parked += 1;
+                assert_eq!(medium.rx_queue_depth(), parked);
+            }
+            let mut drained = Vec::new();
+            while let Some((from, frame, _)) = medium.dequeue_rx() {
+                assert_eq!(frame, vec![round]);
+                drained.push(from);
+                parked -= 1;
+                assert_eq!(medium.rx_queue_depth(), parked);
+            }
+            assert_eq!(drained, addrs[..addrs.len() - usize::from(round)]);
+        }
+    }
+
+    /// A frame refused at capacity 0, or shed by a tighter cap, leaves no
+    /// empty queue behind at its sender's address to hide a later frame
+    /// from a higher one.
+    #[test]
+    fn refused_or_shed_frames_never_hide_a_higher_peer() {
+        let (mut medium, addrs) = medium_with(3);
+        medium.set_rx_queue_capacity(0);
+        assert!(!medium.enqueue_rx(addrs[0], vec![1], 11));
+        medium.set_rx_queue_capacity(2);
+        assert!(medium.enqueue_rx(addrs[2], vec![3], 13));
+        assert_eq!(medium.dequeue_rx(), Some((addrs[2], vec![3], 13)));
+
+        assert!(medium.enqueue_rx(addrs[0], vec![1], 11));
+        medium.set_rx_queue_capacity(0);
+        medium.set_rx_queue_capacity(2);
+        assert!(medium.enqueue_rx(addrs[1], vec![2], 12));
+        assert_eq!(medium.rx_queue_depth(), 1);
+        assert_eq!(medium.dequeue_rx(), Some((addrs[1], vec![2], 12)));
         assert_eq!(medium.dequeue_rx(), None);
         assert_eq!(medium.frames_dropped_queue_full(), 2);
     }

@@ -667,12 +667,15 @@ impl FleetScheduler {
     /// in one batched multi-scalar pass** and counter-signs, and the chain
     /// settles each template after one shared challenge period. A
     /// quarantined sensor's channel stays open (a later on-chain challenge
-    /// can still settle it unilaterally).
+    /// can still settle it unilaterally). In single-slot mode a close the
+    /// gateway refuses is booked against its sensor's health, as
+    /// [`FleetScheduler::run`] books a refused payment, and leaves that
+    /// channel open too.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::OutOfOrder`] before channels are open, or
-    /// the chain's rejection.
+    /// Returns [`ProtocolError::OutOfOrder`] before channels are open, a
+    /// fatal (driver-level) error, or the chain's rejection.
     pub fn settle_all(&mut self) -> Result<GatewaySettlementReport, ProtocolError> {
         let gateway_account = self.gateway.account();
         if self.single_slot() {
@@ -680,8 +683,16 @@ impl FleetScheduler {
                 if self.health[index].0 == SensorHealth::Quarantined {
                     continue;
                 }
-                self.sensors[index].close(self.gateway_addr)?;
-                self.pump_single(index)?;
+                let closed = self.sensors[index]
+                    .close(self.gateway_addr)
+                    .map_err(ProtocolError::from)
+                    .and_then(|_| self.pump_single(index));
+                if let Err(error) = closed {
+                    if classify(&error) == FaultClass::Fatal {
+                        return Err(error);
+                    }
+                    self.record_fault(index, &error);
+                }
             }
         } else {
             let quarantined: Vec<bool> = self

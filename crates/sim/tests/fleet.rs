@@ -331,6 +331,53 @@ fn foreign_or_incomplete_session_files_are_rejected() {
     std::fs::remove_file(&path).expect("session file exists");
 }
 
+/// A close the gateway refuses is booked against its sensor the way `run`
+/// books a refused payment, and never blocks the rest of the lockstep
+/// fleet's settlement. Under 20% frame corruption sensor 0's third round
+/// aborts before the gateway accepts it, while the sensor's own channel
+/// already counts the payment, so its close proposes a state the gateway's
+/// side never reached; the gateway refuses it, that channel stays open and
+/// the other seven settle.
+#[test]
+fn a_refused_close_never_blocks_the_rest_of_the_lockstep_fleet() {
+    let sensors = 8;
+    let mut fleet = run_fleet(FleetConfig::single_slot(sensors), 0);
+    for index in 0..sensors {
+        let plan = FaultConfig {
+            corrupt_rate: 0.2,
+            ..FaultConfig::quiet(400 + index as u64)
+        };
+        fleet.set_sensor_faults(index, plan).expect("sensor exists");
+    }
+    fleet.run(3, Wei::from(AMOUNT)).expect("rounds run");
+    for index in 0..sensors {
+        fleet.clear_sensor_faults(index).expect("sensor exists");
+    }
+    let before = fleet.sensor_summaries();
+    let report = fleet.settle_all().expect("the other channels settle");
+    assert_eq!(
+        report.settlements.len(),
+        sensors - 1,
+        "one close is refused"
+    );
+    for (addr, settlement) in &report.settlements {
+        let gateway_side = fleet.gateway().channel(*addr).expect("channel");
+        assert_eq!(settlement.to_receiver, gateway_side.cumulative());
+    }
+    for (before, after) in before.iter().zip(fleet.sensor_summaries()) {
+        let settled = report
+            .settlements
+            .iter()
+            .any(|(addr, _)| *addr == after.addr);
+        assert_eq!(
+            after.violations,
+            before.violations + u32::from(!settled),
+            "sensor {}",
+            after.addr
+        );
+    }
+}
+
 /// Channel-open proposals and close requests get no reply: one parked at
 /// a busy gateway leaves its sender quiescent, yet the phase must handle
 /// it, or `open_all` returns with a channel unopened (8 sensors, seed 0)
