@@ -146,15 +146,6 @@ fn bench_crypto(c: &mut Criterion) {
         bencher.iter(|| black_box(scalar).invert())
     });
     group.finish();
-
-    // The retained affine double-and-add reference, so a single bench run
-    // shows the fast-path speedup directly.
-    let mut reference = c.benchmark_group("crypto_reference");
-    reference.sample_size(10);
-    reference.bench_function("scalar_mul_affine_reference", |bencher| {
-        bencher.iter(|| pub_point.scalar_mul_reference(black_box(scalar)))
-    });
-    reference.finish();
 }
 
 criterion_group!(benches, bench_crypto);

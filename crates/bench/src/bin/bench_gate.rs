@@ -5,16 +5,24 @@
 //! cargo run -p tinyevm-bench --release --bin bench_gate -- <base-rev>
 //! ```
 //!
-//! The base is checked out into a temporary git worktree
-//! (`target/bench_gate/base`) and perfbench is built once there and once in
-//! the working tree. Each benchmark workload then runs ten pairs of
-//! untraced 2-second runs on seeds 1001–1010, the base first in even pairs
-//! and the change first in odd ones. A workload regresses when the change
-//! loses at least 9 of the 10 pairs (ties count for neither) **and** its
-//! median is below the base's by more than the base's interquartile range
-//! (nearest-rank quartiles): the benchmark's rule for claiming a gain,
-//! mirrored. A run that exits non-zero fails the gate; a workload one
-//! side's `BENCHMARK.json` does not name is skipped.
+//! Both sides build at one path, in turn: the base revision is exported
+//! (`git archive`) into `target/bench_gate/tree` and perfbench is built
+//! there, then the tree is replaced by a copy of the working tree's tracked
+//! and untracked files and built again. Code placement moves host time by
+//! ~10% on its own, and two checkouts of one commit at different paths
+//! already differ in `.text`, so each binary is kept
+//! (`target/bench_gate/perfbench-base` and `perfbench-change`) and the
+//! gate prints whether they are byte-identical: on a clean tree,
+//! `bench_gate HEAD` must report that they are.
+//!
+//! Each benchmark workload then runs ten pairs of untraced 2-second runs
+//! on seeds 1001–1010, the base first in even pairs and the change first
+//! in odd ones. A workload regresses when the change loses at least 9 of
+//! the 10 pairs (ties count for neither) **and** its median is below the
+//! base's by more than the base's interquartile range (nearest-rank
+//! quartiles): the benchmark's rule for claiming a gain, mirrored. A run
+//! that exits non-zero fails the gate; a workload one side's
+//! `BENCHMARK.json` does not name is skipped.
 //!
 //! What it catches, on a shared 2-vCPU VM: a build whose ECDSA signing
 //! did five times the work (`payment` and `fleet_csma` at about 0.5×)
@@ -25,7 +33,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 const USAGE: &str = "usage: bench_gate <base-rev>";
@@ -67,37 +75,122 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Checks the base revision out, compares it with the working tree, and
-/// removes the checkout again.
+/// One side of the comparison: its perfbench binary and its benchmark
+/// declaration.
+struct Side {
+    binary: PathBuf,
+    benchmark: String,
+}
+
+/// Builds the base revision and the working tree in turn at one path, then
+/// compares them.
 fn gate(base_rev: &str) -> Result<(), String> {
     let root = run(Command::new("git").args(["rev-parse", "--show-toplevel"]))?;
     let root = PathBuf::from(root.trim());
-    let base = root.join("target/bench_gate/base");
-    let remove = || {
-        run(Command::new("git")
-            .current_dir(&root)
-            .args(["worktree", "remove", "--force"])
-            .arg(&base))
+    let dir = root.join("target/bench_gate");
+    let sides =
+        build_side(&dir, "base", |tree| export_revision(&root, base_rev, tree)).and_then(|base| {
+            let change = build_side(&dir, "change", |tree| copy_working_tree(&root, tree))?;
+            Ok((base, change))
+        });
+    let _ = fs::remove_dir_all(dir.join("tree"));
+    let (base, change) = sides?;
+    let read = |side: &Side| {
+        fs::read(&side.binary).map_err(|error| format!("cannot read {:?}: {error}", side.binary))
     };
-    // A checkout left behind by an interrupted run would block `add`.
-    let _ = remove();
-    run(Command::new("git")
-        .current_dir(&root)
-        .args(["worktree", "add", "--detach"])
-        .arg(&base)
-        .arg(base_rev))?;
-    let verdict = compare(&base, &root);
-    let removed = remove();
-    verdict.and(removed.map(drop))
+    let (base_bytes, change_bytes) = (read(&base)?, read(&change)?);
+    if base_bytes == change_bytes {
+        println!("binaries: byte-identical ({} bytes)", base_bytes.len());
+    } else {
+        println!(
+            "binaries: differ (base {} bytes, change {} bytes)",
+            base_bytes.len(),
+            change_bytes.len()
+        );
+    }
+    compare(&base, &change)
 }
 
-/// Builds perfbench on both sides and runs every workload's pairs; an error
-/// names the workloads that regressed.
-fn compare(base: &Path, change: &Path) -> Result<(), String> {
-    let binaries = [build(base)?, build(change)?];
+/// Fills `dir/tree` afresh with `fill`, builds perfbench there, and keeps
+/// the binary as `dir/perfbench-<name>`.
+fn build_side(
+    dir: &Path,
+    name: &str,
+    fill: impl FnOnce(&Path) -> Result<(), String>,
+) -> Result<Side, String> {
+    let tree = dir.join("tree");
+    eprintln!("building perfbench for the {name} in {}...", tree.display());
+    // A tree left behind by an interrupted run is replaced too.
+    if tree.exists() {
+        fs::remove_dir_all(&tree).map_err(|error| format!("cannot clear {tree:?}: {error}"))?;
+    }
+    fs::create_dir_all(&tree).map_err(|error| format!("cannot create {tree:?}: {error}"))?;
+    fill(&tree)?;
+    let built = build(&tree)?;
+    let binary = dir.join(format!("perfbench-{name}"));
+    fs::copy(&built, &binary).map_err(|error| format!("cannot keep {built:?}: {error}"))?;
+    Ok(Side {
+        binary,
+        benchmark: fs::read_to_string(tree.join("BENCHMARK.json")).unwrap_or_default(),
+    })
+}
+
+/// Writes the files of revision `rev` into the empty directory `tree`.
+fn export_revision(root: &Path, rev: &str, tree: &Path) -> Result<(), String> {
+    let mut archive = Command::new("git")
+        .current_dir(root)
+        .args(["archive", "--format=tar", rev])
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|error| format!("cannot run git archive: {error}"))?;
+    let stdout = archive.stdout.take().expect("stdout is piped");
+    let extracted = run(Command::new("tar")
+        .arg("-x")
+        .arg("-C")
+        .arg(tree)
+        .stdin(stdout));
+    let status = archive
+        .wait()
+        .map_err(|error| format!("git archive: {error}"))?;
+    if !status.success() {
+        return Err(format!("git archive {rev} exited with {status}"));
+    }
+    extracted.map(drop)
+}
+
+/// Copies the working tree's tracked and untracked, not ignored, files
+/// into `tree`.
+fn copy_working_tree(root: &Path, tree: &Path) -> Result<(), String> {
+    let files = run(Command::new("git").current_dir(root).args([
+        "ls-files",
+        "-z",
+        "--cached",
+        "--others",
+        "--exclude-standard",
+    ]))?;
+    for file in files.split('\0').filter(|file| !file.is_empty()) {
+        let source = root.join(file);
+        // A tracked file deleted in the working tree is not part of it.
+        if !source.is_file() {
+            continue;
+        }
+        let target = tree.join(file);
+        if let Some(parent) = target.parent() {
+            fs::create_dir_all(parent)
+                .map_err(|error| format!("cannot create {parent:?}: {error}"))?;
+        }
+        fs::copy(&source, &target).map_err(|error| format!("cannot copy {file}: {error}"))?;
+    }
+    Ok(())
+}
+
+/// Runs every workload's pairs; an error names the workloads that
+/// regressed.
+fn compare(base: &Side, change: &Side) -> Result<(), String> {
+    let binaries = [&base.binary, &change.binary];
     let mut regressions = Vec::new();
     for workload in WORKLOADS {
-        if !declares(base, workload) || !declares(change, workload) {
+        if !declares(&base.benchmark, workload) || !declares(&change.benchmark, workload) {
             println!("{workload}: skipped, not declared on both sides");
             continue;
         }
@@ -108,7 +201,7 @@ fn compare(base: &Path, change: &Path) -> Result<(), String> {
             let order = if index % 2 == 0 { [0, 1] } else { [1, 0] };
             let mut rates = [0.0; 2];
             for side in order {
-                rates[side] = host_ops_per_s(&binaries[side], workload, seed)?;
+                rates[side] = host_ops_per_s(binaries[side], workload, seed)?;
             }
             println!(
                 "{workload} seed {seed}: base {:.1} change {:.1}",
@@ -140,17 +233,15 @@ fn compare(base: &Path, change: &Path) -> Result<(), String> {
     }
 }
 
-/// Whether the checkout at `side` declares `workload` in its benchmark.
-fn declares(side: &Path, workload: &str) -> bool {
-    fs::read_to_string(side.join("BENCHMARK.json"))
-        .is_ok_and(|benchmark| benchmark.contains(&format!("\"{workload}\"")))
+/// Whether a side's `BENCHMARK.json` declares `workload`.
+fn declares(benchmark: &str, workload: &str) -> bool {
+    benchmark.contains(&format!("\"{workload}\""))
 }
 
-/// Builds perfbench in release mode inside the checkout at `side` and
-/// returns the binary's path.
+/// Builds perfbench in release mode inside the tree at `side` and returns
+/// the binary's path.
 fn build(side: &Path) -> Result<PathBuf, String> {
     let target = side.join("perfbench/target");
-    eprintln!("building perfbench in {}...", side.display());
     run(Command::new("cargo")
         .args(["build", "--release", "--offline", "--quiet"])
         .arg("--manifest-path")

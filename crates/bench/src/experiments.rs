@@ -952,8 +952,8 @@ impl OffChainExperiment {
             let _ = writeln!(
                 out,
                 "{:>12.3}{:>12.1}{:>10.1}  {}",
-                entry.start.as_secs_f64(),
-                entry.duration.as_secs_f64() * 1000.0,
+                entry.start().as_secs_f64(),
+                entry.duration().as_secs_f64() * 1000.0,
                 entry.current_ma(),
                 entry.state.label()
             );

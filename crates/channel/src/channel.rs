@@ -362,10 +362,24 @@ impl PaymentChannel {
     ///
     /// Returns [`ChannelError::Payment`] describing which check failed.
     pub fn accept_payment(&mut self, payment: &SignedPayment) -> Result<(), ChannelError> {
+        self.accept_payment_hashed(payment, &payment.digest())
+    }
+
+    /// Like [`PaymentChannel::accept_payment`], for callers that already
+    /// hold the payment's [`SignedPayment::digest`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ChannelError::Payment`] describing which check failed.
+    pub fn accept_payment_hashed(
+        &mut self,
+        payment: &SignedPayment,
+        digest: &[u8; 32],
+    ) -> Result<(), ChannelError> {
         if self.role != ChannelRole::Receiver {
             return Err(ChannelError::WrongRole(ChannelRole::Receiver));
         }
-        self.verify_counterparty(&payment.digest(), &payment.signature)?;
+        self.verify_counterparty(digest, &payment.signature)?;
         if self.status != ChannelStatus::Open {
             return Err(ChannelError::NotOpen);
         }

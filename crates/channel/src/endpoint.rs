@@ -456,9 +456,11 @@ struct PeerSession {
     latencies: Vec<Duration>,
     pending: Pending,
     staged_close: Option<StagedClose>,
-    /// Digest of the last successfully handled wire message from this peer
-    /// — duplicated or replayed copies are suppressed idempotently.
-    last_inbound: Option<[u8; 32]>,
+    /// The bytes of the last successfully handled wire message from this
+    /// peer, in a buffer reused from message to message — duplicated or
+    /// replayed copies are suppressed idempotently. Empty when there is
+    /// none: no empty frame decodes.
+    last_inbound: Vec<u8>,
     /// The messages queued while handling that last inbound message; a
     /// suppressed duplicate re-queues these verbatim (no re-signing).
     last_reply: Vec<Outgoing>,
@@ -711,7 +713,7 @@ impl ChannelEndpoint {
                 latencies: Vec::new(),
                 pending: Pending::Idle,
                 staged_close: None,
-                last_inbound: None,
+                last_inbound: Vec::new(),
                 last_reply: Vec::new(),
             },
         );
@@ -1017,7 +1019,7 @@ impl ChannelEndpoint {
         self.last_sent = None;
         for session in self.sessions.values_mut() {
             session.pending = Pending::Idle;
-            session.last_inbound = None;
+            session.last_inbound.clear();
             session.last_reply.clear();
             session.staged_close = None;
         }
@@ -1067,9 +1069,8 @@ impl ChannelEndpoint {
         bytes: &[u8],
     ) -> Result<Vec<Effect>, EndpointError> {
         self.device.account_codec(bytes.len());
-        let digest = tinyevm_crypto::keccak256(bytes);
         if let Some(session) = self.sessions.get_mut(&from) {
-            if session.last_inbound == Some(digest) {
+            if !bytes.is_empty() && session.last_inbound == bytes {
                 let replies: Vec<Outgoing> = session.last_reply.clone();
                 self.outbox.extend(replies);
                 self.tracer.count("channel.duplicate_messages", 1);
@@ -1081,7 +1082,8 @@ impl ChannelEndpoint {
         let effects = self.handle_message(from, message)?;
         let reply: Vec<Outgoing> = self.outbox.iter().skip(queued_before).cloned().collect();
         if let Some(session) = self.sessions.get_mut(&from) {
-            session.last_inbound = Some(digest);
+            session.last_inbound.clear();
+            session.last_inbound.extend_from_slice(bytes);
             session.last_reply = reply;
         }
         Ok(effects)
@@ -1243,7 +1245,7 @@ impl ChannelEndpoint {
                 latencies: Vec::new(),
                 pending: Pending::Idle,
                 staged_close: None,
-                last_inbound: None,
+                last_inbound: Vec::new(),
                 last_reply: Vec::new(),
             },
         );
@@ -1289,9 +1291,9 @@ impl ChannelEndpoint {
             channel.cumulative(),
             channel.config().channel_id,
         );
-        let accepted = self
-            .device
-            .verify_payload_with(&payload, |_| channel.accept_payment(&payment));
+        let (accepted, digest) = self.device.verify_payload_with(&payload, |digest| {
+            (channel.accept_payment_hashed(&payment, digest), *digest)
+        });
         match accepted {
             Ok(()) => {}
             Err(ChannelError::Payment(PaymentError::BadSignature)) => {
@@ -1324,7 +1326,7 @@ impl ChannelEndpoint {
             }
             Err(error) => return Err(error.into()),
         }
-        self.register_on_side_chain(from, &payment)?;
+        self.register_on_side_chain(from, &payment, digest)?;
         let (ack_signature, _) = self.device.sign_payload(&payload);
         let processing = self.device.now().saturating_sub(busy_from);
         let node = self.device.name().to_string();
@@ -1387,9 +1389,12 @@ impl ChannelEndpoint {
         }
         let payload = payment.encode_payload();
         let channel = &mut session.channel;
-        self.device
+        let digest = self
+            .device
             .verify_payload_with(&payload, |digest| {
-                channel.verify_counterparty(digest, &ack.signature)
+                channel
+                    .verify_counterparty(digest, &ack.signature)
+                    .map(|()| *digest)
             })
             .map_err(|_| EndpointError::BadSignature)?;
         let Pending::AwaitingAck {
@@ -1403,7 +1408,7 @@ impl ChannelEndpoint {
             unreachable!("pending state checked above");
         };
         self.session_mut(from)?.peer_acks.push(ack.signature);
-        let register_time = self.register_on_side_chain(from, &payment)?;
+        let register_time = self.register_on_side_chain(from, &payment, digest)?;
         let end_to_end_latency = self.device.now().saturating_sub(started_at);
         self.session_mut(from)?.latencies.push(end_to_end_latency);
         let ack_time = self.device.now().saturating_sub(signed_at);
@@ -1552,7 +1557,7 @@ impl ChannelEndpoint {
                 latencies: Vec::new(),
                 pending: Pending::Idle,
                 staged_close: None,
-                last_inbound: None,
+                last_inbound: Vec::new(),
                 last_reply: Vec::new(),
             },
         );
@@ -1777,12 +1782,14 @@ impl ChannelEndpoint {
     }
 
     /// Executes the channel contract to register a payment on this node's
-    /// side-chain, then appends to the hash-linked log. Returns the VM
-    /// execution time.
+    /// side-chain, then appends to the hash-linked log. `digest` is the
+    /// payment's [`SignedPayment::digest`], which the device hashed when it
+    /// checked the signature. Returns the VM execution time.
     fn register_on_side_chain(
         &mut self,
         peer: NodeAddr,
         payment: &SignedPayment,
+        digest: [u8; 32],
     ) -> Result<Duration, EndpointError> {
         let contract = self
             .session_mut(peer)?
@@ -1802,7 +1809,7 @@ impl ChannelEndpoint {
             payment.channel_id,
             payment.sequence,
             payment.cumulative,
-            H256::from_bytes(payment.digest()),
+            H256::from_bytes(digest),
         );
         Ok(time)
     }
@@ -1932,6 +1939,81 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A byte-identical copy of the last frame handled from a peer
+    /// re-queues the stored reply verbatim and counts a duplicate; a frame
+    /// one byte away from it is decoded and checked afresh.
+    #[test]
+    fn a_replayed_frame_requeues_its_reply_and_a_changed_one_is_handled_afresh() {
+        let (car, lot) = (NodeAddr::new(1), NodeAddr::new(2));
+        let tracer = TraceHandle::recording(16);
+        let mut sender = ChannelEndpoint::two_party_sender("car", car);
+        let mut receiver =
+            ChannelEndpoint::two_party_receiver("lot", lot).with_tracer(tracer.clone());
+        let registration = ChannelRegistration {
+            template: Address::from_low_u64(0xAA),
+            channel_id: 1,
+            sender: sender.account(),
+            receiver: receiver.account(),
+            deposit_cap: Wei::from(1_000u64),
+            anchor: H256::ZERO,
+        };
+        receiver.expect_channel(car, registration.clone()).unwrap();
+        sender.open(lot, registration).unwrap();
+        pump_wire(&mut sender, &mut receiver);
+        sender.pay(lot, Wei::from(100u64)).unwrap();
+        let (payment, signature, reply) = loop {
+            if let Some(envelope) = sender.poll_transmit() {
+                let wire = envelope.message.to_wire();
+                receiver.handle_wire(car, &wire).unwrap();
+                if let Message::Payment(payment) = envelope.message {
+                    let reply = receiver
+                        .poll_transmit()
+                        .expect("the payment is acknowledged");
+                    break (wire, payment.signature, reply.message.to_wire());
+                }
+            } else if let Some(envelope) = receiver.poll_transmit() {
+                sender
+                    .handle_wire(lot, &envelope.message.to_wire())
+                    .unwrap();
+            } else {
+                panic!("the round stalled before the payment");
+            }
+        };
+        let duplicates = || {
+            let snapshot = tracer.snapshot().unwrap();
+            snapshot.metrics.counter("channel.duplicate_messages")
+        };
+        let paid = receiver.channel(car).unwrap().cumulative();
+
+        // Suppressed before any signature work: the engine stays idle.
+        let engine = crypto_engine_time(&receiver);
+        assert!(receiver.handle_wire(car, &payment).unwrap().is_empty());
+        let replayed = receiver
+            .poll_transmit()
+            .expect("the stored reply is re-queued");
+        assert_eq!(replayed.message.to_wire(), reply);
+        assert_eq!(duplicates(), 1);
+        assert_eq!(crypto_engine_time(&receiver), engine);
+
+        // Flip one byte of the signature's `r`: the frame still decodes,
+        // and only a fresh check can refuse it.
+        let r = signature.r.to_be_bytes();
+        let at = payment
+            .windows(r.len())
+            .position(|window| window == r)
+            .expect("r is on the wire")
+            + r.len() / 2;
+        let mut changed = payment.clone();
+        changed[at] ^= 1;
+        assert!(matches!(
+            receiver.handle_wire(car, &changed),
+            Err(EndpointError::BadSignature)
+        ));
+        assert!(receiver.poll_transmit().is_none());
+        assert_eq!(duplicates(), 1);
+        assert_eq!(receiver.channel(car).unwrap().cumulative(), paid);
     }
 
     /// After the first acknowledged round the sender checks acks against

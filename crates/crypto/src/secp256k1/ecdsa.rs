@@ -2,8 +2,8 @@
 //!
 //! All hot paths ride the fast point arithmetic in [`super::point`]:
 //!
-//! * key derivation and signing multiply the generator on its precomputed
-//!   10-tooth comb, and signing allocates nothing;
+//! * key derivation and signing multiply the generator on its two
+//!   precomputed 10-tooth combs, and signing allocates nothing;
 //! * verification evaluates `u1·G + u2·Q` in one Shamir/Straus pass and
 //!   checks the `r` equation projectively (`r·Z² = X`), so it performs no
 //!   field inversion at all;
@@ -232,8 +232,8 @@ impl PublicKey {
 }
 
 /// A public key prepared for checking many signatures: the key plus its
-/// 5-tooth [`CombTable`] (≈2.2 KB, built once for about half the cost of
-/// one recovery).
+/// 7-tooth [`CombTable`] (127 affine entries, ≈8 KB, built once for about
+/// four fifths of the cost of one recovery).
 ///
 /// [`VerifyingKey::verify_recoverable`] is the check a channel runs on each
 /// message from a peer whose key it already knows, in place of recovering
@@ -295,7 +295,7 @@ impl VerifyingKey {
 
 impl core::fmt::Debug for VerifyingKey {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // The comb is 31 derived points; the key identifies it.
+        // The comb is 127 derived points; the key identifies it.
         f.debug_struct("VerifyingKey")
             .field("key", &self.key)
             .finish_non_exhaustive()

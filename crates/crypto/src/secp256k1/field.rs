@@ -103,6 +103,26 @@ impl FieldElement {
         self.add(self)
     }
 
+    /// Halving, `a·2⁻¹`: `p` added under a mask when `a` is odd, then a
+    /// one-bit right shift of the 257-bit sum. The result stays canonical:
+    /// an even `a` halves to below `p/2`, an odd one to `(a + p)/2 < p`.
+    #[inline]
+    pub fn half(self) -> FieldElement {
+        let (a, p) = (self.0.limbs(), FIELD_PRIME.limbs());
+        let odd = (a[0] & 1).wrapping_neg();
+        let mut sum = [0u64; 4];
+        let mut carry = 0;
+        for i in 0..4 {
+            (sum[i], carry) = adc(a[i], p[i] & odd, carry);
+        }
+        FieldElement(U256::from_limbs([
+            (sum[0] >> 1) | (sum[1] << 63),
+            (sum[1] >> 1) | (sum[2] << 63),
+            (sum[2] >> 1) | (sum[3] << 63),
+            (sum[3] >> 1) | (carry << 63),
+        ]))
+    }
+
     /// Field multiplication: a limb-level 512-bit product folded with
     /// `2^256 ≡ 2^32 + 977 (mod p)`.
     #[inline]

@@ -23,11 +23,13 @@
 //! * `modinv` — the one inverter both use: Bernstein–Yang safegcd on
 //!   signed 62-bit limbs, a port of libsecp256k1's `modinv64_var`;
 //! * [`point`] — affine points (kept as the slow, obviously-correct
-//!   reference) and Jacobian projective points with wNAF scalar
+//!   reference) and Jacobian projective points, doubled and added by
+//!   libsecp256k1's formulas (3M + 4S and 8M + 3S), with wNAF scalar
 //!   multiplication, Shamir/Straus multi-scalar multiplication, and
-//!   Lim–Lee combs: a 10-tooth one for the generator, which signing rides
-//!   on, and 5-tooth ones for `u1·G + u2·Q` against a key that is used many
-//!   times;
+//!   Lim–Lee combs stored as affine pairs: two 10-tooth ones for the
+//!   generator (over `G` and `2^13·G`, 13 columns), which signing rides on,
+//!   and 7-tooth ones (127 entries, ≈8 KB, 37 columns) for `u1·G + u2·Q`
+//!   against a key that is used many times;
 //! * [`ecdsa`] — keys, signatures, signing, verification, recovery, batch
 //!   verification, and [`VerifyingKey`], which checks a known signer's
 //!   recoverable signatures on its comb instead of recovering each one.
@@ -37,9 +39,10 @@
 //! correct implementation of the curve, not a mock. In particular,
 //! inversion is variable-time (its steps depend on the value inverted,
 //! including the nonce during signing), and [`point::generator_mul`] indexes
-//! its table by the nonce's bits. Signatures are bit-for-bit identical to
+//! its tables by the nonce's bits. Signatures are bit-for-bit identical to
 //! the original affine double-and-add implementation (pinned by the
-//! known-answer tests in `tests/ecdsa_kat.rs`).
+//! known-answer tests in `tests/ecdsa_kat.rs`): each formula change moves
+//! only the projective representative, never the affine point.
 
 pub mod ecdsa;
 pub mod field;
@@ -315,46 +318,6 @@ mod tests {
         let lhs = g.scalar_mul(a.add(b));
         let rhs = g.scalar_mul(a).add(&g.scalar_mul(b));
         assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn fast_scalar_mul_matches_reference() {
-        let g = Point::generator();
-        for seed in [1u64, 2, 3, 0xdead_beef, u64::MAX] {
-            let k = Scalar::new(U256::from_be_bytes(keccak256(&seed.to_be_bytes())));
-            assert_eq!(g.scalar_mul(k), g.scalar_mul_reference(k), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn generator_mul_matches_reference() {
-        let g = Point::generator();
-        for seed in [1u64, 7, 16, 255, 0xffff_ffff_ffff_ffff] {
-            let k = Scalar::new(U256::from_be_bytes(keccak256(&seed.to_le_bytes())));
-            assert_eq!(
-                point::generator_mul(k).to_affine(),
-                g.scalar_mul_reference(k),
-                "seed {seed}"
-            );
-        }
-        assert_eq!(
-            point::generator_mul(Scalar::ZERO).to_affine(),
-            Point::INFINITY
-        );
-        assert_eq!(point::generator_mul(Scalar::ONE).to_affine(), g);
-    }
-
-    #[test]
-    fn shamir_matches_two_scalar_muls() {
-        let g = Point::generator();
-        let q = g.scalar_mul(Scalar::new(U256::from(0xabcdefu64)));
-        for (a, b) in [(5u64, 7u64), (0, 9), (11, 0), (u64::MAX, 1)] {
-            let u1 = Scalar::new(U256::from_be_bytes(keccak256(&a.to_be_bytes())));
-            let u2 = Scalar::new(U256::from_be_bytes(keccak256(&b.to_be_bytes())));
-            let fast = point::double_scalar_mul_generator(u1, u2, &q).to_affine();
-            let slow = g.scalar_mul_reference(u1).add(&q.scalar_mul_reference(u2));
-            assert_eq!(fast, slow, "({a}, {b})");
-        }
     }
 
     #[test]

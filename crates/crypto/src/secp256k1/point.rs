@@ -1,14 +1,18 @@
-//! Curve points: the affine reference implementation and the fast Jacobian
+//! Curve points: the affine reference formulas and the fast Jacobian
 //! projective paths.
 //!
 //! The affine [`Point`] formulas (one field inversion per add/double) are
-//! retained verbatim from the original implementation as the
-//! obviously-correct reference — [`Point::scalar_mul_reference`] is the old
-//! double-and-add — and the property tests cross-check everything below
-//! against them. Production traffic goes through [`JacobianPoint`]:
+//! retained from the original implementation as the obviously-correct
+//! reference, and the property tests cross-check everything below against
+//! them. Production traffic goes through [`JacobianPoint`]:
 //!
-//! * add/double are inversion-free (a = 0 short-Weierstrass formulas from
-//!   the EFD: `dbl-2009-l`, `add-2007-bl`, `madd-2007-bl`);
+//! * doubling and mixed addition are libsecp256k1's formulas
+//!   (`secp256k1_gej_double`, `secp256k1_gej_add_ge_var`). The doubling
+//!   halves `3X²` rather than doubling everything else (3M + 4S) and the
+//!   mixed addition folds its signs into the products (8M + 3S), so each
+//!   runs 6 or 7 field additions and subtractions where the EFD's
+//!   `dbl-2009-l` and `madd-2007-bl` ran 14. The rare full addition is
+//!   `add-2007-bl`. All are inversion-free (a = 0 short Weierstrass);
 //! * variable-base scalar multiplication uses width-5 wNAF over a table of
 //!   odd multiples normalized to affine with one shared inversion
 //!   (Montgomery's trick), so every table hit is a cheap mixed addition;
@@ -17,16 +21,19 @@
 //!   is what ECDSA verification, recovery and batch verification ride on;
 //! * a [`CombTable`] is a Lim–Lee comb (Lim and Lee, CRYPTO 1994) for one
 //!   fixed point: with `t` teeth spaced `s = ⌈256/t⌉` bits apart, its
-//!   `2^t − 1` affine subset sums of `2^(s·i)·P` turn a 256-bit scalar into
-//!   `s` columns, walked with one doubling between neighbours;
-//! * the generator has a 10-tooth comb (1,023 entries, ≈74 KB, built once
-//!   behind a [`OnceLock`]), so [`generator_mul`] is 25 doublings and at
-//!   most 26 mixed additions;
-//! * any long-lived key can build a 5-tooth comb (31 entries, ≈2.2 KB,
-//!   about half the cost of a recovery), and [`double_scalar_mul_comb`]
-//!   evaluates `u1·G + u2·Q` on the key's 52 columns, adding the
-//!   generator's entry in the low 26 of them — the check a channel runs on
-//!   every signature after a peer's first.
+//!   `2^t − 1` subset sums of `2^(s·i)·P`, stored as 64-byte affine pairs,
+//!   turn a 256-bit scalar into `s` columns, walked with one doubling
+//!   between neighbours. It is built two teeth at a time with affine
+//!   additions that share one inversion per pair of teeth;
+//! * the generator has two 10-tooth combs, over `G` and `2^13·G` (1,023
+//!   entries and ≈65 KB each, built once behind a [`OnceLock`]), so
+//!   [`generator_mul`] walks 13 columns: 12 doublings and at most 26 mixed
+//!   additions;
+//! * any long-lived key can build a 7-tooth comb (127 entries, ≈8 KB), and
+//!   [`double_scalar_mul_comb`] evaluates `u1·G + u2·Q` on the key's 37
+//!   columns, adding the generator's entry in the low 26 of them — the
+//!   check a channel runs on every signature after a peer's first: 36
+//!   doublings and at most 63 mixed additions.
 
 use std::sync::OnceLock;
 
@@ -58,15 +65,22 @@ const WNAF_WIDTH: u32 = 5;
 /// Entries per wNAF table: the odd multiples `1P, 3P, …, 15P`.
 const WNAF_TABLE: usize = 1 << (WNAF_WIDTH - 2);
 
-/// Teeth of the generator's comb. Ten, spaced 26 bits apart: 1,023
-/// entries make [`generator_mul`] 26 columns, and the generator half of
-/// [`double_scalar_mul_comb`] fits in the low 26 of a key comb's 52.
+/// Teeth of each of the generator's combs. Ten, spaced 26 bits apart: the
+/// generator half of [`double_scalar_mul_comb`] fits in the low 26 of a
+/// key comb's 37 columns, and two combs split each tooth's 26 bits into
+/// [`GENERATOR_COLUMNS`] low and high columns for [`generator_mul`].
 const GENERATOR_COMB_TEETH: usize = 10;
 
-/// Teeth of a key's [`CombTable`]. Five, not six: a sixth would make the
-/// check ~13% cheaper but each table ~30% dearer to build, and a fleet
-/// gateway builds one per sensor.
-pub const KEY_COMB_TEETH: usize = 5;
+/// Columns [`generator_mul`] walks: half a generator tooth, since its
+/// second comb covers each tooth's high 13 bits.
+const GENERATOR_COLUMNS: usize = CombTable::<GENERATOR_COMB_TEETH>::SPACING / 2;
+
+/// Teeth of a key's [`CombTable`]. Seven: 127 entries (≈8 KB) and 37
+/// columns. An eighth tooth measured ~7% off the check but ~1.4× the
+/// build and 255 entries (16 KB), and a fleet gateway keeps one comb per
+/// sensor: across a 256-sensor fleet that is ~2 MB more resident, ~6% of
+/// its footprint.
+pub const KEY_COMB_TEETH: usize = 7;
 
 // ---------------------------------------------------------------------------
 // Affine points (the reference implementation)
@@ -225,27 +239,6 @@ impl Point {
         acc.to_affine()
     }
 
-    /// Scalar multiplication by affine double-and-add — the original
-    /// implementation, kept as the reference the property tests (and the
-    /// before/after benches) compare the fast paths against. One field
-    /// inversion per point operation; do not use on hot paths.
-    pub fn scalar_mul_reference(&self, scalar: Scalar) -> Point {
-        let k = scalar.to_u256();
-        if k.is_zero() || self.infinity {
-            return Point::INFINITY;
-        }
-        let mut result = Point::INFINITY;
-        let mut addend = *self;
-        let bits = k.bits();
-        for i in 0..bits {
-            if k.bit(i as usize) {
-                result = result.add(&addend);
-            }
-            addend = addend.double();
-        }
-        result
-    }
-
     /// Uncompressed SEC1 encoding without the `0x04` prefix (64 bytes:
     /// x ‖ y), the form Ethereum hashes to derive addresses.
     pub fn to_uncompressed(&self) -> [u8; 64] {
@@ -345,25 +338,28 @@ impl JacobianPoint {
         lhs == rhs
     }
 
-    /// Inversion-free doubling (`dbl-2009-l`, a = 0).
+    /// Inversion-free doubling by libsecp256k1's halving formula
+    /// (`secp256k1_gej_double`, 3M + 4S): with `L = 3X²/2` and `S = Y²`,
+    /// `X3 = L² − 2·X·S`, `Y3 = L·(X·S − X3) − S²` and `Z3 = Y·Z`.
+    ///
+    /// That is `dbl-2009-l`'s point scaled by `λ = 1/2` (`X/4`, `Y/8`,
+    /// `Z/2`), the same affine point for 6 field additions, subtractions
+    /// and halvings instead of 14. A finite point has `Y ≠ 0` (the group
+    /// has no point of order two), so only infinity needs a case.
     pub fn double(&self) -> JacobianPoint {
-        if self.is_infinity() || self.y.is_zero() {
-            return JacobianPoint::INFINITY;
+        if self.is_infinity() {
+            return *self;
         }
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = b.square();
-        // D = 2·((X + B)² − A − C)
-        let d = self.x.add(b).square().sub(a).sub(c).double();
-        let e = a.double().add(a); // 3·A
-        let f = e.square();
-        let x3 = f.sub(d.double());
-        let y3 = e.mul(d.sub(x3)).sub(c.double().double().double()); // 8·C
-        let z3 = self.y.mul(self.z).double();
+        let s = self.y.square();
+        let xx = self.x.square();
+        let l = xx.add(xx.half());
+        let xs = self.x.mul(s);
+        let x3 = l.square().sub(xs.double());
+        let y3 = l.mul(xs.sub(x3)).sub(s.square());
         JacobianPoint {
             x: x3,
             y: y3,
-            z: z3,
+            z: self.y.mul(self.z),
         }
     }
 
@@ -402,38 +398,74 @@ impl JacobianPoint {
         }
     }
 
-    /// Mixed addition with an affine operand, `Z2 = 1` (`madd-2007-bl`) —
-    /// three field multiplications cheaper than the full addition, which is
-    /// why every precomputed table is normalized to affine.
+    /// Mixed addition with an affine operand, `Z2 = 1` — cheaper than the
+    /// full addition, which is why every precomputed table is affine.
     pub fn add_affine(&self, other: &Point) -> JacobianPoint {
         if other.infinity {
             return *self;
         }
+        self.add_finite(&Affine {
+            x: other.x,
+            y: other.y,
+        })
+    }
+
+    /// [`Self::add_affine`] for a finite operand `(x2, y2)`, by
+    /// libsecp256k1's `secp256k1_gej_add_ge_var` (8M + 3S): with
+    /// `U2 = x2·Z²`, `S2 = y2·Z³`, `H = U2 − X` and `R = S2 − Y`,
+    /// `X3 = R² − H³ − 2·X·H²`, `Y3 = R·(X·H² − X3) − Y·H³` and
+    /// `Z3 = Z·H` — 7 field additions and subtractions where
+    /// `madd-2007-bl` ran 14. `H = 0` means equal x: the doubling when
+    /// `R = 0` too, infinity otherwise.
+    fn add_finite(&self, other: &Affine) -> JacobianPoint {
         if self.is_infinity() {
-            return JacobianPoint::from_affine(other);
+            return JacobianPoint {
+                x: other.x,
+                y: other.y,
+                z: FieldElement::ONE,
+            };
         }
-        let z1z1 = self.z.square();
-        let u2 = other.x.mul(z1z1);
-        let s2 = other.y.mul(self.z).mul(z1z1);
-        let h = u2.sub(self.x);
-        let r = s2.sub(self.y).double();
+        let zz = self.z.square();
+        let h = other.x.mul(zz).sub(self.x);
+        let r = other.y.mul(zz).mul(self.z).sub(self.y);
         if h.is_zero() {
-            if r.is_zero() {
-                return self.double();
-            }
-            return JacobianPoint::INFINITY;
+            return if r.is_zero() {
+                self.double()
+            } else {
+                JacobianPoint::INFINITY
+            };
         }
         let hh = h.square();
-        let i = hh.double().double(); // 4·HH
-        let j = h.mul(i);
-        let v = self.x.mul(i);
-        let x3 = r.square().sub(j).sub(v.double());
-        let y3 = r.mul(v.sub(x3)).sub(self.y.mul(j).double());
-        let z3 = self.z.add(h).square().sub(z1z1).sub(hh);
+        let hhh = hh.mul(h);
+        let t = self.x.mul(hh);
+        let x3 = r.square().sub(hhh).sub(t.double());
+        let y3 = r.mul(t.sub(x3)).sub(self.y.mul(hhh));
         JacobianPoint {
             x: x3,
             y: y3,
-            z: z3,
+            z: self.z.mul(h),
+        }
+    }
+}
+
+/// A finite affine point `(x, y)`: a comb entry, 64 bytes where a
+/// [`Point`] with its infinity flag takes 72.
+#[derive(Debug, Clone, Copy)]
+struct Affine {
+    x: FieldElement,
+    y: FieldElement,
+}
+
+impl Affine {
+    /// `self + other` for points with different x-coordinates, given
+    /// `(self.x − other.x)⁻¹`: the chord's slope, then its third
+    /// intersection mirrored.
+    fn add_distinct(&self, other: &Affine, dx_inv: FieldElement) -> Affine {
+        let slope = self.y.sub(other.y).mul(dx_inv);
+        let x = slope.square().sub(self.x).sub(other.x);
+        Affine {
+            x,
+            y: slope.mul(other.x.sub(x)).sub(other.y),
         }
     }
 }
@@ -548,9 +580,13 @@ fn batch_to_affine<const N: usize>(points: &[JacobianPoint; N]) -> [Point; N] {
 
 /// The generator's precomputed tables, built once per process.
 struct GeneratorTables {
-    /// G's comb: fixed-base multiplication and the generator half of
+    /// G's comb: the low [`GENERATOR_COLUMNS`] bits of each tooth in
+    /// [`generator_mul`], and the generator half of
     /// [`double_scalar_mul_comb`].
     comb: CombTable<GENERATOR_COMB_TEETH>,
+    /// The comb of `2^13·G`: the high bits of each tooth in
+    /// [`generator_mul`].
+    comb_high: CombTable<GENERATOR_COMB_TEETH>,
     /// The odd multiples of G for wNAF tracks in multi-scalar products.
     odd: [Point; WNAF_TABLE],
 }
@@ -560,22 +596,32 @@ static GENERATOR_TABLES: OnceLock<GeneratorTables> = OnceLock::new();
 fn generator_tables() -> &'static GeneratorTables {
     GENERATOR_TABLES.get_or_init(|| {
         let g = Point::generator();
+        let mut high = JacobianPoint::from_affine(&g);
+        for _ in 0..GENERATOR_COLUMNS {
+            high = high.double();
+        }
         GeneratorTables {
             comb: CombTable::new(&g),
+            comb_high: CombTable::new(&high.to_affine()),
             odd: WnafTable::new(&g).odd,
         }
     })
 }
 
-/// Fixed-base scalar multiplication `k·G` on the generator's comb: 26
-/// columns, 25 doublings, at most 26 mixed additions.
+/// Fixed-base scalar multiplication `k·G` on the generator's two combs: 13
+/// columns, 12 doublings, at most 26 mixed additions. Column `c` adds the
+/// first comb's entry for bits `26i + c` and the second's for bits
+/// `26i + 13 + c`.
 pub fn generator_mul(scalar: Scalar) -> JacobianPoint {
-    let comb = &generator_tables().comb;
+    let tables = generator_tables();
     let teeth = CombTable::<GENERATOR_COMB_TEETH>::teeth(scalar);
     let mut acc = JacobianPoint::INFINITY;
-    for column in (0..CombTable::<GENERATOR_COMB_TEETH>::SPACING).rev() {
+    for column in (0..GENERATOR_COLUMNS).rev() {
         acc = acc.double();
-        acc = comb.select_into(acc, &teeth, column);
+        acc = tables.comb.select_into(acc, &teeth, column);
+        acc = tables
+            .comb_high
+            .select_into(acc, &teeth, column + GENERATOR_COLUMNS);
     }
     acc
 }
@@ -645,16 +691,16 @@ pub fn double_scalar_mul_generator(u1: Scalar, u2: Scalar, q: &Point) -> Jacobia
 /// A `TEETH`-tooth Lim–Lee comb for one fixed point `P`, with teeth
 /// `SPACING = ⌈256/TEETH⌉` bits apart: entry `m − 1` is
 /// `Σ 2^(SPACING·i)·P` over the set bits `i` of the tooth mask `m`, all
-/// `2^TEETH − 1` normalized to affine with one shared inversion.
+/// `2^TEETH − 1` of them affine, 64 bytes each.
 ///
 /// A scalar's bits `c, c + SPACING, …` form the mask of column `c`, so
 /// `k·P` is `SPACING` table hits on a track of `SPACING − 1` doublings —
-/// for five teeth 52 hits and 51 doublings, against 256 doublings and a
+/// for seven teeth 37 hits and 36 doublings, against 256 doublings and a
 /// fresh odd-multiples table per product for wNAF. Worth building for a
 /// point that is used many times, such as a channel peer's public key.
 #[derive(Clone)]
 pub struct CombTable<const TEETH: usize> {
-    entries: Box<[Point]>,
+    entries: Box<[Affine]>,
 }
 
 impl<const TEETH: usize> CombTable<TEETH> {
@@ -662,34 +708,97 @@ impl<const TEETH: usize> CombTable<TEETH> {
     /// cover 256 bits.
     const SPACING: usize = 256usize.div_ceil(TEETH);
 
-    /// Builds the comb for a finite point: `(TEETH − 1)·SPACING` doublings
-    /// for the tooth bases, one addition per remaining subset sum, one
-    /// inversion.
+    /// Builds the comb for a finite point, two teeth at a time.
+    ///
+    /// The tooth bases `b_t = 2^(SPACING·t)·P` take `(TEETH − 1)·SPACING`
+    /// doublings. Above tooth 0 the teeth go in pairs `t, t + 1`, each with
+    /// the sum of its two bases, and one shared inversion normalizes every
+    /// base and pair sum. A pair then adds each of its three combinations
+    /// `b_t`, `b_(t+1)` and `b_t + b_(t+1)` to each of the `2^t − 1`
+    /// entries already built, as affine additions that share one inversion,
+    /// so no entry needs normalizing.
+    ///
+    /// Every multiple of `P` met here is `k·P` with
+    /// `0 < k < 2^(SPACING·(TEETH − 1) + 1) < n`, and `P` has prime order
+    /// `n > 2^255`: no sum is infinity, and an entry built before tooth
+    /// `t`, below `2^(SPACING·t)·P`, never shares an x-coordinate with a
+    /// combination of the teeth from `t` up.
     pub fn new(point: &Point) -> CombTable<TEETH> {
         assert!(!point.infinity, "a comb needs a finite base point");
-        let mut sums = vec![JacobianPoint::INFINITY; (1 << TEETH) - 1];
+        assert!(
+            Self::SPACING * (TEETH - 1) < 255,
+            "comb sums must stay below n"
+        );
+        // Tooth 0's base, then each group's combinations in mask order:
+        // `b_t, b_(t+1), b_t + b_(t+1)` for a pair, `b_t` for a last tooth
+        // on its own.
+        let mut combos = Vec::with_capacity(TEETH + TEETH / 2);
         let mut base = JacobianPoint::from_affine(point);
-        for tooth in 0..TEETH {
-            if tooth > 0 {
-                for _ in 0..Self::SPACING {
-                    base = base.double();
-                }
+        combos.push(base);
+        for tooth in 1..TEETH {
+            for _ in 0..Self::SPACING {
+                base = base.double();
             }
-            // Masks with `tooth` as their top bit extend the lower ones.
-            let bit = 1 << tooth;
-            sums[bit - 1] = base;
-            for lower in 1..bit {
-                sums[bit + lower - 1] = sums[lower - 1].add(&base);
+            combos.push(base);
+            if tooth % 2 == 0 {
+                combos.push(combos[combos.len() - 2].add(&base));
             }
         }
-        let mut z_inv: Vec<FieldElement> = sums.iter().map(|sum| sum.z).collect();
+        let mut z_inv: Vec<FieldElement> = combos.iter().map(|combo| combo.z).collect();
         FieldElement::batch_invert(&mut z_inv);
-        CombTable {
-            entries: sums
+        let combos: Vec<Affine> = combos
+            .iter()
+            .zip(z_inv)
+            .map(|(combo, z_inv)| {
+                let point = combo.to_affine_with(z_inv);
+                Affine {
+                    x: point.x,
+                    y: point.y,
+                }
+            })
+            .collect();
+
+        let size = (1 << TEETH) - 1;
+        let zero = Affine {
+            x: FieldElement::ZERO,
+            y: FieldElement::ZERO,
+        };
+        let mut entries = vec![zero; size];
+        entries[0] = combos[0];
+        let (mut dx, mut dx_inv) = (
+            vec![FieldElement::ZERO; size],
+            vec![FieldElement::ZERO; size],
+        );
+        let (mut tooth, mut rest) = (1, &combos[1..]);
+        while tooth < TEETH {
+            let width = (TEETH - tooth).min(2);
+            let (group, next) = rest.split_at((1 << width) - 1);
+            // The masks whose top set bit is in this group: each
+            // combination alone, then plus each lower mask's entry.
+            let lower = (1 << tooth) - 1;
+            let (built, above) = entries.split_at_mut(lower);
+            let pairs = group
                 .iter()
-                .zip(z_inv)
-                .map(|(sum, z_inv)| sum.to_affine_with(z_inv))
-                .collect(),
+                .flat_map(|combo| built.iter().map(move |entry| (combo, entry)));
+            for (dx, (combo, entry)) in dx.iter_mut().zip(pairs) {
+                *dx = entry.x.sub(combo.x);
+                debug_assert!(!dx.is_zero(), "a comb sum met a tooth combination");
+            }
+            let count = group.len() * lower;
+            FieldElement::batch_invert_into(&dx[..count], &mut dx_inv[..count]);
+            let chunks = above
+                .chunks_exact_mut(lower + 1)
+                .zip(dx_inv.chunks_exact(lower));
+            for (combo, (sums, dx_inv)) in group.iter().zip(chunks) {
+                sums[0] = *combo;
+                for ((sum, entry), dx_inv) in sums[1..].iter_mut().zip(built.iter()).zip(dx_inv) {
+                    *sum = entry.add_distinct(combo, *dx_inv);
+                }
+            }
+            (tooth, rest) = (tooth + width, next);
+        }
+        CombTable {
+            entries: entries.into_boxed_slice(),
         }
     }
 
@@ -723,12 +832,12 @@ impl<const TEETH: usize> CombTable<TEETH> {
         if mask == 0 {
             acc
         } else {
-            acc.add_affine(&self.entries[mask - 1])
+            acc.add_finite(&self.entries[mask - 1])
         }
     }
 }
 
-/// `u1·G + u2·Q` over the generator's comb and `q`'s: 52 columns, one
+/// `u1·G + u2·Q` over the generator's comb and `q`'s: 37 columns, one
 /// shared doubling between neighbouring columns, a mixed addition from
 /// `q`'s comb in each and from the generator's in the low 26.
 pub fn double_scalar_mul_comb(

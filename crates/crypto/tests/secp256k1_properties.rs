@@ -1,18 +1,21 @@
 //! Property-based cross-checks of the fast secp256k1 paths against the
-//! retained affine reference implementation and generic arithmetic.
+//! affine reference implementation and generic arithmetic.
 //!
-//! The affine formulas (`Point::add`, `Point::double`,
-//! `Point::scalar_mul_reference`) perform one field inversion per group
-//! operation and are kept precisely so these tests can pin the
-//! inversion-free Jacobian arithmetic and the wNAF, comb and Shamir scalar
-//! multiplication to an obviously-correct baseline on random inputs. The
-//! limb kernels (field and scalar products, field addition and
-//! subtraction, the safegcd inverter and the square-root chain) are pinned
-//! to the generic `U256` modular arithmetic the interpreter uses, which
-//! shares no code with them. The per-signer comb check is pinned to
-//! recover-and-compare, the check it replaces.
+//! The affine formulas (`Point::add`, `Point::double`, and
+//! [`support::scalar_mul_reference`], which lives only here) perform one
+//! field inversion per group operation and are kept precisely so these
+//! tests can pin the inversion-free Jacobian arithmetic and the wNAF, comb
+//! and Shamir scalar multiplication to an obviously-correct baseline on
+//! random inputs. The limb kernels (field and scalar products, field
+//! addition, subtraction and halving, the safegcd inverter and the
+//! square-root chain) are pinned to the generic `U256` modular arithmetic
+//! the interpreter uses, which shares no code with them. The per-signer
+//! comb check is pinned to recover-and-compare, the check it replaces.
+
+mod support;
 
 use proptest::prelude::*;
+use support::scalar_mul_reference;
 use tinyevm_crypto::keccak256;
 use tinyevm_crypto::secp256k1::{
     point, verify_batch, BatchItem, FieldElement, JacobianPoint, Point, PrivateKey, PublicKey,
@@ -101,31 +104,43 @@ fn arb_point() -> impl Strategy<Value = Point> {
     arb_nonzero_scalar().prop_map(|k| point::generator_mul(k).to_affine())
 }
 
-/// Scalars the comb walks treat specially: 0, 1, `n − 1`, `2^255` (the
-/// highest bit of both combs' top teeth), and scalars whose bits lie only
-/// in the first column a walk reads: column 51 of a key's 5-tooth comb
-/// (bits 51, 103, 155 and 207) and column 25 of the generator's 10-tooth
-/// comb (bits 25, 51, …, 233). The generator's top tooth holds only bits
-/// 234 to 255, so its lowest bit, and all of its bits together, are edges
-/// too.
+/// The scalar with exactly the given bits set.
+fn bits_set(bits: impl IntoIterator<Item = u32>) -> U256 {
+    bits.into_iter()
+        .fold(U256::ZERO, |acc, bit| acc | U256::ONE.shl(bit))
+}
+
+/// Scalars the comb walks treat specially.
+///
+/// * 0, 1, `n − 1` and `2^255`, the lone top bit.
+/// * `2^255 − 1`, whose every column mask is all ones wherever the teeth
+///   reach below bit 255.
+/// * The key's 7-tooth comb (teeth 37 bits apart): the first column a walk
+///   reads, 36 (bits 36, 73, …, 221), and the last, 0, whose mask holds
+///   all seven teeth (bits 0, 37, …, 222).
+/// * The generator's two 10-tooth combs (teeth 26 bits apart) that
+///   `generator_mul` walks in 13 columns: the first column it reads, 12,
+///   in the low comb (bits 12, 38, …, 246) and in the high one (bits 25,
+///   51, …, 233), and column 0 of both (bits 0, 13, 26, 39, …). The top
+///   tooth holds bits 234 to 255, so its lowest bit, the high comb's share
+///   of it (bit 247) and all of its bits are edges too.
+/// * The generator's comb inside the check, whose first column is 25.
 fn comb_edge_scalars() -> Vec<Scalar> {
-    let any_of = |bits: &[u32]| {
-        bits.iter()
-            .fold(U256::ZERO, |acc, &bit| acc | U256::ONE.shl(bit))
-    };
-    let key_first_column = [51, 103, 155, 207];
-    let generator_first_column: Vec<u32> = (25..256).step_by(26).collect();
     [
         U256::ZERO,
         U256::ONE,
         CURVE_ORDER.wrapping_sub(U256::ONE),
         U256::ONE.shl(255),
-        U256::ONE.shl(key_first_column[0]),
-        U256::ONE.shl(key_first_column[3]),
-        any_of(&key_first_column),
-        U256::ONE.shl(233),
-        any_of(&generator_first_column),
+        U256::ONE.shl(255).wrapping_sub(U256::ONE),
+        U256::ONE.shl(36),
+        U256::ONE.shl(221),
+        bits_set((36..256).step_by(37)),
+        bits_set((0..256).step_by(37)),
+        bits_set((12..256).step_by(26)),
+        bits_set((25..256).step_by(26)),
+        bits_set((0..256).step_by(13)),
         U256::ONE.shl(234),
+        U256::ONE.shl(247),
         U256::MAX.shl(234),
     ]
     .map(Scalar::new)
@@ -211,6 +226,15 @@ proptest! {
         prop_assert_eq!(square.sqrt(), Some(square.pow(exp)));
     }
 
+    /// Halving against `a·2⁻¹`, with `2⁻¹ = (p + 1)/2` multiplied in by
+    /// the generic `MULMOD`.
+    #[test]
+    fn field_half_matches_generic_mulmod(a in arb_field_operand()) {
+        let inverse_of_two = FIELD_PRIME.wrapping_add(U256::ONE).shr(1);
+        prop_assert_eq!(a.half().to_u256(), a.to_u256().mul_mod(inverse_of_two, FIELD_PRIME));
+        prop_assert_eq!(a.half().double(), a);
+    }
+
     #[test]
     fn field_batch_invert_matches_singles(values in proptest::collection::vec(arb_u256(), 1..12)) {
         let mut elements: Vec<FieldElement> = values
@@ -276,6 +300,27 @@ proptest! {
         prop_assert_eq!(mixed, full);
     }
 
+    /// Doubling and mixed addition from a point with a non-trivial `Z`,
+    /// against the affine reference: a generic pair, both `H = 0` branches
+    /// (`P + P` doubles, `P + (−P)` is infinity) and infinity on either
+    /// side.
+    #[test]
+    fn doubling_and_mixed_addition_match_affine(p in arb_point(), q in arb_point(), via in arb_point()) {
+        // (p − via) + via by the full addition: p, with a non-trivial Z.
+        let left = JacobianPoint::from_affine(&p.add(&via.negate()))
+            .add(&JacobianPoint::from_affine(&via));
+        prop_assert_eq!(left.to_affine(), p);
+        prop_assert_eq!(left.double().to_affine(), p.double());
+        let sum = left.add_affine(&q);
+        prop_assert_eq!(sum.to_affine(), p.add(&q));
+        prop_assert!(sum.is_on_curve());
+        prop_assert_eq!(left.add_affine(&p).to_affine(), p.double());
+        prop_assert!(left.add_affine(&p.negate()).is_infinity());
+        prop_assert_eq!(left.add_affine(&Point::INFINITY), left);
+        prop_assert_eq!(JacobianPoint::INFINITY.add_affine(&q).to_affine(), q);
+        prop_assert!(JacobianPoint::INFINITY.double().is_infinity());
+    }
+
     #[test]
     fn jacobian_add_handles_inverse_and_self(p in arb_point()) {
         let p_j = JacobianPoint::from_affine(&p);
@@ -293,32 +338,30 @@ proptest! {
 
     #[test]
     fn wnaf_scalar_mul_matches_reference(p in arb_point(), k in arb_scalar()) {
-        prop_assert_eq!(p.scalar_mul(k), p.scalar_mul_reference(k));
+        prop_assert_eq!(p.scalar_mul(k), scalar_mul_reference(&p, k));
     }
 
     #[test]
     fn generator_mul_matches_reference(k in arb_scalar()) {
         prop_assert_eq!(
             point::generator_mul(k).to_affine(),
-            Point::generator().scalar_mul_reference(k)
+            scalar_mul_reference(&Point::generator(), k)
         );
     }
 
     #[test]
     fn shamir_matches_independent_scalar_muls(u1 in arb_scalar(), u2 in arb_scalar(), q in arb_point()) {
         let fast = point::double_scalar_mul_generator(u1, u2, &q).to_affine();
-        let slow = Point::generator()
-            .scalar_mul_reference(u1)
-            .add(&q.scalar_mul_reference(u2));
+        let slow = scalar_mul_reference(&Point::generator(), u1)
+            .add(&scalar_mul_reference(&q, u2));
         prop_assert_eq!(fast, slow);
     }
 
     #[test]
     fn comb_walk_matches_reference_sum(u1 in arb_scalar_operand(), u2 in arb_scalar_operand(), q in arb_point()) {
         let fast = point::double_scalar_mul_comb(u1, u2, &point::CombTable::new(&q)).to_affine();
-        let slow = Point::generator()
-            .scalar_mul_reference(u1)
-            .add(&q.scalar_mul_reference(u2));
+        let slow = scalar_mul_reference(&Point::generator(), u1)
+            .add(&scalar_mul_reference(&q, u2));
         prop_assert_eq!(fast, slow);
     }
 
@@ -331,10 +374,9 @@ proptest! {
         p2 in arb_point(),
     ) {
         let fast = point::multi_scalar_mul(k_gen, &[(k1, p1), (k2, p2)]).to_affine();
-        let slow = Point::generator()
-            .scalar_mul_reference(k_gen)
-            .add(&p1.scalar_mul_reference(k1))
-            .add(&p2.scalar_mul_reference(k2));
+        let slow = scalar_mul_reference(&Point::generator(), k_gen)
+            .add(&scalar_mul_reference(&p1, k1))
+            .add(&scalar_mul_reference(&p2, k2));
         prop_assert_eq!(fast, slow);
     }
 }
@@ -425,7 +467,7 @@ fn comb_walk_matches_reference_on_edge_scalars() {
         let comb = point::CombTable::new(&q);
         let reference: Vec<(Point, Point)> = edges
             .iter()
-            .map(|k| (g.scalar_mul_reference(*k), q.scalar_mul_reference(*k)))
+            .map(|k| (scalar_mul_reference(&g, *k), scalar_mul_reference(&q, *k)))
             .collect();
         for (u1, (u1_g, _)) in edges.iter().zip(&reference) {
             for (u2, (_, u2_q)) in edges.iter().zip(&reference) {
@@ -441,6 +483,82 @@ fn comb_walk_matches_reference_on_edge_scalars() {
     }
 }
 
+/// The build of a key's 7-tooth comb, two teeth at a time in affine
+/// additions, entry by entry against Jacobian subset sums of tooth bases
+/// doubled by the affine reference. A walk reads one entry alone in its last column: the scalar
+/// with bits `37·i` for the set bits `i` of mask `m` walks to entry `m − 1`
+/// exactly.
+#[test]
+fn key_comb_entries_match_jacobian_subset_sums() {
+    const TEETH: u32 = point::KEY_COMB_TEETH as u32;
+    let g = Point::generator();
+    for q in [g, g.scalar_mul(Scalar::new(U256::from(0xc0ffee_u64)))] {
+        let comb = point::CombTable::new(&q);
+        let mut bases = vec![q];
+        for _ in 1..TEETH {
+            let mut base = *bases.last().unwrap();
+            for _ in 0..37 {
+                base = base.double();
+            }
+            bases.push(base);
+        }
+        for mask in 1..(1u32 << TEETH) {
+            let teeth = (0..TEETH).filter(|tooth| mask >> tooth & 1 == 1);
+            let sum = teeth.clone().fold(JacobianPoint::INFINITY, |acc, tooth| {
+                acc.add(&JacobianPoint::from_affine(&bases[tooth as usize]))
+            });
+            let column = Scalar::new(bits_set(teeth.map(|tooth| 37 * tooth)));
+            let entry = point::double_scalar_mul_comb(Scalar::ZERO, column, &comb);
+            assert_eq!(entry.to_affine(), sum.to_affine(), "mask {mask:#09b}");
+        }
+    }
+}
+
+/// Width-5 wNAF on fixed scalars, against the reference.
+#[test]
+fn wnaf_scalar_mul_matches_reference_on_seeds() {
+    let g = Point::generator();
+    for seed in [1u64, 2, 3, 0xdead_beef, u64::MAX] {
+        let k = Scalar::new(U256::from_be_bytes(keccak256(&seed.to_be_bytes())));
+        assert_eq!(g.scalar_mul(k), scalar_mul_reference(&g, k), "seed {seed}");
+    }
+}
+
+/// The generator's two-comb walk on fixed scalars, 0 and 1, against the
+/// reference.
+#[test]
+fn generator_mul_matches_reference_on_seeds() {
+    let g = Point::generator();
+    for seed in [1u64, 7, 16, 255, 0xffff_ffff_ffff_ffff] {
+        let k = Scalar::new(U256::from_be_bytes(keccak256(&seed.to_le_bytes())));
+        assert_eq!(
+            point::generator_mul(k).to_affine(),
+            scalar_mul_reference(&g, k),
+            "seed {seed}"
+        );
+    }
+    assert_eq!(
+        point::generator_mul(Scalar::ZERO).to_affine(),
+        Point::INFINITY
+    );
+    assert_eq!(point::generator_mul(Scalar::ONE).to_affine(), g);
+}
+
+/// One Straus pass on fixed scalar pairs, zeros included, against two
+/// reference products.
+#[test]
+fn shamir_matches_reference_on_seeds() {
+    let g = Point::generator();
+    let q = g.scalar_mul(Scalar::new(U256::from(0xabcdefu64)));
+    for (a, b) in [(5u64, 7u64), (0, 9), (11, 0), (u64::MAX, 1)] {
+        let u1 = Scalar::new(U256::from_be_bytes(keccak256(&a.to_be_bytes())));
+        let u2 = Scalar::new(U256::from_be_bytes(keccak256(&b.to_be_bytes())));
+        let fast = point::double_scalar_mul_generator(u1, u2, &q).to_affine();
+        let slow = scalar_mul_reference(&g, u1).add(&scalar_mul_reference(&q, u2));
+        assert_eq!(fast, slow, "({a}, {b})");
+    }
+}
+
 /// The generator's comb walk on every edge scalar, against the reference.
 #[test]
 fn generator_mul_matches_reference_on_edge_scalars() {
@@ -448,7 +566,7 @@ fn generator_mul_matches_reference_on_edge_scalars() {
     for k in comb_edge_scalars() {
         assert_eq!(
             point::generator_mul(k).to_affine(),
-            g.scalar_mul_reference(k),
+            scalar_mul_reference(&g, k),
             "k {k:?}"
         );
     }

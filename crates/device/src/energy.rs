@@ -82,13 +82,12 @@ impl PowerState {
     }
 }
 
-/// One contiguous interval spent in a power state.
+/// One contiguous interval spent in a power state: 24 bytes, the start
+/// and length as whole nanoseconds of the device clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimelineEntry {
-    /// Offset from the start of the measurement.
-    pub start: Duration,
-    /// How long the state was held.
-    pub duration: Duration,
+    start_ns: u64,
+    duration_ns: u64,
     /// The state.
     pub state: PowerState,
 }
@@ -99,10 +98,25 @@ impl TimelineEntry {
         self.state.current_ma()
     }
 
+    /// Offset from the start of the measurement.
+    pub fn start(&self) -> Duration {
+        Duration::from_nanos(self.start_ns)
+    }
+
+    /// How long the state was held.
+    pub fn duration(&self) -> Duration {
+        Duration::from_nanos(self.duration_ns)
+    }
+
     /// End of the interval.
     pub fn end(&self) -> Duration {
-        self.start + self.duration
+        Duration::from_nanos(self.start_ns + self.duration_ns)
     }
+}
+
+/// Whole nanoseconds of a device-clock time, saturating past ~584 years.
+fn nanos(time: Duration) -> u64 {
+    u64::try_from(time.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Energy figures for one power state.
@@ -315,7 +329,7 @@ impl EnergyMeter {
         // (the Figure 5 trace only changes on state *transitions*).
         match self.timeline.last_mut() {
             Some(last) if last.state == state && last.end() == self.clock => {
-                last.duration += duration;
+                last.duration_ns += nanos(duration);
             }
             _ => {
                 if self.timeline.len() >= self.timeline_cap {
@@ -327,8 +341,8 @@ impl EnergyMeter {
                     }
                 }
                 self.timeline.push(TimelineEntry {
-                    start: self.clock,
-                    duration,
+                    start_ns: nanos(self.clock),
+                    duration_ns: nanos(duration),
                     state,
                 });
             }
@@ -389,7 +403,7 @@ impl EnergyMeter {
     pub fn current_at(&self, at: Duration) -> f64 {
         self.timeline()
             .iter()
-            .find(|e| at >= e.start && at < e.end())
+            .find(|e| at >= e.start() && at < e.end())
             .map(|e| e.current_ma())
             .unwrap_or(0.0)
     }
@@ -489,9 +503,9 @@ mod tests {
         meter.record(PowerState::Rx, Duration::from_millis(7));
         let timeline = meter.timeline();
         assert_eq!(timeline.len(), 3);
-        assert_eq!(timeline[0].start, Duration::ZERO);
-        assert_eq!(timeline[1].start, Duration::from_millis(10));
-        assert_eq!(timeline[2].start, Duration::from_millis(15));
+        assert_eq!(timeline[0].start(), Duration::ZERO);
+        assert_eq!(timeline[1].start(), Duration::from_millis(10));
+        assert_eq!(timeline[2].start(), Duration::from_millis(15));
         assert_eq!(meter.now(), Duration::from_millis(22));
     }
 
@@ -539,7 +553,7 @@ mod tests {
         // Two CPU intervals merged; the one after TX starts a new entry.
         let timeline = meter.timeline();
         assert_eq!(timeline.len(), 3);
-        assert_eq!(timeline[0].duration, Duration::from_millis(15));
+        assert_eq!(timeline[0].duration(), Duration::from_millis(15));
         assert_eq!(timeline[0].state, PowerState::CpuActive);
         // Totals are unaffected by compaction.
         assert_eq!(
@@ -591,7 +605,7 @@ mod tests {
         );
         // The retained tail is the most recent transitions.
         let first_kept = capped.timeline()[0];
-        assert_eq!(first_kept.start, Duration::from_millis(3 * (1000 - 16)));
+        assert_eq!(first_kept.start(), Duration::from_millis(3 * (1000 - 16)));
         // Reading the window never exposes an evicted entry.
         assert_eq!(capped.current_at(Duration::from_millis(3)), 0.0);
         // Reset clears the eviction counter too.
@@ -629,5 +643,17 @@ mod tests {
             }
             other => panic!("expected a Power event, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn timeline_entries_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<TimelineEntry>(), 24);
+        let mut meter = EnergyMeter::cc2538();
+        meter.record(PowerState::Rx, Duration::from_nanos(1_500));
+        meter.record(PowerState::Rx, Duration::from_nanos(250));
+        let entry = meter.timeline()[0];
+        assert_eq!(entry.start(), Duration::ZERO);
+        assert_eq!(entry.duration(), Duration::from_nanos(1_750));
+        assert_eq!(entry.end(), meter.now());
     }
 }

@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 
 use tinyevm_analysis::AnalysisCache;
+use tinyevm_crypto::keccak256;
 use tinyevm_trace::TraceHandle;
 use tinyevm_types::{Address, U256};
 
@@ -184,6 +185,9 @@ struct FrameResult {
 struct AccountState {
     balance: U256,
     code: Vec<u8>,
+    /// Keccak-256 of `code`, taken when it was installed: the key of its
+    /// analysis, so a call does not hash the code again.
+    code_hash: [u8; 32],
     storage: WordStorage,
     destroyed: bool,
 }
@@ -267,7 +271,15 @@ impl ContractStore {
     /// Installs runtime code at an address directly (without running init
     /// code); returns the previous code if any.
     pub fn install_code(&mut self, address: Address, code: Vec<u8>) -> Vec<u8> {
+        let hash = keccak256(&code);
+        self.install_hashed(address, code, hash)
+    }
+
+    /// [`ContractStore::install_code`] with the code's Keccak-256 already
+    /// known.
+    fn install_hashed(&mut self, address: Address, code: Vec<u8>, hash: [u8; 32]) -> Vec<u8> {
         let account = self.accounts.entry(address).or_default();
+        account.code_hash = hash;
         std::mem::replace(&mut account.code, code)
     }
 
@@ -355,9 +367,12 @@ impl ContractStore {
         self.call(request, iot)
     }
 
+    /// Runs `code`, whose Keccak-256 is `code_hash`, as one frame.
+    #[allow(clippy::too_many_arguments)]
     fn run_frame(
         &mut self,
         code: &[u8],
+        code_hash: [u8; 32],
         context: CallContext,
         storage_address: Address,
         static_mode: bool,
@@ -376,7 +391,7 @@ impl ContractStore {
         // interpreter as the host.
         let misses_before = self.analyses.misses();
         let evictions_before = self.analyses.evictions();
-        let analysis = self.analyses.analyze(code);
+        let analysis = self.analyses.analyze_hashed(code_hash, code);
         if self.tracer.enabled() {
             if self.analyses.misses() > misses_before {
                 self.tracer.count("evm.analysis_cache.misses", 1);
@@ -452,7 +467,11 @@ impl Host for ContractStore {
         if request.depth_remaining == 0 {
             return CallOutcome::failure();
         }
-        let code = self.code_of(&request.target);
+        let (code, code_hash) = self
+            .accounts
+            .get(&request.target)
+            .map(|account| (account.code.clone(), account.code_hash))
+            .unwrap_or_default();
         if code.is_empty() {
             // Calling an account without code is a plain value transfer.
             let ok = self.transfer(&request.caller, &request.target, request.value);
@@ -478,6 +497,7 @@ impl Host for ContractStore {
         };
         let frame = self.run_frame(
             &code,
+            code_hash,
             context,
             request.context_address,
             static_mode,
@@ -516,6 +536,7 @@ impl Host for ContractStore {
         };
         let frame = self.run_frame(
             init_code,
+            keccak256(init_code),
             context,
             new_address,
             false,
@@ -530,8 +551,9 @@ impl Host for ContractStore {
                 created: None,
             };
         }
+        let runtime_hash = keccak256(&frame.output);
         let gate = deploy_gate(&self.config, DeployStage::Runtime, || {
-            self.analyses.analyze(&frame.output)
+            self.analyses.analyze_hashed(runtime_hash, &frame.output)
         });
         if gate.is_err() {
             return CallOutcome {
@@ -541,7 +563,7 @@ impl Host for ContractStore {
                 created: None,
             };
         }
-        self.install_code(new_address, frame.output.clone());
+        self.install_hashed(new_address, frame.output.clone(), runtime_hash);
         CallOutcome {
             success: true,
             output: frame.output,

@@ -382,7 +382,9 @@ impl ContendingMedium {
     /// would make of it: it counts in
     /// [`ContendingMedium::slots_elapsed`], draws nothing and counts every
     /// ready sender's back-off down by one. `ready` lists each sender once,
-    /// in any order.
+    /// in any order. With no ready sender all `max_slots` are idle, and
+    /// [`ContendingMedium::slots_elapsed`] saturates at `u64::MAX` rather
+    /// than wrap.
     pub fn skip_idle_slots(&mut self, ready: &[NodeAddr], max_slots: u64) -> u64 {
         let mut slots = max_slots;
         for &addr in ready {
@@ -396,7 +398,7 @@ impl ContendingMedium {
                 return 0;
             }
         }
-        self.slots_elapsed += slots;
+        self.slots_elapsed = self.slots_elapsed.saturating_add(slots);
         for &addr in ready {
             if let Some(counter) = self
                 .state_mut(addr)
@@ -704,6 +706,16 @@ mod tests {
             ContendingMedium::new(NodeAddr::new(0xFE), LinkConfig::default(), single).unwrap();
         medium.attach(addrs[0]).unwrap();
         assert_eq!(medium.skip_idle_slots(&addrs[..1], 100), 0);
+    }
+
+    #[test]
+    fn skipping_an_unbounded_idle_run_saturates_the_slot_count() {
+        let (mut medium, _) = csma_medium(3, 5);
+        medium.resolve_slot(&[]);
+        assert_eq!(medium.skip_idle_slots(&[], u64::MAX), u64::MAX);
+        assert_eq!(medium.slots_elapsed(), u64::MAX);
+        assert_eq!(medium.skip_idle_slots(&[], 1), 1);
+        assert_eq!(medium.slots_elapsed(), u64::MAX);
     }
 
     /// The slot logic as a plain model: per-sender state in an ordered map,

@@ -83,9 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for entry in timeline.iter().take(20) {
         println!(
             "  t = {:>9.3?}  {:>6.1} mA for {:>9.3?}  ({})",
-            entry.start,
+            entry.start(),
             entry.current_ma(),
-            entry.duration,
+            entry.duration(),
             entry.state.label()
         );
     }
