@@ -19,6 +19,13 @@
 //!   `0x01` CREATEs a new payment channel from the embedded init code and
 //!   returns the child address, mirroring Listing 1's
 //!   `CreatePaymentChannel`.
+//!
+//! Every channel open builds a constructor, so the payment channel's code
+//! is assembled from its source once per process: a constructor for other
+//! parameters is that assembly with its two `PUSH8` immediates (the sensor
+//! selector and the channel id) patched.
+
+use std::sync::OnceLock;
 
 use tinyevm_evm::asm::{assemble, wrap_as_init_code};
 use tinyevm_evm::Opcode;
@@ -46,6 +53,11 @@ pub const FN_READ_SEQUENCE: u8 = 0x03;
 /// 1..33 the sequence number, bytes 33..65 the cumulative amount (both
 /// 32-byte big-endian words).
 pub fn payment_channel_runtime_code() -> Vec<u8> {
+    init_template().runtime.clone()
+}
+
+/// [`payment_channel_runtime_code`], assembled from its source.
+fn assemble_runtime_code() -> Vec<u8> {
     let source = format!(
         "
         ; dispatcher: selector = first calldata byte
@@ -100,7 +112,64 @@ pub fn payment_channel_runtime_code() -> Vec<u8> {
 /// representative of compiled constructors, and finally returns the runtime
 /// code.
 pub fn payment_channel_init_code(sensor_id: u64, channel_id: u64) -> Vec<u8> {
-    let runtime = payment_channel_runtime_code();
+    let template = init_template();
+    let mut code = template.init.clone();
+    code[template.sensor_at..][..8].copy_from_slice(&sensor_id.to_be_bytes());
+    code[template.channel_at..][..8].copy_from_slice(&channel_id.to_be_bytes());
+    code
+}
+
+/// The payment channel's code, assembled once, and where its
+/// constructor's two `PUSH8` immediates sit.
+struct InitTemplate {
+    runtime: Vec<u8>,
+    /// The init code for sensor 0 and channel 0.
+    init: Vec<u8>,
+    sensor_at: usize,
+    channel_at: usize,
+}
+
+fn init_template() -> &'static InitTemplate {
+    static TEMPLATE: OnceLock<InitTemplate> = OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        let runtime = assemble_runtime_code();
+        let constructor = assemble_constructor(0, 0);
+        let pushes = push8_immediates(&constructor);
+        let [sensor_at, channel_at] = pushes[..] else {
+            panic!("the constructor has two PUSH8s, found {}", pushes.len());
+        };
+        InitTemplate {
+            init: prepend_constructor(constructor, &runtime),
+            runtime,
+            sensor_at,
+            channel_at,
+        }
+    })
+}
+
+/// Offsets of the immediates of every `PUSH8` in `code`, in order.
+fn push8_immediates(code: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut pc = 0;
+    while pc < code.len() {
+        let width = Opcode::from_byte(code[pc]).map_or(0, Opcode::push_bytes);
+        if code[pc] == Opcode::Push8.to_byte() {
+            offsets.push(pc + 1);
+        }
+        pc += 1 + width;
+    }
+    offsets
+}
+
+/// [`payment_channel_init_code`], assembled from its source.
+#[cfg(test)]
+fn assemble_init_code(sensor_id: u64, channel_id: u64) -> Vec<u8> {
+    let constructor = assemble_constructor(sensor_id, channel_id);
+    prepend_constructor(constructor, &assemble_runtime_code())
+}
+
+/// The constructor proper, without the tail that returns the runtime.
+fn assemble_constructor(sensor_id: u64, channel_id: u64) -> Vec<u8> {
     // Selector word for "read sensor `sensor_id`": op byte 0 plus the id in
     // the next 8 bytes (see IotRequest::decode).
     let constructor = format!(
@@ -135,8 +204,7 @@ pub fn payment_channel_init_code(sensor_id: u64, channel_id: u64) -> Vec<u8> {
         channel_id = channel_id,
         slot_channel = SLOT_CHANNEL_ID,
     );
-    let constructor_code = assemble(&constructor).expect("payment channel constructor assembles");
-    prepend_constructor(constructor_code, &runtime)
+    assemble(&constructor).expect("payment channel constructor assembles")
 }
 
 /// Builds init code that first runs `constructor_code` (which must not
@@ -382,6 +450,32 @@ mod tests {
             world.storage_of(&child_address, U256::from(SLOT_SENSOR as u64)),
             U256::from(2150u64)
         );
+    }
+
+    #[test]
+    fn patched_init_code_matches_a_fresh_assembly() {
+        assert_eq!(payment_channel_runtime_code(), assemble_runtime_code());
+        let mut pairs = vec![(0, 0), (u64::MAX, u64::MAX), (0, u64::MAX), (u64::MAX, 0)];
+        // SplitMix64 steps: seeded, spread over all 64 bits.
+        let mut state = 0x5EED_C0DEu64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..32 {
+            let (sensor, channel) = (next(), next());
+            pairs.extend([(sensor, channel), (sensor & 0xff, channel >> 40)]);
+        }
+        for (sensor, channel) in pairs {
+            assert_eq!(
+                payment_channel_init_code(sensor, channel),
+                assemble_init_code(sensor, channel),
+                "sensor {sensor:#x}, channel {channel:#x}"
+            );
+        }
     }
 
     #[test]

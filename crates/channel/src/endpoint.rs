@@ -473,7 +473,9 @@ pub struct ChannelEndpoint {
     addr: NodeAddr,
     role: ChannelRole,
     profile: EndpointProfile,
-    sessions: BTreeMap<NodeAddr, PeerSession>,
+    /// Boxed, so a one-peer endpoint's B-tree leaf holds eleven pointers
+    /// rather than room for eleven ~1 KB sessions.
+    sessions: BTreeMap<NodeAddr, Box<PeerSession>>,
     expected: BTreeMap<NodeAddr, ChannelRegistration>,
     outbox: VecDeque<Outgoing>,
     in_flight: Option<OutKind>,
@@ -704,7 +706,7 @@ impl ChannelEndpoint {
         let log = SideChainLog::new(registration.anchor);
         self.sessions.insert(
             peer,
-            PeerSession {
+            Box::new(PeerSession {
                 registration,
                 channel: PaymentChannel::new(config, ChannelRole::Sender),
                 contract: None,
@@ -715,7 +717,7 @@ impl ChannelEndpoint {
                 staged_close: None,
                 last_inbound: Vec::new(),
                 last_reply: Vec::new(),
-            },
+            }),
         );
         if self.two_party() {
             self.queue_own_reading(peer, OutKind::Reading);
@@ -1071,8 +1073,7 @@ impl ChannelEndpoint {
         self.device.account_codec(bytes.len());
         if let Some(session) = self.sessions.get_mut(&from) {
             if !bytes.is_empty() && session.last_inbound == bytes {
-                let replies: Vec<Outgoing> = session.last_reply.clone();
-                self.outbox.extend(replies);
+                self.outbox.extend(session.last_reply.iter().cloned());
                 self.tracer.count("channel.duplicate_messages", 1);
                 return Ok(Vec::new());
             }
@@ -1080,11 +1081,15 @@ impl ChannelEndpoint {
         let message = Message::from_wire(bytes)?;
         let queued_before = self.outbox.len();
         let effects = self.handle_message(from, message)?;
-        let reply: Vec<Outgoing> = self.outbox.iter().skip(queued_before).cloned().collect();
         if let Some(session) = self.sessions.get_mut(&from) {
             session.last_inbound.clear();
             session.last_inbound.extend_from_slice(bytes);
-            session.last_reply = reply;
+            // The replies stay queued for transmission; this copy is what a
+            // duplicate of the frame re-queues.
+            session.last_reply.clear();
+            session
+                .last_reply
+                .extend(self.outbox.iter().skip(queued_before).cloned());
         }
         Ok(effects)
     }
@@ -1236,7 +1241,7 @@ impl ChannelEndpoint {
         let log = SideChainLog::new(registration.anchor);
         self.sessions.insert(
             from,
-            PeerSession {
+            Box::new(PeerSession {
                 registration,
                 channel: PaymentChannel::new(config, ChannelRole::Receiver),
                 contract: Some(contract),
@@ -1247,7 +1252,7 @@ impl ChannelEndpoint {
                 staged_close: None,
                 last_inbound: Vec::new(),
                 last_reply: Vec::new(),
-            },
+            }),
         );
         if self.two_party() {
             self.device.sleep(IDLE_GAP);
@@ -1541,7 +1546,7 @@ impl ChannelEndpoint {
             .and_then(|s| s.contract);
         self.sessions.insert(
             peer,
-            PeerSession {
+            Box::new(PeerSession {
                 registration: ChannelRegistration {
                     template: snapshot.template,
                     channel_id: snapshot.channel_id,
@@ -1559,7 +1564,7 @@ impl ChannelEndpoint {
                 staged_close: None,
                 last_inbound: Vec::new(),
                 last_reply: Vec::new(),
-            },
+            }),
         );
         Ok(())
     }
@@ -1617,6 +1622,7 @@ impl ChannelEndpoint {
     fn session_mut(&mut self, peer: NodeAddr) -> Result<&mut PeerSession, EndpointError> {
         self.sessions
             .get_mut(&peer)
+            .map(|session| &mut **session)
             .ok_or(EndpointError::UnknownPeer(peer))
     }
 

@@ -536,6 +536,33 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// FNV-1a over every contract's id, class, runtime size and init code.
+    fn corpus_hash(corpus: &[SyntheticContract]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &byte in bytes {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for contract in corpus {
+            eat(&(contract.id as u64).to_le_bytes());
+            eat(format!("{:?}", contract.class).as_bytes());
+            eat(&(contract.runtime_size as u64).to_le_bytes());
+            eat(&(contract.init_code.len() as u64).to_le_bytes());
+            eat(&contract.init_code);
+        }
+        hash
+    }
+
+    #[test]
+    fn the_paper_scale_corpus_is_pinned() {
+        // A change to how the RNG draws or how a contract is generated
+        // changes every experiment over the corpus; this hash moves first.
+        let corpus = CorpusConfig::paper_scale().generate();
+        assert_eq!(corpus.len(), 7_000);
+        assert_eq!(corpus_hash(&corpus), 0xfd4d_0805_73c0_4fc1);
+    }
+
     #[test]
     fn sizes_respect_the_configured_bounds() {
         let corpus = CorpusConfig {

@@ -12,7 +12,7 @@ use tinyevm_evm::{
 use tinyevm_types::{Address, U256};
 
 use crate::crypto_engine::CryptoEngine;
-use crate::energy::{EnergyMeter, EnergyReport, PowerState, TimelineEntry};
+use crate::energy::{nanos, EnergyMeter, EnergyReport, Nanos56, PowerState, TimelineEntry};
 use crate::footprint::Footprint;
 use crate::mcu::Mcu;
 use crate::sensors::DeviceSensors;
@@ -80,17 +80,20 @@ impl ActivityKind {
 /// simulated start time and duration — the narrative behind the Figure 5
 /// timeline.
 ///
-/// A 24-byte `Copy` value that owns no heap memory: the kind is one byte
-/// and both times are whole nanoseconds of the device clock (a `u64`
-/// covers 584 years). A two-party payment appends 27 of these (14 on the
-/// sender, 13 on the receiver), so the record's size is most of what a
-/// long-lived channel retains per payment.
+/// A 16-byte `Copy` value that owns no heap memory. The start is whole
+/// nanoseconds of the device clock in a `u64` (saturating past ~584
+/// years), the duration a 56-bit nanosecond count and the kind one byte.
+/// An activity longer than 2^56 − 1 ns (about 834 days) records that
+/// saturated duration. The clock itself runs past 2^56 ns in a long soak,
+/// so the start keeps all 64 bits. A two-party payment appends 27 of these
+/// (14 on the sender, 13 on the receiver), so the record's size is most
+/// of what a long-lived channel retains per payment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceActivity {
+    start_ns: u64,
+    duration_ns: Nanos56,
     /// What the device did.
     pub label: ActivityKind,
-    start_ns: u64,
-    duration_ns: u64,
 }
 
 impl DeviceActivity {
@@ -101,7 +104,7 @@ impl DeviceActivity {
 
     /// How long it took.
     pub fn duration(&self) -> Duration {
-        Duration::from_nanos(self.duration_ns)
+        Duration::from_nanos(self.duration_ns.get())
     }
 }
 
@@ -290,12 +293,11 @@ impl Device {
     }
 
     fn log_activity(&mut self, label: ActivityKind, start: Duration) {
-        let nanos = |time: Duration| u64::try_from(time.as_nanos()).unwrap_or(u64::MAX);
         let duration = self.meter.now().saturating_sub(start);
         self.activities.push(DeviceActivity {
-            label,
             start_ns: nanos(start),
-            duration_ns: nanos(duration),
+            duration_ns: Nanos56::saturating(nanos(duration)),
+            label,
         });
     }
 
@@ -603,9 +605,29 @@ mod tests {
     }
 
     #[test]
-    fn activity_records_are_24_bytes_and_own_no_heap() {
-        assert_eq!(std::mem::size_of::<DeviceActivity>(), 24);
+    fn activity_records_are_16_bytes_and_own_no_heap() {
+        assert_eq!(std::mem::size_of::<DeviceActivity>(), 16);
         assert_eq!(std::mem::size_of::<ActivityKind>(), 1);
+    }
+
+    #[test]
+    fn activity_durations_saturate_at_56_bits_and_starts_do_not() {
+        let max = Duration::from_nanos(Nanos56::MAX);
+        let mut device = Device::openmote_b("patient");
+        device.sleep(max);
+        device.sleep(max + Duration::from_nanos(10));
+        device.sign_payload(b"after two long naps");
+        let log = device.activities();
+        // The largest 56-bit duration is exact, a longer one saturates.
+        assert_eq!((log[0].start(), log[0].duration()), (Duration::ZERO, max));
+        assert_eq!((log[1].start(), log[1].duration()), (max, max));
+        // The clock ran past 2^56 ns, and starts keep every bit of it.
+        let clock = 2 * max + Duration::from_nanos(10);
+        assert_eq!(log[2].start(), clock);
+        assert_eq!(log[2].duration(), Duration::from_millis(355));
+        assert_eq!(log[2].label, ActivityKind::SignPayload);
+        // The meter's totals never saturate.
+        assert_eq!(device.energy_report().time_of(PowerState::Lpm2), clock);
     }
 
     #[test]

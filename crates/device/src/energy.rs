@@ -82,12 +82,60 @@ impl PowerState {
     }
 }
 
-/// One contiguous interval spent in a power state: 24 bytes, the start
-/// and length as whole nanoseconds of the device clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// A nanosecond count in seven little-endian bytes: the duration field of
+/// the 16-byte [`TimelineEntry`] and
+/// [`DeviceActivity`](crate::DeviceActivity). It holds at most
+/// [`Nanos56::MAX`] = 2^56 − 1 ns, about 834 days.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Nanos56([u8; 7]);
+
+impl Nanos56 {
+    /// The largest count: 2^56 − 1 ns.
+    pub(crate) const MAX: u64 = (1 << 56) - 1;
+
+    /// `nanos`, saturated at [`Nanos56::MAX`].
+    pub(crate) fn saturating(nanos: u64) -> Self {
+        let bytes = nanos.min(Self::MAX).to_le_bytes();
+        let mut packed = [0; 7];
+        packed.copy_from_slice(&bytes[..7]);
+        Nanos56(packed)
+    }
+
+    /// The count.
+    pub(crate) fn get(self) -> u64 {
+        let mut bytes = [0; 8];
+        bytes[..7].copy_from_slice(&self.0);
+        u64::from_le_bytes(bytes)
+    }
+
+    /// The count plus `nanos`, or `None` past [`Nanos56::MAX`].
+    fn checked_add(self, nanos: u64) -> Option<Self> {
+        self.get()
+            .checked_add(nanos)
+            .filter(|&sum| sum <= Self::MAX)
+            .map(Self::saturating)
+    }
+}
+
+impl std::fmt::Debug for Nanos56 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// One contiguous interval spent in a power state.
+///
+/// A 16-byte `Copy` value: the start is whole nanoseconds of the device
+/// clock in a `u64` (saturating past ~584 years), the length a 56-bit
+/// nanosecond count and the state one byte. An interval longer than
+/// 2^56 − 1 ns (about 834 days) saturates there. The meter never merges
+/// intervals past that length: when a same-state interval would push the
+/// newest entry beyond it, the interval opens a new entry instead, so the
+/// timeline stays contiguous and every entry exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineEntry {
     start_ns: u64,
-    duration_ns: u64,
+    duration_ns: Nanos56,
     /// The state.
     pub state: PowerState,
 }
@@ -105,17 +153,17 @@ impl TimelineEntry {
 
     /// How long the state was held.
     pub fn duration(&self) -> Duration {
-        Duration::from_nanos(self.duration_ns)
+        Duration::from_nanos(self.duration_ns.get())
     }
 
     /// End of the interval.
     pub fn end(&self) -> Duration {
-        Duration::from_nanos(self.start_ns + self.duration_ns)
+        Duration::from_nanos(self.start_ns.saturating_add(self.duration_ns.get()))
     }
 }
 
 /// Whole nanoseconds of a device-clock time, saturating past ~584 years.
-fn nanos(time: Duration) -> u64 {
+pub(crate) fn nanos(time: Duration) -> u64 {
     u64::try_from(time.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -327,27 +375,42 @@ impl EnergyMeter {
         self.totals[state.index()] += duration;
         // Contiguous same-state intervals compact into one timeline entry
         // (the Figure 5 trace only changes on state *transitions*).
-        match self.timeline.last_mut() {
-            Some(last) if last.state == state && last.end() == self.clock => {
-                last.duration_ns += nanos(duration);
-            }
-            _ => {
-                if self.timeline.len() >= self.timeline_cap {
-                    self.timeline_truncated += 1;
-                    // Twice the cap (written so a cap of `usize::MAX`
-                    // cannot overflow): drop the evicted half at once.
-                    if self.timeline.len() - self.timeline_cap == self.timeline_cap {
-                        self.timeline.drain(..self.timeline_cap);
-                    }
+        if !self.extend_last(state, duration) {
+            if self.timeline.len() >= self.timeline_cap {
+                self.timeline_truncated += 1;
+                // Twice the cap (written so a cap of `usize::MAX` cannot
+                // overflow): drop the evicted half at once.
+                if self.timeline.len() - self.timeline_cap == self.timeline_cap {
+                    self.timeline.drain(..self.timeline_cap);
                 }
-                self.timeline.push(TimelineEntry {
-                    start_ns: nanos(self.clock),
-                    duration_ns: nanos(duration),
-                    state,
-                });
             }
+            self.timeline.push(TimelineEntry {
+                start_ns: nanos(self.clock),
+                duration_ns: Nanos56::saturating(nanos(duration)),
+                state,
+            });
         }
         self.clock += duration;
+    }
+
+    /// Lengthens the newest timeline entry by `duration` when it is an
+    /// interval in `state` that ends now and the sum still fits its 56-bit
+    /// duration; returns whether it did.
+    fn extend_last(&mut self, state: PowerState, duration: Duration) -> bool {
+        let now = self.clock;
+        let Some(last) = self.timeline.last_mut() else {
+            return false;
+        };
+        if last.state != state || last.end() != now {
+            return false;
+        }
+        match last.duration_ns.checked_add(nanos(duration)) {
+            Some(sum) => {
+                last.duration_ns = sum;
+                true
+            }
+            None => false,
+        }
     }
 
     /// The recorded timeline (Figure 5 raw data): state-transition
@@ -646,8 +709,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_entries_are_24_bytes() {
-        assert_eq!(std::mem::size_of::<TimelineEntry>(), 24);
+    fn timeline_entries_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<TimelineEntry>(), 16);
         let mut meter = EnergyMeter::cc2538();
         meter.record(PowerState::Rx, Duration::from_nanos(1_500));
         meter.record(PowerState::Rx, Duration::from_nanos(250));
@@ -655,5 +718,58 @@ mod tests {
         assert_eq!(entry.start(), Duration::ZERO);
         assert_eq!(entry.duration(), Duration::from_nanos(1_750));
         assert_eq!(entry.end(), meter.now());
+    }
+
+    #[test]
+    fn nanos56_round_trips_below_2_pow_56_and_saturates_above() {
+        assert_eq!(std::mem::size_of::<Nanos56>(), 7);
+        for nanos in [0, 1, 255, 256, 1 << 48, Nanos56::MAX - 1, Nanos56::MAX] {
+            assert_eq!(Nanos56::saturating(nanos).get(), nanos);
+        }
+        for nanos in [Nanos56::MAX + 1, 1 << 63, u64::MAX] {
+            assert_eq!(Nanos56::saturating(nanos).get(), Nanos56::MAX);
+        }
+        let below = Nanos56::saturating(Nanos56::MAX - 1);
+        assert_eq!(below.checked_add(1).map(Nanos56::get), Some(Nanos56::MAX));
+        assert_eq!(below.checked_add(2), None);
+        assert_eq!(Nanos56::saturating(1).checked_add(u64::MAX), None);
+        assert_eq!(format!("{:?}", Nanos56::saturating(1_750)), "1750");
+    }
+
+    #[test]
+    fn a_merge_past_56_bits_opens_a_new_entry() {
+        let max = Duration::from_nanos(Nanos56::MAX);
+        let ns = Duration::from_nanos;
+        let mut meter = EnergyMeter::cc2538();
+        // Two halves that sum to exactly 2^56 - 1 ns still merge.
+        meter.record(PowerState::Lpm2, max - ns(1));
+        meter.record(PowerState::Lpm2, ns(1));
+        assert_eq!(meter.timeline().len(), 1);
+        assert_eq!(meter.timeline()[0].duration(), max);
+        // One nanosecond more opens a contiguous entry, which then merges.
+        meter.record(PowerState::Lpm2, ns(1));
+        meter.record(PowerState::Lpm2, ns(2));
+        // A single interval past 2^56 - 1 ns saturates in its own entry,
+        // and the interval after it starts at the true clock.
+        meter.record(PowerState::Lpm2, max + ns(5));
+        meter.record(PowerState::Rx, ns(7));
+        let entries: Vec<_> = meter
+            .timeline()
+            .iter()
+            .map(|e| (e.state, e.start(), e.duration()))
+            .collect();
+        assert_eq!(
+            entries,
+            [
+                (PowerState::Lpm2, Duration::ZERO, max),
+                (PowerState::Lpm2, max, ns(3)),
+                (PowerState::Lpm2, max + ns(3), max),
+                (PowerState::Rx, 2 * max + ns(8), ns(7)),
+            ]
+        );
+        assert_eq!(meter.timeline()[1].end(), max + ns(3));
+        // The report integrates every nanosecond.
+        assert_eq!(meter.time_in(PowerState::Lpm2), 2 * max + ns(8));
+        assert_eq!(meter.now(), 2 * max + ns(15));
     }
 }

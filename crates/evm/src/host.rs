@@ -11,6 +11,7 @@
 //! main-chain simulator.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use tinyevm_analysis::AnalysisCache;
 use tinyevm_crypto::keccak256;
@@ -181,15 +182,28 @@ struct FrameResult {
 }
 
 /// One account in a [`ContractStore`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct AccountState {
     balance: U256,
-    code: Vec<u8>,
+    /// Shared, so a call runs the callee's code without copying it.
+    code: Arc<[u8]>,
     /// Keccak-256 of `code`, taken when it was installed: the key of its
     /// analysis, so a call does not hash the code again.
     code_hash: [u8; 32],
     storage: WordStorage,
     destroyed: bool,
+}
+
+impl Default for AccountState {
+    fn default() -> Self {
+        AccountState {
+            balance: U256::ZERO,
+            code: Arc::from(&[][..]),
+            code_hash: [0; 32],
+            storage: WordStorage::default(),
+            destroyed: false,
+        }
+    }
 }
 
 /// An in-memory world of accounts, code, balances and storage.
@@ -272,12 +286,12 @@ impl ContractStore {
     /// code); returns the previous code if any.
     pub fn install_code(&mut self, address: Address, code: Vec<u8>) -> Vec<u8> {
         let hash = keccak256(&code);
-        self.install_hashed(address, code, hash)
+        self.install_hashed(address, code.into(), hash).to_vec()
     }
 
     /// [`ContractStore::install_code`] with the code's Keccak-256 already
     /// known.
-    fn install_hashed(&mut self, address: Address, code: Vec<u8>, hash: [u8; 32]) -> Vec<u8> {
+    fn install_hashed(&mut self, address: Address, code: Arc<[u8]>, hash: [u8; 32]) -> Arc<[u8]> {
         let account = self.accounts.entry(address).or_default();
         account.code_hash = hash;
         std::mem::replace(&mut account.code, code)
@@ -287,7 +301,7 @@ impl ContractStore {
     pub fn code_of(&self, address: &Address) -> Vec<u8> {
         self.accounts
             .get(address)
-            .map(|a| a.code.clone())
+            .map(|a| a.code.to_vec())
             .unwrap_or_default()
     }
 
@@ -380,7 +394,9 @@ impl ContractStore {
         iot: &mut dyn IotEnvironment,
     ) -> FrameResult {
         // Detach the storage of the context account so the interpreter can
-        // borrow both the storage and the host (self) mutably.
+        // borrow both the storage and the host (self) mutably. The copy is
+        // also the frame's revert snapshot: only a frame that neither
+        // reverts nor runs static writes it back.
         let mut storage = self
             .accounts
             .entry(storage_address)
@@ -467,12 +483,12 @@ impl Host for ContractStore {
         if request.depth_remaining == 0 {
             return CallOutcome::failure();
         }
-        let (code, code_hash) = self
+        let Some((code, code_hash)) = self
             .accounts
             .get(&request.target)
-            .map(|account| (account.code.clone(), account.code_hash))
-            .unwrap_or_default();
-        if code.is_empty() {
+            .filter(|account| !account.code.is_empty())
+            .map(|account| (Arc::clone(&account.code), account.code_hash))
+        else {
             // Calling an account without code is a plain value transfer.
             let ok = self.transfer(&request.caller, &request.target, request.value);
             return CallOutcome {
@@ -481,7 +497,7 @@ impl Host for ContractStore {
                 metrics: ExecMetrics::new(),
                 created: None,
             };
-        }
+        };
         if !request.value.is_zero()
             && !self.transfer(&request.caller, &request.context_address, request.value)
         {
@@ -493,7 +509,7 @@ impl Host for ContractStore {
             caller: request.caller,
             origin: request.caller,
             call_value: request.value,
-            call_data: request.input.clone(),
+            call_data: request.input,
         };
         let frame = self.run_frame(
             &code,
@@ -563,7 +579,7 @@ impl Host for ContractStore {
                 created: None,
             };
         }
-        self.install_hashed(new_address, frame.output.clone(), runtime_hash);
+        self.install_hashed(new_address, frame.output.as_slice().into(), runtime_hash);
         CallOutcome {
             success: true,
             output: frame.output,
@@ -581,7 +597,7 @@ impl Host for ContractStore {
         let _ = self.transfer(&address, &beneficiary, balance);
         if let Some(account) = self.accounts.get_mut(&address) {
             account.destroyed = true;
-            account.code.clear();
+            account.code = Arc::from(&[][..]);
         }
     }
 }
